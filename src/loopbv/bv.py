@@ -187,6 +187,16 @@ def delta_table(cfg: AlgebraConfig, comp: Component, lo: int, hi: int) -> DeltaT
     return DeltaTable(cfg, comp, (lo, hi), rows)
 
 
+def bv_relation_holds(a: AlgebraElement, b: AlgebraElement, cfg: AlgebraConfig) -> bool:
+    """Whether Delta(ab) = Delta(a) b + a Delta(b) + {a, b} at the pair (a, b)."""
+    lhs = delta(multiply(a, b, cfg), cfg)
+    rhs = add(
+        add(multiply(delta(a, cfg), b, cfg), multiply(a, delta(b, cfg), cfg)),
+        bracket(a, b, cfg),
+    )
+    return lhs == rhs
+
+
 def axiom_failures(
     cfg: AlgebraConfig,
     lo: int,
@@ -208,12 +218,7 @@ def axiom_failures(
     rng = random.Random(seed)
     for _ in range(samples):
         a, b, c = (element(rng.choice(pool)) for _ in range(3))
-        lhs = delta(multiply(a, b, cfg), cfg)
-        rhs = add(
-            add(multiply(delta(a, cfg), b, cfg), multiply(a, delta(b, cfg), cfg)),
-            bracket(a, b, cfg),
-        )
-        if lhs != rhs:
+        if not bv_relation_holds(a, b, cfg):
             failures.append(f"BV relation fails at ({a}, {b})")
         if bracket(a, b, cfg) != bracket(b, a, cfg):
             failures.append(f"bracket not symmetric at ({a}, {b})")

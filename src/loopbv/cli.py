@@ -19,6 +19,7 @@ from .ring import (
     BVCase,
     Component,
     InputError,
+    Monomial,
     basis,
     component,
     element,
@@ -162,16 +163,44 @@ def cmd_series(args) -> int:
     return 0
 
 
+# For even n, (x v)(v w) = x v^2 w rewrites to x^(2n+1) w^2, whose Delta
+# vanishes while the right side of the BV relation does not: the B cases are
+# not graded BV algebras there.  Checking this pair on every run keeps the
+# verdict independent of --samples and --seed.
+OBSTRUCTION_WITNESS = (Monomial(1, 1, 0), Monomial(0, 1, 1))  # (x*v, v*w)
+
+
 def cmd_verify(args) -> int:
     cfg = _algebra(args)
-    failed = False
     report = spectral.verify_collapse(cfg, args.max_degree)
+    lo, hi = -cfg.dim, 12 * cfg.n
+    failures = bv.axiom_failures(cfg, lo, hi, samples=args.samples, seed=args.seed)
+    a, b = (element(m) for m in OBSTRUCTION_WITNESS)
+    if not bv.bv_relation_holds(a, b, cfg):
+        failures.insert(0, f"BV relation fails at ({a}, {b})")
+    passed = report.passed and not failures
+    if args.format == "json":
+        print(_emit_json({
+            "collapse": {
+                "passed": report.passed,
+                "e_page_stable": report.e_page_stable,
+                "first_mismatch": report.first_mismatch,
+                "max_degree": args.max_degree,
+            },
+            "axioms": {
+                "failures": failures,
+                "window": [lo, hi],
+                "samples": args.samples,
+                "seed": args.seed,
+            },
+            "passed": passed,
+        }))
+        return 0 if passed else 1
     if report.passed:
         if not args.quiet:
             print(f"collapse n={cfg.n} case={cfg.bv_case.value} "
                   f"through degree {args.max_degree}: PASS")
     else:
-        failed = True
         print(f"collapse n={cfg.n} case={cfg.bv_case.value}: FAIL")
         if not report.e_page_stable:
             print("  contractible component moved between pages two and three")
@@ -180,17 +209,14 @@ def cmd_verify(args) -> int:
             print(f"  first mismatch at degree {k}: computed {got}, expected {want}")
             print(f"  computed series: {list(report.computed)}")
             print(f"  expected series: {list(report.expected)}")
-    lo, hi = -cfg.dim, 12 * cfg.n
-    failures = bv.axiom_failures(cfg, lo, hi, samples=args.samples, seed=args.seed)
     if failures:
-        failed = True
         print(f"axioms n={cfg.n} case={cfg.bv_case.value}: FAIL")
         for message in failures[:10]:
             print(f"  {message}")
     elif not args.quiet:
         print(f"axioms n={cfg.n} case={cfg.bv_case.value} on degrees "
               f"[{lo}, {hi}] with {args.samples} samples (seed {args.seed}): PASS")
-    return 1 if failed else 0
+    return 0 if passed else 1
 
 
 def _resonance_payload(args, n: int, records) -> tuple[dict, bool]:
@@ -292,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--case", choices=CASE_CHOICES, default="A_v")
     p_verify.add_argument("--max-degree", type=int, default=100)
     p_verify.add_argument("--samples", type=int, default=200)
-    _common_flags(p_verify)
+    _common_flags(p_verify, formats=("table", "json"))
     p_verify.set_defaults(func=cmd_verify)
 
     p_res = sub.add_parser("resonance", help="resonance identity checks on geodesic data")

@@ -14,8 +14,3 @@ def rank(rows: list[int]) -> int:
         work = [r ^ pivot_row if r & pivot_bit else r for r in work]
         work = [r for r in work if r]
     return rk
-
-
-def in_span(vec: int, rows: list[int]) -> bool:
-    """Whether vec lies in the GF(2) span of rows."""
-    return rank(rows + [vec]) == rank(rows)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import floor
 from typing import Mapping, Sequence
 
-from .ring import InputError
+from .ring import InputError, check_n
 from .series import average_alternating, lg_series
 
 
@@ -265,6 +265,5 @@ def load_problem(obj: dict) -> tuple[int, list[GeodesicRecord]]:
         geodesics = obj["geodesics"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed resonance input: {exc}") from exc
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
+    check_n(n)
     return n, [record_from_dict(g) for g in geodesics]

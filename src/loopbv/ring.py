@@ -22,6 +22,12 @@ class InputError(ValueError):
     """Raised when an operation receives structurally invalid input."""
 
 
+def check_n(n) -> None:
+    """Reject anything but a positive ``int``; ``bool`` is not an ``int`` here."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InputError(f"n must be a positive integer, got {n!r}")
+
+
 class BVCase(Enum):
     """The four case configurations of the BV structure.
 
@@ -66,8 +72,7 @@ class AlgebraConfig:
     bv_case: BVCase = BVCase.A_V
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"n must be a positive integer, got {self.n!r}")
+        check_n(self.n)
         if not isinstance(self.bv_case, BVCase):
             raise InputError(f"unknown BV case {self.bv_case!r}")
 
@@ -151,14 +156,6 @@ def normalize(a: int, b: int, c: int, cfg: AlgebraConfig) -> AlgebraElement:
     return element(Monomial(a, b, c))
 
 
-def normalize_monomial(m: Monomial, cfg: AlgebraConfig) -> AlgebraElement:
-    return normalize(m.a, m.b, m.c, cfg)
-
-
-def is_normal(m: Monomial, cfg: AlgebraConfig) -> bool:
-    return 0 <= m.a <= 2 * cfg.n + 1 and m.b in (0, 1) and m.c >= 0
-
-
 def add(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Mod-2 sum: symmetric difference of the term sets."""
     return AlgebraElement(u.terms ^ v.terms)
@@ -200,14 +197,6 @@ def component(m: Monomial, cfg: AlgebraConfig) -> Component:
     else:
         odd = (m.b + m.c) % 2
     return Component.G if odd else Component.E
-
-
-def element_component(u: AlgebraElement, cfg: AlgebraConfig) -> Component | None:
-    """Common component of all terms, or None for zero / mixed elements."""
-    labels = {component(m, cfg) for m in u.terms}
-    if len(labels) == 1:
-        return labels.pop()
-    return None
 
 
 @lru_cache(maxsize=None)

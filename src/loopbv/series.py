@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ring import InputError
+from .ring import InputError, check_n
 
 
 class NonQuasilinearError(ArithmeticError):
@@ -144,17 +144,28 @@ def eq_exact(r1: RationalSeries, r2: RationalSeries) -> bool:
 
 
 def expand(r: RationalSeries, n_terms: int) -> TruncatedSeries:
-    """Power-series long division through degree ``n_terms`` (inclusive)."""
+    """Power-series long division through degree ``n_terms`` (inclusive).
+
+    The accumulator stays an ``int`` while the coefficients are integral and
+    turns into a ``Fraction`` only when a division by den(0) is inexact;
+    integral coefficients are returned as ``int`` either way.
+    """
     if n_terms < 0:
         raise InputError(f"expansion degree must be nonnegative, got {n_terms}")
-    den0 = Fraction(r.denominator[0])
+    den0 = r.denominator[0]
+    den_terms = [(j, d) for j, d in enumerate(r.denominator) if j and d]
     coeffs: list = []
     for k in range(n_terms + 1):
-        acc = Fraction(r.numerator[k]) if k < len(r.numerator) else Fraction(0)
-        for j in range(1, min(k, len(r.denominator) - 1) + 1):
-            acc -= r.denominator[j] * coeffs[k - j]
-        value = acc / den0
-        coeffs.append(int(value) if value.denominator == 1 else value)
+        acc = r.numerator[k] if k < len(r.numerator) else 0
+        for j, d in den_terms:
+            if j > k:
+                break
+            acc -= d * coeffs[k - j]
+        if isinstance(acc, int) and acc % den0 == 0:
+            coeffs.append(acc // den0)
+        else:
+            value = Fraction(acc) / den0
+            coeffs.append(int(value) if value.denominator == 1 else value)
     return TruncatedSeries(0, tuple(coeffs))
 
 
@@ -168,7 +179,7 @@ def betti(r: RationalSeries, k: int) -> int:
 def lg_series(n: int) -> RationalSeries:
     """Equivariant series of the non-contractible component:
     (1 - t^(2n+2)) / ((1 - t^(2n)) (1 - t^2))."""
-    _check_n(n)
+    check_n(n)
     den = _pmul(one_minus_t_power(2 * n), one_minus_t_power(2))
     return RationalSeries(one_minus_t_power(2 * n + 2), den)
 
@@ -184,11 +195,6 @@ def total_series(n: int) -> RationalSeries:
     the non-contractible closed form times (1 + (1 + t)/(1 - t^2))."""
     bump = RationalSeries((1,)) + RationalSeries((1, 1), one_minus_t_power(2))
     return lg_series(n) * bump
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
 
 
 def _cyclic_exponents(den: Poly) -> list[int]:

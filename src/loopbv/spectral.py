@@ -10,7 +10,12 @@ degree is shifted, so a cell (p, q) sits in topological degree
 
 Because the differential does not depend on p, one F2 rank per fiber degree
 drives the whole page: column 0 loses only incoming images, columns p >= 1
-lose kernel complements and incoming images alike.
+lose kernel complements and incoming images alike.  Every page is therefore
+held as two vectors in q, column 0 and any column p >= 1, built with one
+``dimension`` and one ``d2_rank`` call per fiber degree.  ``verify_collapse``
+reads its series and its stability check straight off those vectors, so it
+costs O(D) in the cutoff D; only callers that emit entries (``e2_page``,
+``e3_page`` and what they feed) pay per (p, q) cell.
 """
 
 from __future__ import annotations
@@ -63,22 +68,62 @@ def _q_range(cfg: SSConfig) -> range:
     return range(-shift, cfg.max_top_degree - shift + 1)
 
 
-def _cells(cfg: SSConfig):
+def _fiber_dims(cfg: SSConfig) -> list[int]:
+    """Fiber dimensions indexed by q + (2n+1) over :func:`_q_range`."""
+    return [dimension(cfg.algebra, cfg.comp, q) for q in _q_range(cfg)]
+
+
+def _e3_columns(cfg: SSConfig, delta_fn: DeltaFn) -> tuple[list[int], list[int], list[int]]:
+    """Fiber dimensions, E3 column 0 and E3 column p >= 1, indexed like
+    :func:`_fiber_dims`.
+
+    Column 0 drops the incoming rank at q-1, columns p >= 1 also the outgoing
+    rank at q.  Nothing sits below the bottom fiber degree, so the incoming
+    rank there is zero.
+    """
+    dims = _fiber_dims(cfg)
+    ranks = [d2_rank(cfg.algebra, cfg.comp, q, delta_fn) for q in _q_range(cfg)]
+    first = [d - r for d, r in zip(dims, [0] + ranks)]
+    rest = [d - r for d, r in zip(first, ranks)]
+    return dims, first, rest
+
+
+def _page(page_index: int, cfg: SSConfig, first: list[int], rest: list[int]) -> Page:
+    """Dense page from column 0 and the column shared by every p >= 1.
+
+    The cell (p, q) exists while 2p + q + (2n+1) stays within the cutoff;
+    zero entries are left out.
+    """
     shift = cfg.algebra.dim
-    for q in _q_range(cfg):
-        max_p = (cfg.max_top_degree - q - shift) // 2
-        for p in range(max_p + 1):
-            yield p, q
+    entries = {}
+    for i, (d0, d) in enumerate(zip(first, rest)):
+        q = i - shift
+        if d0:
+            entries[(0, q)] = d0
+        if d:
+            for p in range(1, (cfg.max_top_degree - i) // 2 + 1):
+                entries[(p, q)] = d
+    return Page(page_index, entries)
+
+
+def _column_series(first: list[int], rest: list[int]) -> list[int]:
+    """Coefficients of the page series through the cutoff, in O(D).
+
+    Degree k collects column 0 at index k and column p >= 1 at every index
+    k - 2p >= 0, a running sum over the indices of k's parity.
+    """
+    coeffs = list(first)
+    tails = [0, 0]
+    for k in range(2, len(coeffs)):
+        tails[k % 2] += rest[k - 2]
+        coeffs[k] += tails[k % 2]
+    return coeffs
 
 
 def e2_page(cfg: SSConfig) -> Page:
     """Second page: every column repeats the fiber dimensions."""
-    entries = {}
-    for p, q in _cells(cfg):
-        d = dimension(cfg.algebra, cfg.comp, q)
-        if d:
-            entries[(p, q)] = d
-    return Page(2, entries)
+    dims = _fiber_dims(cfg)
+    return _page(2, cfg, dims, dims)
 
 
 def d2_matrix(
@@ -122,20 +167,11 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn = bv.delta) -> Page:
 
     Column 0 has no outgoing differential, so only incoming images are
     removed there; columns p >= 1 drop both the rank at q and the incoming
-    rank at q-1.  Ranks are computed once per fiber degree (one degree past
-    the cutoff, so boundary images are exact) and reused across columns.
+    rank at q-1.  Ranks are computed once per fiber degree and reused across
+    columns.
     """
-    algebra, comp = cfg.algebra, cfg.comp
-    qs = _q_range(cfg)
-    ranks = {q: d2_rank(algebra, comp, q, delta_fn) for q in range(qs.start - 1, qs.stop)}
-    entries = {}
-    for p, q in _cells(cfg):
-        d = dimension(algebra, comp, q) - ranks[q - 1]
-        if p >= 1:
-            d -= ranks[q]
-        if d:
-            entries[(p, q)] = d
-    return Page(3, entries)
+    _, first, rest = _e3_columns(cfg, delta_fn)
+    return _page(3, cfg, first, rest)
 
 
 def page_series(page: Page, cfg: SSConfig) -> series.TruncatedSeries:
@@ -177,25 +213,22 @@ def verify_collapse(
     """
     cfg_e = SSConfig(cfg, Component.E, max_top_degree)
     cfg_g = SSConfig(cfg, Component.G, max_top_degree)
-    e_stable = e3_page(cfg_e, delta_fn).entries == e2_page(cfg_e).entries
-    total = page_series(e3_page(cfg_e, delta_fn), cfg_e) + page_series(
-        e3_page(cfg_g, delta_fn), cfg_g
+    dims_e, first_e, rest_e = _e3_columns(cfg_e, delta_fn)
+    _, first_g, rest_g = _e3_columns(cfg_g, delta_fn)
+    # the top two fiber degrees have no cell in columns p >= 1
+    e_stable = first_e == dims_e and all(
+        rest_e[i] == dims_e[i] for i in range(max_top_degree - 1)
     )
-    expected = series.expand(series.total_series(cfg.n), max_top_degree)
+    computed = tuple(
+        a + b for a, b in zip(_column_series(first_e, rest_e), _column_series(first_g, rest_g))
+    )
+    expected = series.expand(series.total_series(cfg.n), max_top_degree).coefficients
     first_mismatch = None
-    for k in range(max_top_degree + 1):
-        got, want = total.coefficient(k), expected.coefficient(k)
+    for k, (got, want) in enumerate(zip(computed, expected)):
         if got != want:
             first_mismatch = (k, got, want)
             break
-    return CollapseReport(
-        cfg,
-        max_top_degree,
-        e_stable,
-        total.coefficients,
-        expected.coefficients,
-        first_mismatch,
-    )
+    return CollapseReport(cfg, max_top_degree, e_stable, computed, expected, first_mismatch)
 
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:

@@ -139,6 +139,51 @@ def test_verify_even_n_noncontractible_w_exits_one(case, capsys):
     assert "BV relation fails at" in out
 
 
+@pytest.mark.parametrize("case", ["B_w", "B_wxvw"])
+def test_verify_even_n_obstruction_found_with_few_samples(case, capsys):
+    """The fixed pair (x*v, v*w) is checked on every run, so 25 samples with
+    seed 0, a draw that misses the broken relation, still exit 1."""
+    code, out, _ = run(capsys, "verify", "--n", "2", "--case", case,
+                       "--max-degree", "40", "--samples", "25")
+    assert code == 1
+    assert "BV relation fails at (x*v, v*w)" in out
+
+
+@pytest.mark.parametrize(
+    "n, case", [(2, "A_v"), (2, "A_vxw"), (1, "B_w"), (1, "B_wxvw"), (3, "B_w"), (3, "B_wxvw")]
+)
+def test_verify_admissible_cells_exit_zero(n, case, capsys):
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--case", case,
+                       "--max-degree", "40", "--samples", "25")
+    assert code == 0
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("n, case, expected_code", [(1, "A_v", 0), (2, "B_w", 1)])
+def test_verify_json_report(n, case, expected_code, capsys):
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--case", case,
+                       "--max-degree", "30", "--samples", "10", "--seed", "3",
+                       "--format", "json")
+    assert code == expected_code
+    payload = json.loads(out)
+    assert set(payload) == {"collapse", "axioms", "passed"}
+    assert payload["collapse"] == {
+        "passed": True, "e_page_stable": True, "first_mismatch": None, "max_degree": 30,
+    }
+    axioms = payload["axioms"]
+    assert set(axioms) == {"failures", "window", "samples", "seed"}
+    assert axioms["window"] == [-(2 * n + 1), 12 * n]
+    assert (axioms["samples"], axioms["seed"]) == (10, 3)
+    assert payload["passed"] is (expected_code == 0)
+    assert (axioms["failures"] == []) is (expected_code == 0)
+
+
+def test_verify_rejects_csv_format(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--n", "1", "--format", "csv"])
+    assert exit_info.value.code == 2
+
+
 def test_verify_quiet(capsys):
     code, out, _ = run(capsys, "verify", "--n", "1", "--case", "A_v",
                        "--max-degree", "30", "--samples", "10", "--quiet")
@@ -217,6 +262,15 @@ def test_resonance_invalid_record_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "resonance", "--input", str(bad))
     assert code == 2
     assert "mean index" in err
+
+
+def test_resonance_boolean_n_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bool_n.json"
+    bad.write_text(json.dumps({"n": True, "geodesics": []}))
+    code, out, err = run(capsys, "resonance", "--input", str(bad), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "n must be a positive integer, got True" in err
 
 
 def test_identical_invocations_are_byte_stable(capsys):

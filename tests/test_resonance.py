@@ -234,6 +234,8 @@ def test_json_validation_errors():
     with pytest.raises(InputError):
         load_problem({"n": 0, "geodesics": []})
     with pytest.raises(InputError):
+        load_problem({"n": True, "geodesics": []})
+    with pytest.raises(InputError):
         record_from_dict({"label": "c"})
     with pytest.raises(InputError):
         record_from_dict(

@@ -38,6 +38,8 @@ def test_config_validation():
         AlgebraConfig(0)
     with pytest.raises(InputError):
         AlgebraConfig(-2)
+    with pytest.raises(InputError):
+        AlgebraConfig(True)
     assert AlgebraConfig(3).dim == 7
 
 

@@ -47,6 +47,39 @@ def test_expand_nonunit_constant_term_stays_exact():
     assert coeffs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
 
 
+def fraction_expand(r, n_terms):
+    """Reference long division carried out entirely in Fraction."""
+    coeffs = []
+    for k in range(n_terms + 1):
+        acc = Fraction(r.numerator[k]) if k < len(r.numerator) else Fraction(0)
+        for j in range(1, min(k, len(r.denominator) - 1) + 1):
+            acc -= r.denominator[j] * coeffs[k - j]
+        coeffs.append(acc / r.denominator[0])
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        lg_series(1), le_series(1), total_series(1),
+        lg_series(5), le_series(5), total_series(5),
+        RationalSeries((1,), (2, -1)),  # 1/(2 - t): no integral coefficient
+        RationalSeries((2, 1, 4), (2, 0, -2)),  # integral and halves alternate
+        RationalSeries((1, 3), (2, -2)),  # a Fraction accumulator turns integral
+        RationalSeries((1, 0, 5), (-1, 1, 0, 3)),  # den(0) = -1
+    ],
+    ids=["lg1", "le1", "total1", "lg5", "le5", "total5", "geom2", "mixed2", "back2", "neg1"],
+)
+def test_expand_values_and_types(r):
+    """Integral coefficients come back as int, all others as Fraction."""
+    got = expand(r, 90).coefficients
+    want = fraction_expand(r, 90)
+    assert got == tuple(want)
+    assert [type(c) for c in got] == [int if w.denominator == 1 else Fraction for w in want]
+    if r.denominator[0] == 1:
+        assert all(type(c) is int for c in got)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_expansion_convolves_back_to_numerator(n):
     for r in (lg_series(n), le_series(n), total_series(n)):

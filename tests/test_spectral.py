@@ -6,6 +6,7 @@ from loopbv import bv
 from loopbv.ring import AlgebraConfig, BVCase, Component, InputError, Monomial, basis, dimension, zero
 from loopbv.series import expand, le_series, lg_series, total_series
 from loopbv.spectral import (
+    Page,
     SSConfig,
     d2_matrix,
     d2_rank,
@@ -18,6 +19,85 @@ from loopbv.spectral import (
 )
 
 ALL_CASES = list(BVCase)
+
+
+def zero_delta(u, cfg):
+    """A BV operator that kills everything: E3 = E2 and the total overshoots."""
+    return zero()
+
+
+def dense_cells(cfg):
+    """Every (p, q) cell of a page: 2p + q + (2n+1) within the cutoff."""
+    shift = cfg.algebra.dim
+    for q in range(-shift, cfg.max_top_degree - shift + 1):
+        for p in range((cfg.max_top_degree - q - shift) // 2 + 1):
+            yield p, q
+
+
+def dense_e2(cfg):
+    """Reference second page: one dimension lookup per cell."""
+    entries = {}
+    for p, q in dense_cells(cfg):
+        d = dimension(cfg.algebra, cfg.comp, q)
+        if d:
+            entries[(p, q)] = d
+    return Page(2, entries)
+
+
+def dense_e3(cfg, delta_fn=bv.delta):
+    """Reference third page: per-cell dimension minus the ranks at q-1 and,
+    off column 0, at q."""
+    algebra, comp = cfg.algebra, cfg.comp
+    shift = algebra.dim
+    ranks = {
+        q: d2_rank(algebra, comp, q, delta_fn)
+        for q in range(-shift - 1, cfg.max_top_degree - shift + 1)
+    }
+    entries = {}
+    for p, q in dense_cells(cfg):
+        d = dimension(algebra, comp, q) - ranks[q - 1]
+        if p >= 1:
+            d -= ranks[q]
+        if d:
+            entries[(p, q)] = d
+    return Page(3, entries)
+
+
+def dense_collapse_fields(cfg, max_top_degree, e2_e, e3_e, e3_g):
+    """(e_page_stable, computed, expected, first_mismatch) from dense pages."""
+    ss_e = SSConfig(cfg, Component.E, max_top_degree)
+    ss_g = SSConfig(cfg, Component.G, max_top_degree)
+    computed = (page_series(e3_e, ss_e) + page_series(e3_g, ss_g)).coefficients
+    expected = expand(total_series(cfg.n), max_top_degree).coefficients
+    mismatches = [(k, a, b) for k, (a, b) in enumerate(zip(computed, expected)) if a != b]
+    stable = e3_e.entries == e2_e.entries
+    return stable, computed, expected, mismatches[0] if mismatches else None
+
+
+def oracle_degrees(n):
+    return sorted({0, 1, 2, 4 * n - 1, 4 * n, 4 * n + 1, 97, 200})
+
+
+@pytest.mark.parametrize("delta_fn", [bv.delta, zero_delta], ids=["delta", "zero"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pages_and_collapse_match_dense_oracle(n, delta_fn):
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        for limit in oracle_degrees(n):
+            dense = {}
+            for comp in (Component.E, Component.G):
+                ss = SSConfig(cfg, comp, limit)
+                dense[comp] = dense_e2(ss), dense_e3(ss, delta_fn)
+                pages = e2_page(ss), e3_page(ss, delta_fn)
+                for page, reference in zip(pages, dense[comp]):
+                    assert page == reference, (n, case, limit, comp, page.page_index)
+                    assert page_series(page, ss) == page_series(reference, ss)
+            report = verify_collapse(cfg, limit, delta_fn)
+            fields = (report.e_page_stable, report.computed, report.expected, report.first_mismatch)
+            assert fields == dense_collapse_fields(
+                cfg, limit, *dense[Component.E], dense[Component.G][1]
+            ), (n, case, limit)
+            assert (report.algebra, report.max_top_degree) == (cfg, limit)
 
 
 def bruteforce_rank(rows):
@@ -143,8 +223,6 @@ def test_page_series_match_closed_forms(n, case):
 def test_empty_page_series_is_zero():
     cfg = AlgebraConfig(1)
     ss = SSConfig(cfg, Component.G, 10)
-    from loopbv.spectral import Page
-
     assert page_series(Page(3, {}), ss).coefficients == (0,) * 11
 
 
@@ -165,8 +243,7 @@ def test_verify_collapse_trivial_cutoff():
 def test_verify_collapse_detects_corrupted_delta():
     # negative control: a BV operator that kills every bracket leaves the
     # second page alone and overshoots the known total
-    corrupted = lambda u, cfg: zero()  # noqa: E731
-    report = verify_collapse(AlgebraConfig(1), 30, delta_fn=corrupted)
+    report = verify_collapse(AlgebraConfig(1), 30, delta_fn=zero_delta)
     assert not report.passed
     assert report.first_mismatch is not None
     degree, got, want = report.first_mismatch
