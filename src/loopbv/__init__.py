@@ -32,7 +32,6 @@ from .ring import (
     zero,
 )
 from .bv import (
-    BracketTable,
     DeltaTable,
     GeneratorMorphism,
     MorphismReport,

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from . import gf2
 from .ring import (
+    GENERATOR_EXPONENTS,
     AlgebraConfig,
     AlgebraElement,
     BVCase,
@@ -39,23 +40,10 @@ from .ring import (
 GENERATOR_NAMES = ("x", "v", "w")
 
 
-def _generator_degree(name: str, cfg: AlgebraConfig) -> int:
-    return {"x": -1, "v": 0, "w": 2 * cfg.n}[name]
-
-
-@dataclass(frozen=True)
-class BracketTable:
-    """Brackets of unordered generator pairs for one case configuration."""
-
-    cfg: AlgebraConfig
-    entries: dict[frozenset[str], AlgebraElement] = field(repr=False)
-
-    def get(self, g1: str, g2: str) -> AlgebraElement:
-        return self.entries[frozenset((g1, g2))]
-
-
 @lru_cache(maxsize=None)
-def bracket_table(cfg: AlgebraConfig) -> BracketTable:
+def bracket_table(cfg: AlgebraConfig) -> dict[frozenset[str], AlgebraElement]:
+    """Brackets of unordered generator pairs for one case configuration,
+    keyed by the frozenset of the two generator names."""
     n = cfg.n
     xv = element(Monomial(0, 1, 0))  # v
     if cfg.bv_case is BVCase.A_VXW:
@@ -66,7 +54,7 @@ def bracket_table(cfg: AlgebraConfig) -> BracketTable:
         xw = element(Monomial(0, 0, 1))  # w
         if cfg.bv_case is BVCase.B_WXVW:
             xw = add(xw, element(Monomial(2 * n, 1, 2)))  # + x^(2n) v w^2
-    entries = {
+    return {
         frozenset(("x",)): zero(),
         frozenset(("v",)): zero(),
         frozenset(("w",)): zero(),
@@ -74,7 +62,6 @@ def bracket_table(cfg: AlgebraConfig) -> BracketTable:
         frozenset(("x", "w")): xw,
         frozenset(("v", "w")): zero(),
     }
-    return BracketTable(cfg, entries)
 
 
 def generator_bracket(g1: str, g2: str, cfg: AlgebraConfig) -> AlgebraElement:
@@ -82,7 +69,7 @@ def generator_bracket(g1: str, g2: str, cfg: AlgebraConfig) -> AlgebraElement:
     for g in (g1, g2):
         if g not in GENERATOR_NAMES:
             raise InputError(f"unknown generator {g!r}; expected one of x, v, w")
-    return bracket_table(cfg).get(g1, g2)
+    return bracket_table(cfg)[frozenset((g1, g2))]
 
 
 def _lower(m: Monomial, name: str) -> Monomial:
@@ -307,7 +294,7 @@ def identity_morphism() -> GeneratorMorphism:
 
 def _check_images_homogeneous(phi: GeneratorMorphism, cfg: AlgebraConfig) -> None:
     for name, image in (("x", phi.image_x), ("v", phi.image_v), ("w", phi.image_w)):
-        want = _generator_degree(name, cfg)
+        want = loop_degree(GENERATOR_EXPONENTS[name], cfg)
         degrees = {loop_degree(m, cfg) for m in image.terms}
         if degrees - {want}:
             raise InputError(

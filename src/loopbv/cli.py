@@ -36,12 +36,6 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _common_flags(parser: argparse.ArgumentParser, formats=("table", "json", "csv")) -> None:
-    parser.add_argument("--format", choices=formats, default="table")
-    parser.add_argument("--quiet", action="store_true", help="suppress informational output")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled property checks")
-
-
 def _algebra(args) -> AlgebraConfig:
     return AlgebraConfig(args.n, BVCase(args.case))
 
@@ -54,24 +48,6 @@ def _components(arg: str) -> list[Component]:
     if arg == "both":
         return [Component.E, Component.G]
     return [Component(arg)]
-
-
-def _monomial_rows(cfg: AlgebraConfig, comps, lo: int, hi: int, with_delta: bool):
-    rows = []
-    for q in range(lo, hi + 1):
-        for comp in comps:
-            for m in basis(cfg, comp, q):
-                row = {
-                    "monomial": render_monomial(m),
-                    "component": component(m, cfg).value,
-                    "loop_degree": loop_degree(m, cfg),
-                }
-                if with_delta:
-                    row["delta"] = render_element(bv.delta(element(m), cfg))
-                else:
-                    row["top_degree"] = top_degree(m, cfg)
-                rows.append(row)
-    return rows
 
 
 def _print_rows(rows, columns, fmt: str) -> None:
@@ -89,25 +65,33 @@ def _print_rows(rows, columns, fmt: str) -> None:
         print("  ".join(str(row[c]).ljust(w) for c, w in zip(columns, widths)))
 
 
-def cmd_ring(args) -> int:
+# the last column of each rows subcommand and how to compute it
+LAST_COLUMN = {
+    "ring": ("top_degree", top_degree),
+    "bv": ("delta", lambda m, cfg: render_element(bv.delta(element(m), cfg))),
+}
+
+
+def cmd_rows(args) -> int:
+    """ring and bv: one row per basis monomial of the loop-degree window."""
     cfg = _algebra(args)
     lo = args.min_degree if args.min_degree is not None else -cfg.dim
     hi = args.max_degree if args.max_degree is not None else 2 * cfg.n
     if lo > hi:
         raise InputError(f"empty degree window [{lo}, {hi}]")
-    rows = _monomial_rows(cfg, _components(args.component), lo, hi, with_delta=False)
-    _print_rows(rows, ["monomial", "component", "loop_degree", "top_degree"], args.format)
-    return 0
-
-
-def cmd_bv(args) -> int:
-    cfg = _algebra(args)
-    lo = args.min_degree if args.min_degree is not None else -cfg.dim
-    hi = args.max_degree if args.max_degree is not None else 2 * cfg.n
-    if lo > hi:
-        raise InputError(f"empty degree window [{lo}, {hi}]")
-    rows = _monomial_rows(cfg, _components(args.component), lo, hi, with_delta=True)
-    _print_rows(rows, ["monomial", "component", "loop_degree", "delta"], args.format)
+    last, value = LAST_COLUMN[args.subcommand]
+    rows = [
+        {
+            "monomial": render_monomial(m),
+            "component": component(m, cfg).value,
+            "loop_degree": loop_degree(m, cfg),
+            last: value(m, cfg),
+        }
+        for q in range(lo, hi + 1)
+        for comp in _components(args.component)
+        for m in basis(cfg, comp, q)
+    ]
+    _print_rows(rows, ["monomial", "component", "loop_degree", last], args.format)
     return 0
 
 
@@ -122,17 +106,18 @@ def cmd_pages(args) -> int:
         out = payload if args.component == "both" else payload[args.component]
         print(_emit_json(out))
         return 0
+    if args.format == "csv":
+        print("component,p,q,dim")
+        for comp_name, obj in payload.items():
+            for entry in obj["entries"]:
+                print(f"{comp_name},{entry['p']},{entry['q']},{entry['dim']}")
+        return 0
     for comp_name, obj in payload.items():
-        if args.format == "csv":
-            print("p,q,dim")
-            for entry in obj["entries"]:
-                print(f"{entry['p']},{entry['q']},{entry['dim']}")
-        else:
-            if not args.quiet:
-                print(f"# component {comp_name}, page {obj['page']}")
-            for entry in obj["entries"]:
-                print(f"{entry['p']:>4} {entry['q']:>5} {entry['dim']:>4}")
-            print("series " + " ".join(str(c) for c in obj["series"]))
+        if not args.quiet:
+            print(f"# component {comp_name}, page {obj['page']}")
+        for entry in obj["entries"]:
+            print(f"{entry['p']:>4} {entry['q']:>5} {entry['dim']:>4}")
+        print("series " + " ".join(str(c) for c in obj["series"]))
     return 0
 
 
@@ -220,25 +205,22 @@ def cmd_verify(args) -> int:
 
 
 def _resonance_payload(args, n: int, records) -> tuple[dict, bool]:
-    payload: dict = {"n": n}
-    passed = True
     if args.check == "nondegenerate":
         rep = resonance.nondegenerate_check(records, n)
-        payload["check"] = "nondegenerate"
-        payload["sum"] = _frac(rep.total)
-        payload["target"] = _frac(rep.target)
-        payload["consistent_with_full"] = rep.consistent_with_full
-        payload["verdict"] = "pass" if rep.passed else "fail"
-        passed = rep.passed
+        payload: dict = {"consistent_with_full": rep.consistent_with_full}
     else:
         rep = resonance.resonance_check(records, n)
-        payload["check"] = "full"
-        payload["per_geodesic"] = {label: _frac(value) for label, value in rep.per_geodesic.items()}
-        payload["sum"] = _frac(rep.total)
-        payload["target"] = _frac(rep.target)
-        payload["vacuous"] = rep.vacuous
-        payload["verdict"] = "pass" if rep.passed else "fail"
-        passed = rep.passed
+        payload = {
+            "per_geodesic": {label: _frac(value) for label, value in rep.per_geodesic.items()},
+            "vacuous": rep.vacuous,
+        }
+    payload.update(
+        n=n,
+        check=args.check,
+        sum=_frac(rep.total),
+        target=_frac(rep.target),
+        verdict="pass" if rep.passed else "fail",
+    )
     if args.morse is not None:
         trunc = resonance.morse_truncation(records, n, args.morse)
         payload["morse"] = {
@@ -246,7 +228,7 @@ def _resonance_payload(args, n: int, records) -> tuple[dict, bool]:
             "alternating_sum": trunc.alternating_sum,
             "average": _frac(trunc.average) if trunc.average is not None else None,
         }
-    return payload, passed
+    return payload, rep.passed
 
 
 def cmd_resonance(args) -> int:
@@ -277,56 +259,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_ring = sub.add_parser("ring", help="basis monomials with degrees and components")
-    p_ring.add_argument("--n", type=int, default=1)
-    p_ring.add_argument("--case", choices=CASE_CHOICES, default="A_v")
-    p_ring.add_argument("--component", choices=["e", "g", "both"], default="both")
-    p_ring.add_argument("--min-degree", type=int, default=None)
-    p_ring.add_argument("--max-degree", type=int, default=None)
-    _common_flags(p_ring)
-    p_ring.set_defaults(func=cmd_ring)
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("--n", type=int, default=1)
+    algebra.add_argument("--case", choices=CASE_CHOICES, default="A_v")
+    components = argparse.ArgumentParser(add_help=False)
+    components.add_argument("--component", choices=["e", "g", "both"], default="both")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--min-degree", type=int, default=None)
+    window.add_argument("--max-degree", type=int, default=None)
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress informational output")
 
-    p_bv = sub.add_parser("bv", help="BV operator table on basis monomials")
+    def add(name, func, help_text, parents=(), formats=("table", "json")):
+        p = sub.add_parser(name, help=help_text, parents=parents)
+        p.add_argument("--format", choices=formats, default="table")
+        p.set_defaults(func=func)
+        return p
+
+    tabular = ("table", "json", "csv")
+    add("ring", cmd_rows, "basis monomials with degrees and components",
+        [algebra, components, window], tabular)
+    p_bv = add("bv", cmd_rows, "BV operator table on basis monomials",
+               [algebra, components, window], tabular)
     p_bv.add_argument("action", nargs="?", choices=["table"], default="table")
-    p_bv.add_argument("--n", type=int, default=1)
-    p_bv.add_argument("--case", choices=CASE_CHOICES, default="A_v")
-    p_bv.add_argument("--component", choices=["e", "g", "both"], default="both")
-    p_bv.add_argument("--min-degree", type=int, default=None)
-    p_bv.add_argument("--max-degree", type=int, default=None)
-    _common_flags(p_bv)
-    p_bv.set_defaults(func=cmd_bv)
 
-    p_pages = sub.add_parser("pages", help="spectral-sequence page dimensions and series")
-    p_pages.add_argument("--n", type=int, default=1)
-    p_pages.add_argument("--case", choices=CASE_CHOICES, default="A_v")
-    p_pages.add_argument("--component", choices=["e", "g", "both"], default="both")
+    p_pages = add("pages", cmd_pages, "spectral-sequence page dimensions and series",
+                  [algebra, components, quiet], tabular)
     p_pages.add_argument("--max-degree", type=int, default=40)
     p_pages.add_argument("--page", type=int, choices=[2, 3], default=3)
-    _common_flags(p_pages)
-    p_pages.set_defaults(func=cmd_pages)
 
-    p_series = sub.add_parser("series", help="closed-form series, expansion, average")
+    p_series = add("series", cmd_series, "closed-form series, expansion, average")
     p_series.add_argument("--n", type=int, default=1)
     p_series.add_argument("--which", choices=["lg", "le", "total"], default="lg")
     p_series.add_argument("--expand", type=int, default=None, metavar="N")
     p_series.add_argument("--average", action="store_true")
-    _common_flags(p_series, formats=("table", "json"))
-    p_series.set_defaults(func=cmd_series)
 
-    p_verify = sub.add_parser("verify", help="collapse certificate plus sampled axiom checks")
-    p_verify.add_argument("--n", type=int, default=1)
-    p_verify.add_argument("--case", choices=CASE_CHOICES, default="A_v")
+    p_verify = add("verify", cmd_verify, "collapse certificate plus sampled axiom checks",
+                   [algebra, quiet])
     p_verify.add_argument("--max-degree", type=int, default=100)
     p_verify.add_argument("--samples", type=int, default=200)
-    _common_flags(p_verify, formats=("table", "json"))
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled property checks")
 
-    p_res = sub.add_parser("resonance", help="resonance identity checks on geodesic data")
+    p_res = add("resonance", cmd_resonance, "resonance identity checks on geodesic data")
     p_res.add_argument("--input", required=True)
     p_res.add_argument("--check", choices=["full", "nondegenerate"], default="full")
     p_res.add_argument("--morse", type=int, default=None, metavar="Q")
-    _common_flags(p_res, formats=("table", "json"))
-    p_res.set_defaults(func=cmd_resonance)
 
     return parser
 

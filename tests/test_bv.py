@@ -80,8 +80,10 @@ def test_generator_bracket_rejects_unknown_name():
 def test_bracket_table_object():
     cfg = AlgebraConfig(1, BVCase.B_W)
     table = bracket_table(cfg)
-    assert table.get("x", "w") == generator("w")
-    assert table.get("w", "x") == generator("w")
+    assert type(table) is dict
+    assert table is bracket_table(cfg)
+    assert set(table) == {frozenset(pair) for pair in ("x", "v", "w", "xv", "xw", "vw")}
+    assert table[frozenset("xw")] == generator("w")
 
 
 @pytest.mark.parametrize("case", ALL_CASES)

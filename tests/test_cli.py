@@ -1,5 +1,6 @@
 import json
 import pathlib
+import shlex
 
 import pytest
 
@@ -7,7 +8,8 @@ from loopbv.cli import main
 from loopbv.ring import AlgebraConfig, BVCase, Component
 from loopbv.spectral import SSConfig, e3_page, page_from_json
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+ROOT = pathlib.Path(__file__).parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def run(capsys, *argv):
@@ -36,6 +38,47 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exit_info:
         main(["series", "--frobnicate"])
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "ring --seed 1",
+        "ring --quiet",
+        "bv --seed 1",
+        "bv --quiet",
+        "pages --seed 1",
+        "series --seed 1",
+        "series --quiet",
+        "resonance --seed 1",
+        "resonance --quiet",
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_two(argv, capsys):
+    """--seed belongs to verify alone, --quiet to pages and verify."""
+    argv = argv.split()
+    if argv[0] == "resonance":
+        argv += ["--input", str(FIXTURES / "resonance_n1_mixed.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _readme_command_lines():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("loopbv ")]
+
+
+def test_readme_command_lines_run(monkeypatch, capsys):
+    lines = _readme_command_lines()
+    assert {line.split()[1] for line in lines} == {
+        "ring", "bv", "pages", "series", "verify", "resonance"}
+    monkeypatch.chdir(ROOT)
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, f"{line}: exit {code}: {err}"
 
 
 def test_series_average_output(capsys):
@@ -91,9 +134,25 @@ def test_pages_csv(capsys):
                        "--max-degree", "4", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "p,q,dim"
-    rows = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
+    assert lines[0] == "component,p,q,dim"
+    assert all(line.startswith("g,") for line in lines[1:])
+    rows = [tuple(int(v) for v in line.split(",")[1:]) for line in lines[1:]]
     assert rows == sorted(rows)
+
+
+def test_pages_csv_both_components(capsys):
+    code, out, _ = run(capsys, "pages", "--n", "1", "--component", "both",
+                       "--max-degree", "6", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "component,p,q,dim"
+    assert lines.count("component,p,q,dim") == 1
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+    for comp in ("e", "g"):
+        got = [tuple(int(v) for v in r[1:]) for r in rows if r[0] == comp]
+        page = e3_page(SSConfig(AlgebraConfig(1), Component(comp), 6))
+        assert got == sorted((p, q, d) for (p, q), d in page.entries.items())
 
 
 def test_pages_json_round_trip(capsys):
@@ -271,6 +330,20 @@ def test_resonance_boolean_n_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "n must be a positive integer, got True" in err
+
+
+def test_resonance_morse_over_iterate_budget_exits_two(tmp_path, capsys):
+    slow = tmp_path / "slow.json"
+    slow.write_text(json.dumps({
+        "n": 1,
+        "geodesics": [{"label": "slow", "initial_index": 0, "mean_index": "1/100000",
+                       "period": 2, "type_numbers": [{"m": 1, "l": 0, "k": 1}]}],
+    }))
+    code, out, err = run(capsys, "resonance", "--input", str(slow), "--morse", "100")
+    assert code == 2
+    assert out == ""
+    assert "5100000 iterates" in err
+    assert "Traceback" not in err
 
 
 def test_identical_invocations_are_byte_stable(capsys):

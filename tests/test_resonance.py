@@ -14,6 +14,7 @@ from loopbv.resonance import (
     resonance_check,
 )
 from loopbv.ring import InputError
+from loopbv.series import average_alternating, lg_series
 
 
 def test_record_validation():
@@ -206,6 +207,18 @@ def test_morse_truncation_with_explicit_sequences():
     direct = morse_truncation(records, 1, 100, model=explicit)
     modelled = morse_truncation(records, 1, 100)
     assert direct == modelled
+
+
+def test_morse_truncation_over_iterate_budget_names_the_count():
+    # (102 * 100000 - 1) / 2 rounded down, plus one: 5,100,000 iterates
+    records = [nondegenerate_record("slow", 0, Fraction(1, 100000))]
+    with pytest.raises(InputError, match="needs 5100000 iterates"):
+        morse_truncation(records, 1, 100)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_resonance_target_is_the_series_limit(n):
+    assert resonance_check([], n).target == average_alternating(lg_series(n))
 
 
 def test_json_round_trip():
