@@ -207,9 +207,10 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
     sorted by (a, b, c).
     """
     out = []
-    for a in range(2 * cfg.n + 2):
+    # k + a must be a nonnegative multiple of 2n, which leaves at most two a
+    for a in range(-k % (2 * cfg.n), 2 * cfg.n + 2, 2 * cfg.n):
         numerator = k + a
-        if numerator < 0 or numerator % (2 * cfg.n):
+        if numerator < 0:
             continue
         c = numerator // (2 * cfg.n)
         for b in (0, 1):

@@ -32,10 +32,13 @@ def _trim(p: tuple[int, ...]) -> Poly:
 
 
 def _pmul(p: Poly, q: Poly) -> Poly:
+    """Product over the nonzero terms of both factors: denominators built
+    from factors 1 - t^e are sparse however long they are."""
     out = [0] * (len(p) + len(q) - 1)
+    q_terms = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(q):
+            for j, b in q_terms:
                 out[i + j] += a * b
     return _trim(tuple(out))
 

@@ -11,11 +11,30 @@ degree is shifted, so a cell (p, q) sits in topological degree
 Because the differential does not depend on p, one F2 rank per fiber degree
 drives the whole page: column 0 loses only incoming images, columns p >= 1
 lose kernel complements and incoming images alike.  Every page is therefore
-held as two vectors in q, column 0 and any column p >= 1, built with one
-``dimension`` and one ``d2_rank`` call per fiber degree.  ``verify_collapse``
-reads its series and its stability check straight off those vectors, so it
-costs O(D) in the cutoff D; only callers that emit entries (``e2_page``,
-``e3_page`` and what they feed) pay per (p, q) cell.
+held as two vectors in q, column 0 and any column p >= 1.
+
+Those vectors are periodic.  For q >= -(2n-1), multiplication by w^2 is a
+bijection from the degree-q basis onto the degree-(q+4n) basis that keeps
+the component (it fixes b and the parity of c) and the sort order (it fixes
+a and b).  The built-in ``bv.delta`` reads only the parities of a*b, a*c and
+b*c, and ``normalize`` commutes with w^2, so Delta(w^2 m) = w^2 Delta(m)
+and the second-differential matrix at q+4n equals the one at q.  Fiber data
+are therefore computed for the two head degrees q = -(2n+1), -2n (where some
+monomial of degree q+4n would need c < 0 at q) and one period of 4n degrees,
+and tiled beyond: dimensions always, since they do not depend on the
+operator, and ranks whenever the operator is ``bv.delta`` itself.  Any other
+operator, a wrapper of ``bv.delta`` included, is ranked in every fiber
+degree up to the cutoff.
+
+``verify_collapse`` turns the same period into an exact certificate for
+``bv.delta``: each page series is a rational function (a head of three
+degrees, one 4n-block over 1 - t^(4n), and the p >= 1 column times
+t^2 / (1 - t^2)), so collapse is proved in every degree by one
+``eq_exact`` against the closed form for the whole loop space.  That costs
+O(n) rank computations whatever the cutoff; only the returned expansion is
+O(D).  Any other operator, or a failed proof, gets the truncated O(D)
+comparison through the cutoff D.  Only callers that emit entries
+(``e2_page``, ``e3_page`` and what they feed) pay per (p, q) cell.
 """
 
 from __future__ import annotations
@@ -68,9 +87,27 @@ def _q_range(cfg: SSConfig) -> range:
     return range(-shift, cfg.max_top_degree - shift + 1)
 
 
+# fiber degrees q = -(2n+1), -2n, before the w^2 period starts
+HEAD = 2
+
+
+def _per_fiber_degree(cfg: SSConfig, value: Callable[[int], int], periodic: bool) -> list[int]:
+    """``value(q)`` over :func:`_q_range`, indexed by q + (2n+1).
+
+    A periodic quantity is evaluated over the head and one period of 4n fiber
+    degrees only and tiled through the cutoff.
+    """
+    qs = _q_range(cfg)
+    if not periodic:
+        return [value(q) for q in qs]
+    period = 4 * cfg.algebra.n
+    known = [value(q) for q in qs[:HEAD + period]]
+    return [known[i if i < HEAD else HEAD + (i - HEAD) % period] for i in range(len(qs))]
+
+
 def _fiber_dims(cfg: SSConfig) -> list[int]:
     """Fiber dimensions indexed by q + (2n+1) over :func:`_q_range`."""
-    return [dimension(cfg.algebra, cfg.comp, q) for q in _q_range(cfg)]
+    return _per_fiber_degree(cfg, lambda q: dimension(cfg.algebra, cfg.comp, q), True)
 
 
 def _e3_columns(cfg: SSConfig, delta_fn: DeltaFn) -> tuple[list[int], list[int], list[int]]:
@@ -79,10 +116,13 @@ def _e3_columns(cfg: SSConfig, delta_fn: DeltaFn) -> tuple[list[int], list[int],
 
     Column 0 drops the incoming rank at q-1, columns p >= 1 also the outgoing
     rank at q.  Nothing sits below the bottom fiber degree, so the incoming
-    rank there is zero.
+    rank there is zero.  Ranks are tiled from one period for ``bv.delta``
+    alone (see the module docstring).
     """
     dims = _fiber_dims(cfg)
-    ranks = [d2_rank(cfg.algebra, cfg.comp, q, delta_fn) for q in _q_range(cfg)]
+    ranks = _per_fiber_degree(
+        cfg, lambda q: d2_rank(cfg.algebra, cfg.comp, q, delta_fn), delta_fn is bv.delta
+    )
     first = [d - r for d, r in zip(dims, [0] + ranks)]
     rest = [d - r for d, r in zip(first, ranks)]
     return dims, first, rest
@@ -185,7 +225,11 @@ def page_series(page: Page, cfg: SSConfig) -> series.TruncatedSeries:
 
 @dataclass(frozen=True)
 class CollapseReport:
-    """Outcome of the dimension-count collapse certificate."""
+    """Outcome of the dimension-count collapse certificate.
+
+    ``all_degrees`` says that the verdict was proved in every degree, not
+    only through ``max_top_degree``; the tuples cover the cutoff either way.
+    """
 
     algebra: AlgebraConfig
     max_top_degree: int
@@ -193,10 +237,44 @@ class CollapseReport:
     computed: tuple
     expected: tuple
     first_mismatch: tuple | None  # (degree, computed, expected)
+    all_degrees: bool = False
 
     @property
     def passed(self) -> bool:
         return self.e_page_stable and self.first_mismatch is None
+
+
+def _column_rational(column: list[int], period: int) -> series.RationalSeries:
+    """Generating function of a column that repeats with ``period`` after a
+    head of ``HEAD + 1`` entries, given through one period.
+
+    Column 0 subtracts the rank one fiber degree down, so the columns start
+    repeating one degree after the ranks do.
+    """
+    head = HEAD + 1
+    block = (0,) * head + tuple(column[head:head + period])
+    return series.RationalSeries(column[:head]) + series.RationalSeries(
+        block, series.one_minus_t_power(period)
+    )
+
+
+def _collapses_in_all_degrees(cfg: AlgebraConfig) -> bool:
+    """Exact collapse certificate for ``bv.delta``, valid in every degree.
+
+    The contractible ranks must vanish over the head and one period, so that
+    the contractible third page is its second page everywhere, and the two
+    page series, built as rational functions from the tiled columns, must
+    sum to the closed form for the whole loop space.
+    """
+    period = 4 * cfg.n
+    shifted = series.RationalSeries((0, 0, 1), series.one_minus_t_power(2))  # p >= 1
+    total = series.RationalSeries((0,))
+    for comp in Component:
+        dims, first, rest = _e3_columns(SSConfig(cfg, comp, HEAD + period), bv.delta)
+        if comp is Component.E and not first == rest == dims:
+            return False
+        total = total + _column_rational(first, period) + _column_rational(rest, period) * shifted
+    return series.eq_exact(total, series.total_series(cfg.n))
 
 
 def verify_collapse(
@@ -207,12 +285,18 @@ def verify_collapse(
     """Certify collapse by comparing page series against the known total.
 
     The contractible component must keep its second page, and the sum of the
-    two third-page series must equal the closed form for the full loop space
-    through the cutoff.  Matching dimensions leave no room for further
-    differentials, which is the whole certificate.
+    two third-page series must equal the closed form for the full loop space.
+    Matching dimensions leave no room for further differentials, which is the
+    whole certificate.  For ``bv.delta`` it is proved in every degree from
+    one period and the tuples are the closed form's expansion; otherwise, or
+    if that proof fails, the series are compared through the cutoff.
     """
+    # built first: a negative cutoff is reported as such before any work
     cfg_e = SSConfig(cfg, Component.E, max_top_degree)
     cfg_g = SSConfig(cfg, Component.G, max_top_degree)
+    expected = series.expand(series.total_series(cfg.n), max_top_degree).coefficients
+    if delta_fn is bv.delta and _collapses_in_all_degrees(cfg):
+        return CollapseReport(cfg, max_top_degree, True, expected, expected, None, True)
     dims_e, first_e, rest_e = _e3_columns(cfg_e, delta_fn)
     _, first_g, rest_g = _e3_columns(cfg_g, delta_fn)
     # the top two fiber degrees have no cell in columns p >= 1
@@ -222,7 +306,6 @@ def verify_collapse(
     computed = tuple(
         a + b for a, b in zip(_column_series(first_e, rest_e), _column_series(first_g, rest_g))
     )
-    expected = series.expand(series.total_series(cfg.n), max_top_degree).coefficients
     first_mismatch = None
     for k, (got, want) in enumerate(zip(computed, expected)):
         if got != want:

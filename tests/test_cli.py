@@ -180,6 +180,13 @@ def test_pages_negative_cutoff_exits_two(capsys):
     assert "error" in err
 
 
+def test_verify_negative_cutoff_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "--n", "1", "--max-degree", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_top_degree must be nonnegative, got -5\n"
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--n", "1", "--case", "B_w",
                        "--max-degree", "40", "--samples", "25")

@@ -5,9 +5,12 @@ import pytest
 from loopbv import bv
 from loopbv.ring import AlgebraConfig, BVCase, Component, InputError, Monomial, basis, dimension, zero
 from loopbv.series import expand, le_series, lg_series, total_series
+from loopbv import spectral
 from loopbv.spectral import (
     Page,
     SSConfig,
+    _e3_columns,
+    _fiber_dims,
     d2_matrix,
     d2_rank,
     e2_page,
@@ -24,6 +27,11 @@ ALL_CASES = list(BVCase)
 def zero_delta(u, cfg):
     """A BV operator that kills everything: E3 = E2 and the total overshoots."""
     return zero()
+
+
+def wrapped_delta(u, cfg):
+    """``bv.delta`` under another identity: forces the per-degree rank path."""
+    return bv.delta(u, cfg)
 
 
 def dense_cells(cfg):
@@ -98,6 +106,65 @@ def test_pages_and_collapse_match_dense_oracle(n, delta_fn):
                 cfg, limit, *dense[Component.E], dense[Component.G][1]
             ), (n, case, limit)
             assert (report.algebra, report.max_top_degree) == (cfg, limit)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_w_squared_period_lemma(n):
+    """From q = -(2n-1) on, w^2 maps the degree-q basis onto the degree-(q+4n)
+    basis in order and Delta commutes with it: the premise of every tiled
+    vector and of the all-degree certificate."""
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        for comp in (Component.E, Component.G):
+            for q in range(-(2 * n - 1), 2 * n + 1):
+                shifted = tuple(Monomial(m.a, m.b, m.c + 2) for m in basis(cfg, comp, q))
+                assert basis(cfg, comp, q + 4 * n) == shifted, (case, comp, q)
+                assert d2_matrix(cfg, comp, q + 4 * n) == d2_matrix(cfg, comp, q), (case, comp, q)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tiled_columns_match_per_degree_columns(n):
+    degrees = sorted({0, 1, 2, 4 * n - 1, 4 * n, 4 * n + 1, 4 * n + 2, 8 * n + 3, 200})
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        for comp in (Component.E, Component.G):
+            for limit in degrees:
+                ss = SSConfig(cfg, comp, limit)
+                dims = [dimension(cfg, comp, q) for q in range(-cfg.dim, limit - cfg.dim + 1)]
+                assert _fiber_dims(ss) == dims, (case, comp, limit)
+                assert _e3_columns(ss, bv.delta) == _e3_columns(ss, wrapped_delta), (
+                    case, comp, limit,
+                )
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_verify_collapse_rank_calls_do_not_grow_with_cutoff(n, monkeypatch):
+    calls = []
+
+    def counting_rank(*args):
+        calls.append(args)
+        return d2_rank(*args)
+
+    monkeypatch.setattr(spectral, "d2_rank", counting_rank)
+    for limit in (40, 4000):
+        calls.clear()
+        assert verify_collapse(AlgebraConfig(n, BVCase.B_WXVW), limit).passed
+        assert 0 < len(calls) <= 2 * (4 * n + 2), limit
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_verify_collapse_covers_all_degrees_for_builtin_delta(n):
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        for limit in (0, 4 * n + 1, 97):
+            report = verify_collapse(cfg, limit)
+            assert report.all_degrees and report.passed, (case, limit)
+            assert report.computed == expand(total_series(n), limit).coefficients
+            wrapped = verify_collapse(cfg, limit, wrapped_delta)
+            assert not wrapped.all_degrees
+            for name in ("passed", "e_page_stable", "computed", "expected", "first_mismatch"):
+                assert getattr(wrapped, name) == getattr(report, name), (case, limit, name)
+            assert not verify_collapse(cfg, limit, zero_delta).all_degrees
 
 
 def bruteforce_rank(rows):
