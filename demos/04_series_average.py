@@ -1,8 +1,8 @@
 """Exact Poincaré series: closed forms, expansions, and the average Betti number.
 
 All arithmetic is on integer polynomials; the average of the alternating
-Betti sums is an exact rational computed from window slopes, with a
-self-check that refuses divergent inputs.
+Betti sums is an exact rational read off the closed form by one polynomial
+division, which fails exactly when a multiple pole leaves no average.
 """
 
 from loopbv import (
@@ -38,7 +38,7 @@ for n in range(1, 9):
     print(f"  n={n}: {average_alternating(lg_series(n))}")
 
 print("\nThe contractible side has unbounded Betti numbers: no average exists,")
-print("and the window self-check refuses rather than returning a wrong slope:")
+print("and the exact pole check refuses rather than returning a wrong value:")
 try:
     average_alternating(total_series(2))
 except NonQuasilinearError as exc:

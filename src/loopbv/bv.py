@@ -197,6 +197,8 @@ def axiom_failures(
     symmetry, the Jacobi identity and the derivation rule run over ``samples``
     seeded random pairs/triples.  Returns one message per violation.
     """
+    if samples < 0:
+        raise InputError(f"samples must be nonnegative, got {samples}")
     pool = [m for q in range(lo, hi + 1) for m in basis(cfg, None, q)]
     failures: list[str] = []
     for m in pool:

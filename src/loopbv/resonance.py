@@ -25,6 +25,12 @@ from .ring import InputError, check_n
 MORSE_ITERATE_BUDGET = 10**6
 
 
+def _check_int(label: str, name: str, value) -> None:
+    """Reject anything but an ``int``, as :func:`check_n` does; ``bool`` is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{label}: {name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeodesicRecord:
     """Index and type-number data of one prime closed geodesic.
@@ -43,6 +49,10 @@ class GeodesicRecord:
     nondegenerate: bool | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise InputError(f"geodesic label must be a string, got {self.label!r}")
+        _check_int(self.label, "initial index", self.initial_index)
+        _check_int(self.label, "period", self.period)
         if self.initial_index < 0:
             raise InputError(f"{self.label}: initial index must be nonnegative")
         mean = Fraction(self.mean_index)
@@ -52,6 +62,8 @@ class GeodesicRecord:
         if self.period <= 0 or self.period % 2:
             raise InputError(f"{self.label}: period must be a positive even integer")
         for (m, l), k in self.type_numbers.items():
+            for name, value in (("iterate slot m", m), ("degree l", l), ("type number k", k)):
+                _check_int(self.label, name, value)
             if not 1 <= m <= self.period // 2:
                 raise InputError(f"{self.label}: iterate slot m={m} outside 1..{self.period // 2}")
             if l < 0:
@@ -246,9 +258,13 @@ def morse_truncation(
 def record_from_dict(obj: dict) -> GeodesicRecord:
     """Build a record from the JSON object layout."""
     try:
-        type_numbers = {
-            (entry["m"], entry["l"]): entry["k"] for entry in obj.get("type_numbers", [])
-        }
+        type_numbers = {}
+        for entry in obj.get("type_numbers", []):
+            slot = (entry["m"], entry["l"])
+            if slot in type_numbers:
+                raise InputError(f"{obj.get('label')}: duplicate type-number slot "
+                                 f"(m, l) = {slot}")
+            type_numbers[slot] = entry["k"]
         nullities = tuple(obj["nullities"]) if "nullities" in obj else None
         return GeodesicRecord(
             label=obj["label"],

@@ -5,7 +5,12 @@ den(0) != 0, so it has a unique power-series expansion.  No gcd reduction is
 performed; equality is decided by cross multiplication.  The closed forms for
 the equivariant Betti series of the two loop-space components and of the full
 loop space are built here, together with the Cesàro limit of alternating
-partial sums (the average Betti number).
+partial sums (the average Betti number), read off num/den by a pole argument:
+the coefficients of g(t) = r(-t) are (-1)^k a_k, and for
+den = c (1 - t^e1) ... (1 - t^ek) every pole of g is a root of unity of order
+dividing P = 2 lcm(e_i).  A pole w of order m >= 2 puts a term N^(m-1) / w^N
+into the partial sum S_N, so S_N / N converges iff every pole is simple, that is
+iff g (1 - t^P) is a polynomial h / c; each period then adds h(1) / c to S_N.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .ring import InputError, check_n
 
 
 class NonQuasilinearError(ArithmeticError):
-    """Alternating partial sums did not settle into a linear-plus-periodic tail."""
+    """No Cesàro limit, or a denominator that is not c (1 - t^e1) ... (1 - t^ek)."""
 
 
 Poly = tuple[int, ...]
@@ -53,7 +58,8 @@ def _padd(p: Poly, q: Poly, sign: int = 1) -> Poly:
 
 
 def _pdivides(p: Poly, d: Poly) -> Poly | None:
-    """Quotient p / d when the division is exact, else None."""
+    """Quotient p / d when the division is exact, else None; like
+    :func:`_pmul`, each step visits only the nonzero terms of d."""
     p = _trim(p)
     d = _trim(d)
     if d == (0,):
@@ -63,6 +69,7 @@ def _pdivides(p: Poly, d: Poly) -> Poly | None:
     rem = list(p)
     quot = [0] * (len(p) - len(d) + 1)
     lead = d[-1]
+    d_terms = [(j, b) for j, b in enumerate(d) if b]
     for k in range(len(quot) - 1, -1, -1):
         top = rem[k + len(d) - 1]
         if top % lead:
@@ -70,7 +77,7 @@ def _pdivides(p: Poly, d: Poly) -> Poly | None:
         factor = top // lead
         quot[k] = factor
         if factor:
-            for j, b in enumerate(d):
+            for j, b in d_terms:
                 rem[k + j] -= factor * b
     if any(rem):
         return None
@@ -200,8 +207,8 @@ def total_series(n: int) -> RationalSeries:
     return lg_series(n) * bump
 
 
-def _cyclic_exponents(den: Poly) -> list[int]:
-    """Greedily divide out factors 1 - t^e; returns the exponents found."""
+def _cyclic_factors(den: Poly) -> tuple[list[int], Poly]:
+    """Greedily divide out factors 1 - t^e; returns the exponents and the rest."""
     exponents = []
     rest = den
     e = len(rest) - 1
@@ -213,36 +220,28 @@ def _cyclic_exponents(den: Poly) -> list[int]:
             exponents.append(e)
             rest = quotient
             e = min(e, len(rest) - 1)
-    return exponents
+    return exponents, rest
+
+
+def _at_minus_t(p: Poly) -> Poly:
+    return tuple(-a if k % 2 else a for k, a in enumerate(p))
 
 
 def average_alternating(r: RationalSeries) -> Fraction:
-    """Cesàro limit of the alternating partial sums of the expansion.
-
-    For bounded coefficient sequences with denominators built from factors
-    1 - t^(2j) the partial sums are eventually linear plus periodic, so the
-    limit equals the exact slope over one full period.  Three windows are
-    compared: two consecutive ones, and one shifted by a single step.  The
-    shifted window catches unbounded coefficient sequences, whose partial
-    sums pick up a parity-modulated linear term and have no Cesàro limit
-    even though same-parity window slopes agree.
+    """Cesàro limit of S_N = sum_{k <= N} (-1)^k a_k, exact and without
+    expansion: h = num(-t) (1 - t^P) / (den(-t) / c) must divide exactly, as
+    the poles of r(-t), all roots of unity of order dividing P = 2 lcm(e_i),
+    must be simple; the limit is then h(1) / (P c) (see the module docstring).
     """
-    exponents = _cyclic_exponents(r.denominator)
+    exponents, rest = _cyclic_factors(r.denominator)
+    if len(rest) > 1:
+        raise NonQuasilinearError(f"non-quasilinear series: denominator factor "
+                                  f"{list(rest)} is not a product of factors 1 - t^e")
+    c = rest[0]
     period = 2 * lcm(*exponents) if exponents else 2
-    settle = (len(r.numerator) - 1) + (len(r.denominator) - 1)
-    coeffs = expand(r, settle + 3 * period + 1).coefficients
-    partial = []
-    acc = 0
-    for k, c in enumerate(coeffs):
-        acc += c if k % 2 == 0 else -c
-        partial.append(acc)
-    base = settle + period
-    slopes = [
-        Fraction(partial[base + period] - partial[base], period),
-        Fraction(partial[base + 2 * period] - partial[base + period], period),
-        Fraction(partial[base + 1 + period] - partial[base + 1], period),
-    ]
-    if len(set(slopes)) != 1:
-        shown = ", ".join(str(s) for s in slopes)
-        raise NonQuasilinearError(f"non-quasilinear series: window slopes {shown} disagree")
-    return slopes[0]
+    lifted = _pmul(_at_minus_t(r.numerator), one_minus_t_power(period))
+    h = _pdivides(lifted, _at_minus_t(tuple(d // c for d in r.denominator)))
+    if h is None:
+        raise NonQuasilinearError("non-quasilinear series: r(-t) has a multiple pole on "
+                                  "the unit circle, so no Cesàro limit exists")
+    return Fraction(sum(h), period * c)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from loopbv.bv import (
+    axiom_failures,
     bracket,
     bracket_table,
     delta,
@@ -276,6 +277,13 @@ def test_delta_table_deformed_b_case_odd_odd_rows(n):
 def test_delta_table_window_validation():
     with pytest.raises(InputError):
         delta_table(AlgebraConfig(1), Component.G, 3, 1)
+
+
+def test_axiom_failures_sample_count_validation():
+    cfg = AlgebraConfig(1)
+    with pytest.raises(InputError, match="samples must be nonnegative, got -5"):
+        axiom_failures(cfg, -3, 12, samples=-5, seed=0)
+    assert axiom_failures(cfg, -3, 12, samples=0, seed=0) == []
 
 
 def test_delta_table_matches_pointwise_delta():

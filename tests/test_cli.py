@@ -187,6 +187,15 @@ def test_verify_negative_cutoff_exits_two(capsys):
     assert err == "error: max_top_degree must be nonnegative, got -5\n"
 
 
+def test_verify_negative_samples_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "--n", "1", "--max-degree", "10",
+                         "--samples", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: samples must be nonnegative, got -5\n"
+    assert "Traceback" not in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--n", "1", "--case", "B_w",
                        "--max-degree", "40", "--samples", "25")
@@ -328,6 +337,31 @@ def test_resonance_invalid_record_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "resonance", "--input", str(bad))
     assert code == 2
     assert "mean index" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("period", 2.0, "period must be an integer, got 2.0"),
+        ("initial_index", True, "initial index must be an integer, got True"),
+        ("type_numbers", [{"m": 1, "l": 0, "k": 0.5}],
+         "type number k must be an integer, got 0.5"),
+        ("type_numbers", [{"m": 1, "l": 0, "k": 1}, {"m": 1, "l": 0, "k": 2}],
+         "duplicate type-number slot (m, l) = (1, 0)"),
+    ],
+    ids=["float-period", "bool-index", "float-k", "duplicate-slot"],
+)
+def test_resonance_mistyped_record_exits_two(field, value, message, tmp_path, capsys):
+    record = {"label": "c", "initial_index": 0, "mean_index": "1", "period": 2,
+              "type_numbers": [{"m": 1, "l": 0, "k": 1}]}
+    record[field] = value
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps({"n": 1, "geodesics": [record]}))
+    code, out, err = run(capsys, "resonance", "--input", str(bad), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_resonance_boolean_n_exits_two(tmp_path, capsys):

@@ -254,3 +254,18 @@ def test_json_validation_errors():
         record_from_dict(
             {"label": "c", "initial_index": 0, "mean_index": "x", "period": 2}
         )
+    base = {"label": "c", "initial_index": 0, "mean_index": "4/3", "period": 2,
+            "type_numbers": [{"m": 1, "l": 0, "k": 1}]}
+    for field, value, message in [
+        ("label", 5, "label must be a string, got 5"),
+        ("period", 2.0, "period must be an integer"),
+        ("initial_index", True, "initial index must be an integer"),
+        ("initial_index", 1.0, "initial index must be an integer"),
+        ("type_numbers", [{"m": 1, "l": 0, "k": 0.5}], "type number k must be an integer"),
+        ("type_numbers", [{"m": True, "l": 0, "k": 1}], "iterate slot m must be an integer"),
+        ("type_numbers", [{"m": 1, "l": 0.0, "k": 1}], "degree l must be an integer"),
+        ("type_numbers", [{"m": 1, "l": 0, "k": 1}, {"m": 1, "l": 0, "k": 2}],
+         "duplicate type-number slot"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            record_from_dict(dict(base, **{field: value}))

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,6 +9,10 @@ from loopbv.series import (
     NonQuasilinearError,
     RationalSeries,
     TruncatedSeries,
+    _padd,
+    _pdivides,
+    _pmul,
+    _trim,
     average_alternating,
     betti,
     eq_exact,
@@ -175,6 +181,88 @@ def test_average_alternating_rejects_unbounded_betti_series(n):
         average_alternating(le_series(n))
     with pytest.raises(NonQuasilinearError):
         average_alternating(total_series(n))
+
+
+def cyclic_den(c, exponents):
+    den = (c,)
+    for e in exponents:
+        den = _pmul(den, one_minus_t_power(e))
+    return den
+
+
+@pytest.mark.parametrize(
+    "num, c, exponents",
+    [((-1, -3), 1, (3, 3)), ((0, 2), 1, (3, 6)), ((-3,), 2, (3, 3))],
+    ids=["double-3", "three-six", "scaled-double-3"],
+)
+def test_average_alternating_rejects_oscillating_means(num, c, exponents):
+    # S_N / N keeps oscillating (for the first: about -2/3, 1/3, 1/3, 2/3 at
+    # N = 6000..6003), so there is no limit to return
+    with pytest.raises(NonQuasilinearError, match="non-quasilinear"):
+        average_alternating(RationalSeries(num, cyclic_den(c, exponents)))
+
+
+def test_average_alternating_rejects_non_cyclic_factor():
+    # 1 + t + t^2 is cyclotomic but not of the form 1 - t^e: refused, not guessed
+    with pytest.raises(NonQuasilinearError, match=r"non-quasilinear.*\[1, 1, 1\]"):
+        average_alternating(RationalSeries((1,), (1, 1, 1)))
+
+
+def partial_sum_limit(r, period):
+    """Cesàro limit from the expansion alone, or None when there is none.
+
+    Past N0 = len(num) + len(den) the sequence b_k = (-1)^k a_k obeys the
+    recurrence of den(-t), so b_{k+P} = b_k on len(den) consecutive k holds
+    for every later k.  Checking S_{N+P} - S_N over one period plus len(den)
+    steps therefore decides whether S_N is linear plus P-periodic for good.
+    """
+    start = len(r.numerator) + len(r.denominator)
+    stop = start + period + len(r.denominator)
+    partial, acc = [], 0
+    for k, a in enumerate(expand(r, stop + period).coefficients):
+        acc += -a if k % 2 else a
+        partial.append(acc)
+    steps = {partial[N + period] - partial[N] for N in range(start, stop)}
+    return Fraction(steps.pop(), period) if len(steps) == 1 else None
+
+
+def test_average_alternating_matches_partial_sum_oracle():
+    rng = random.Random(20261018)
+    outcomes = {"limit": 0, "none": 0}
+    for _ in range(600):
+        num = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 8)))
+        exponents = [rng.randint(1, 6) for _ in range(rng.randint(0, 3))]
+        r = RationalSeries(num, cyclic_den(rng.choice((1, -1, 2, 3)), exponents))
+        want = partial_sum_limit(r, 2 * lcm(*exponents) if exponents else 2)
+        if want is None:
+            outcomes["none"] += 1
+            with pytest.raises(NonQuasilinearError):
+                average_alternating(r)
+        else:
+            outcomes["limit"] += 1
+            assert average_alternating(r) == want, (num, exponents)
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_pdivides_sparse_exact_and_inexact():
+    rng = random.Random(7)
+    for _ in range(300):
+        p = tuple(rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(rng.randint(1, 40)))
+        d = [0] * rng.randint(1, 30)
+        for j in rng.sample(range(len(d)), min(len(d), 3)):
+            d[j] = rng.choice((-2, -1, 1, 2, 3))
+        d[0] = d[0] or 1
+        d[-1] = d[-1] or -1
+        d = tuple(d)
+        product = _pmul(p, d)
+        assert _pdivides(product, d) == _trim(p)
+        if len(d) > 1:
+            assert _pdivides(_padd(product, (1,)), d) is None
+
+
+@pytest.mark.parametrize("n", [100, 2000])
+def test_average_alternating_large_n(n):
+    assert average_alternating(lg_series(n)) == Fraction(n + 1, 2 * n)
 
 
 def test_truncated_series_window_arithmetic():
