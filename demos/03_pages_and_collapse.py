@@ -29,7 +29,7 @@ print("Third page of the non-contractible component (n=1, case A_v):")
 ss_g = SSConfig(cfg, Component.G, N)
 page = e3_page(ss_g)
 print("    p    q  dim")
-for (p, q), d in sorted(page.entries.items()):
+for p, q, d in page.cells():
     print(f"  {p:3d}  {q:3d}  {d:3d}")
 print("\nOnly column p = 0 survives, carrying the odd powers of x;")
 print("series:", list(page_series(page, ss_g).coefficients))

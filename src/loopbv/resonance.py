@@ -155,14 +155,17 @@ def nondegenerate_check(records: Sequence[GeodesicRecord], n: int) -> Nondegener
 
 def _rounded_linear_index(rec: GeodesicRecord, iterate: int) -> int:
     """Nearest integer to iterate * mean_index with the parity of the initial
-    index, ties broken downward."""
-    t = rec.mean_index * iterate
-    parity = rec.initial_index % 2
-    low = floor(t)
-    if low % 2 != parity:
+    index, ties broken downward.
+
+    With mean_index = p/r and t = p*iterate/r, the candidates are the largest
+    ``low`` <= t of the right parity and low + 2; ``low`` wins iff
+    t - low <= low + 2 - t, that is 2*p*iterate <= (2*low + 2)*r.
+    """
+    p, r = rec.mean_index.as_integer_ratio()
+    low = p * iterate // r
+    if low % 2 != rec.initial_index % 2:
         low -= 1
-    high = low + 2
-    return low if t - low <= high - t else high
+    return low if 2 * p * iterate <= (2 * low + 2) * r else low + 2
 
 
 def _index_at(
@@ -186,7 +189,8 @@ def _index_at(
         raise InputError(
             f"{rec.label}: index {value} at iterate {iterate} breaks the parity rule"
         )
-    if abs(Fraction(value) - rec.mean_index * iterate) > 2 * n:
+    p, r = rec.mean_index.as_integer_ratio()
+    if abs(value * r - p * iterate) > 2 * n * r:
         raise InputError(
             f"{rec.label}: index {value} at iterate {iterate} deviates from "
             f"{rec.mean_index * iterate} by more than {2 * n}"

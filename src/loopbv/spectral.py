@@ -33,14 +33,14 @@ t^2 / (1 - t^2)), so collapse is proved in every degree by one
 ``eq_exact`` against the closed form for the whole loop space.  That costs
 O(n) rank computations whatever the cutoff; only the returned expansion is
 O(D).  Any other operator, or a failed proof, gets the truncated O(D)
-comparison through the cutoff D.  Only callers that emit entries
-(``e2_page``, ``e3_page`` and what they feed) pay per (p, q) cell.
+comparison through the cutoff D.  A page is held as its two columns, and
+emitting one costs its nonzero cells plus D, with no sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import bv, gf2, series
 from .ring import (
@@ -73,13 +73,61 @@ class SSConfig:
 
 @dataclass(frozen=True)
 class Page:
-    """Bigraded dimension table; absent entries are zero."""
+    """A page held as two columns in the fiber degree q.
+
+    ``first`` is column 0 and ``rest`` the column shared by every p >= 1,
+    both indexed by q + ``shift`` from the bottom fiber degree q = -shift,
+    shift = 2n+1.  The cell (p, q) exists while 2p + q + shift stays within
+    ``max_top_degree`` = D, so ``first`` runs through index D and ``rest`` is
+    cut to index D - 2: the top two fiber degrees have no cell off column 0,
+    and equal pages have the same nonzero cells.
+    """
 
     page_index: int
-    entries: dict[tuple[int, int], int] = field(repr=False)
+    shift: int
+    max_top_degree: int
+    first: tuple[int, ...] = field(repr=False)
+    rest: tuple[int, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        top, size = self.max_top_degree, max(self.max_top_degree - 1, 0)
+        object.__setattr__(self, "first", tuple(self.first))
+        object.__setattr__(self, "rest", tuple(self.rest[:size]))
+        if len(self.first) != top + 1 or len(self.rest) != size:
+            raise InputError(
+                f"page columns of lengths {len(self.first)} and {len(self.rest)} "
+                f"do not fit the cutoff {top}"
+            )
 
     def dim(self, p: int, q: int) -> int:
-        return self.entries.get((p, q), 0)
+        """Dimension of the cell (p, q), zero outside the page."""
+        i = q + self.shift
+        if p < 0 or i < 0 or 2 * p + i > self.max_top_degree:
+            return 0
+        return self.rest[i] if p else self.first[i]
+
+    def cells(self) -> Iterator[tuple[int, int, int]]:
+        """Nonzero cells (p, q, dim) in (p, q) order, in O(cells + D).
+
+        Column p >= 1 is the prefix of the nonzero entries of ``rest`` up to
+        index D - 2p, which shrinks by two indices per column.
+        """
+        shift, top = self.shift, self.max_top_degree
+        for i, d in enumerate(self.first):
+            if d:
+                yield 0, i - shift, d
+        nonzero = [(i, i - shift, d) for i, d in enumerate(self.rest) if d]
+        end = len(nonzero)
+        for p in range(1, top // 2 + 1):
+            while end and nonzero[end - 1][0] > top - 2 * p:
+                end -= 1
+            for _, q, d in nonzero[:end]:
+                yield p, q, d
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """Nonzero cells as a dict keyed by (p, q)."""
+        return {(p, q): d for p, q, d in self.cells()}
 
 
 def _q_range(cfg: SSConfig) -> range:
@@ -128,24 +176,6 @@ def _e3_columns(cfg: SSConfig, delta_fn: DeltaFn) -> tuple[list[int], list[int],
     return dims, first, rest
 
 
-def _page(page_index: int, cfg: SSConfig, first: list[int], rest: list[int]) -> Page:
-    """Dense page from column 0 and the column shared by every p >= 1.
-
-    The cell (p, q) exists while 2p + q + (2n+1) stays within the cutoff;
-    zero entries are left out.
-    """
-    shift = cfg.algebra.dim
-    entries = {}
-    for i, (d0, d) in enumerate(zip(first, rest)):
-        q = i - shift
-        if d0:
-            entries[(0, q)] = d0
-        if d:
-            for p in range(1, (cfg.max_top_degree - i) // 2 + 1):
-                entries[(p, q)] = d
-    return Page(page_index, entries)
-
-
 def _column_series(first: list[int], rest: list[int]) -> list[int]:
     """Coefficients of the page series through the cutoff, in O(D).
 
@@ -163,7 +193,7 @@ def _column_series(first: list[int], rest: list[int]) -> list[int]:
 def e2_page(cfg: SSConfig) -> Page:
     """Second page: every column repeats the fiber dimensions."""
     dims = _fiber_dims(cfg)
-    return _page(2, cfg, dims, dims)
+    return Page(2, cfg.algebra.dim, cfg.max_top_degree, dims, dims)
 
 
 def d2_matrix(
@@ -211,16 +241,21 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn = bv.delta) -> Page:
     columns.
     """
     _, first, rest = _e3_columns(cfg, delta_fn)
-    return _page(3, cfg, first, rest)
+    return Page(3, cfg.algebra.dim, cfg.max_top_degree, first, rest)
+
+
+def _check_fits(page: Page, cfg: SSConfig) -> None:
+    if (page.shift, page.max_top_degree) != (cfg.algebra.dim, cfg.max_top_degree):
+        raise InputError(
+            f"page with shift {page.shift} and cutoff {page.max_top_degree} does not "
+            f"belong to n={cfg.algebra.n} at cutoff {cfg.max_top_degree}"
+        )
 
 
 def page_series(page: Page, cfg: SSConfig) -> series.TruncatedSeries:
     """Poincaré series of a page in the topological grading, through the cutoff."""
-    shift = cfg.algebra.dim
-    coeffs = [0] * (cfg.max_top_degree + 1)
-    for (p, q), d in page.entries.items():
-        coeffs[2 * p + q + shift] += d
-    return series.TruncatedSeries(0, tuple(coeffs))
+    _check_fits(page, cfg)
+    return series.TruncatedSeries(0, tuple(_column_series(page.first, page.rest)))
 
 
 @dataclass(frozen=True)
@@ -315,19 +350,42 @@ def verify_collapse(
 
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:
-    """JSON-ready mapping with deterministic entry order."""
-    entries = [
-        {"p": p, "q": q, "dim": d}
-        for (p, q), d in sorted(page.entries.items())
-    ]
+    """JSON-ready mapping, entries in (p, q) order."""
+    entries = [{"p": p, "q": q, "dim": d} for p, q, d in page.cells()]
     coeffs = list(page_series(page, cfg).coefficients)
     return {"page": page.page_index, "entries": entries, "series": coeffs}
 
 
-def page_from_json(obj: dict) -> Page:
-    """Rebuild a page from the mapping produced by :func:`page_to_json`."""
+def page_from_json(obj: dict, cfg: SSConfig) -> Page:
+    """Rebuild a page from the mapping produced by :func:`page_to_json`.
+
+    The columns are read off the p = 0 and p = 1 entries.  The object is
+    refused unless every number in it is an ``int``, every dimension is
+    nonnegative, the page index is at least 2 and re-emitting the page gives
+    the object back exactly.  That last test rules out negative p, repeated,
+    zero or unsorted cells, cells past the cutoff, columns p >= 2 that differ
+    from p = 1, a wrong series and extra keys.
+    """
+    shift, top = cfg.algebra.dim, cfg.max_top_degree
+    columns = [0] * (top + 1), [0] * (top + 1)
     try:
-        entries = {(e["p"], e["q"]): e["dim"] for e in obj["entries"]}
-        return Page(obj["page"], entries)
+        cells = [(e["p"], e["q"], e["dim"]) for e in obj["entries"]]
+        numbers = [obj["page"], *obj["series"], *(v for cell in cells for v in cell)]
+        if not all(type(v) is int for v in numbers) or any(d < 0 for *_, d in cells):
+            raise InputError(
+                "malformed page object: numbers must be integers and dimensions nonnegative"
+            )
+        if obj["page"] < 2:
+            raise InputError(f"malformed page object: page index {obj['page']} below 2")
+        for p, q, d in cells:
+            if p in (0, 1) and 0 <= q + shift <= top:
+                columns[p][q + shift] = d
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed page object: {exc}") from exc
+    page = Page(obj["page"], shift, top, *columns)
+    if page_to_json(page, cfg) != obj:
+        raise InputError(
+            f"page object does not re-emit exactly as a page of n={cfg.algebra.n}, "
+            f"component {cfg.comp.value}, cutoff {top}"
+        )
+    return page

@@ -163,7 +163,7 @@ def test_pages_json_round_trip(capsys):
     assert obj["page"] == 3
     cfg = AlgebraConfig(2, BVCase.B_W)
     expected = e3_page(SSConfig(cfg, Component.G, 30))
-    assert page_from_json(obj) == expected
+    assert page_from_json(obj, SSConfig(cfg, Component.G, 30)) == expected
 
 
 def test_pages_json_both_components(capsys):

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
 from loopbv.resonance import (
     GeodesicRecord,
+    _index_at,
+    _rounded_linear_index,
     index_sequence,
     load_problem,
     mean_euler,
@@ -269,3 +273,40 @@ def test_json_validation_errors():
     ]:
         with pytest.raises(InputError, match=message):
             record_from_dict(dict(base, **{field: value}))
+
+
+def fraction_rounded_index(rec, iterate):
+    """Reference rounding in Fraction arithmetic: the nearest integer to
+    iterate * mean_index with the initial index's parity, ties downward."""
+    t = rec.mean_index * iterate
+    low = floor(t)
+    if low % 2 != rec.initial_index % 2:
+        low -= 1
+    return low if t - low <= low + 2 - t else low + 2
+
+
+def test_integer_index_arithmetic_matches_fraction_oracle():
+    rng = random.Random(20)
+    ties = deviations = 0
+    for _ in range(3000):
+        mean = Fraction(rng.randint(1, 60), rng.randint(1, 12))
+        rec = GeodesicRecord("c", rng.randint(0, 5), mean, 2, {(1, 0): 1})
+        n = rng.randint(1, 4)
+        iterate = 2 * rng.randint(0, 400) + 1
+        want = fraction_rounded_index(rec, iterate)
+        ties += mean * iterate - (want - 1) == 1  # t sits midway between two candidates
+        assert _rounded_linear_index(rec, iterate) == want, (mean, rec.initial_index, iterate)
+        assert _index_at(rec, n, iterate, "rounded-linear") == want
+        # an explicit index of the right parity, near the line or past the bound
+        value = want + 2 * rng.randint(-2 * n, 2 * n)
+        explicit = [value] * ((iterate - 1) // 2 + 1)
+        if abs(Fraction(value) - mean * iterate) > 2 * n:
+            deviations += 1
+            message = (f"c: index {value} at iterate {iterate} deviates from "
+                       f"{mean * iterate} by more than {2 * n}")
+            with pytest.raises(InputError) as err:
+                _index_at(rec, n, iterate, explicit)
+            assert str(err.value) == message
+        else:
+            assert _index_at(rec, n, iterate, explicit) == value
+    assert ties >= 100 and deviations >= 100, (ties, deviations)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -43,18 +44,18 @@ def dense_cells(cfg):
 
 
 def dense_e2(cfg):
-    """Reference second page: one dimension lookup per cell."""
+    """Reference second page entries: one dimension lookup per cell."""
     entries = {}
     for p, q in dense_cells(cfg):
         d = dimension(cfg.algebra, cfg.comp, q)
         if d:
             entries[(p, q)] = d
-    return Page(2, entries)
+    return entries
 
 
 def dense_e3(cfg, delta_fn=bv.delta):
-    """Reference third page: per-cell dimension minus the ranks at q-1 and,
-    off column 0, at q."""
+    """Reference third page entries: per-cell dimension minus the ranks at
+    q-1 and, off column 0, at q."""
     algebra, comp = cfg.algebra, cfg.comp
     shift = algebra.dim
     ranks = {
@@ -68,18 +69,50 @@ def dense_e3(cfg, delta_fn=bv.delta):
             d -= ranks[q]
         if d:
             entries[(p, q)] = d
-    return Page(3, entries)
+    return entries
+
+
+def dense_series(entries, cfg):
+    """Reference page series: one addition per entry."""
+    shift = cfg.algebra.dim
+    coeffs = [0] * (cfg.max_top_degree + 1)
+    for (p, q), d in entries.items():
+        coeffs[2 * p + q + shift] += d
+    return tuple(coeffs)
+
+
+def dense_json(page_index, entries, cfg):
+    """Reference page JSON: the entries sorted by (p, q)."""
+    return {
+        "page": page_index,
+        "entries": [{"p": p, "q": q, "dim": d} for (p, q), d in sorted(entries.items())],
+        "series": list(dense_series(entries, cfg)),
+    }
 
 
 def dense_collapse_fields(cfg, max_top_degree, e2_e, e3_e, e3_g):
-    """(e_page_stable, computed, expected, first_mismatch) from dense pages."""
+    """(e_page_stable, computed, expected, first_mismatch) from dense entries."""
     ss_e = SSConfig(cfg, Component.E, max_top_degree)
     ss_g = SSConfig(cfg, Component.G, max_top_degree)
-    computed = (page_series(e3_e, ss_e) + page_series(e3_g, ss_g)).coefficients
+    computed = tuple(
+        a + b for a, b in zip(dense_series(e3_e, ss_e), dense_series(e3_g, ss_g))
+    )
     expected = expand(total_series(cfg.n), max_top_degree).coefficients
     mismatches = [(k, a, b) for k, (a, b) in enumerate(zip(computed, expected)) if a != b]
-    stable = e3_e.entries == e2_e.entries
+    stable = e3_e == e2_e
     return stable, computed, expected, mismatches[0] if mismatches else None
+
+
+def outside_ring(cfg):
+    """Cells just outside a page: column -1, one degree below the bottom,
+    and the two top degrees past the cutoff."""
+    shift, top = cfg.algebra.dim, cfg.max_top_degree
+    for q in range(-shift - 1, top - shift + 2):
+        yield -1, q
+    for p in range(top // 2 + 2):
+        yield p, -shift - 1
+        yield p, top + 1 - 2 * p - shift
+        yield p, top + 2 - 2 * p - shift
 
 
 def oracle_degrees(n):
@@ -98,8 +131,16 @@ def test_pages_and_collapse_match_dense_oracle(n, delta_fn):
                 dense[comp] = dense_e2(ss), dense_e3(ss, delta_fn)
                 pages = e2_page(ss), e3_page(ss, delta_fn)
                 for page, reference in zip(pages, dense[comp]):
-                    assert page == reference, (n, case, limit, comp, page.page_index)
-                    assert page_series(page, ss) == page_series(reference, ss)
+                    where = (n, case, limit, comp, page.page_index)
+                    assert page.entries == reference, where
+                    assert json.dumps(page_to_json(page, ss)) == json.dumps(
+                        dense_json(page.page_index, reference, ss)
+                    ), where
+                    assert page_series(page, ss).coefficients == dense_series(reference, ss)
+                    for p, q in dense_cells(ss):
+                        assert page.dim(p, q) == reference.get((p, q), 0), (where, p, q)
+                    for p, q in outside_ring(ss):
+                        assert page.dim(p, q) == 0, (where, p, q)
             report = verify_collapse(cfg, limit, delta_fn)
             fields = (report.e_page_stable, report.computed, report.expected, report.first_mismatch)
             assert fields == dense_collapse_fields(
@@ -290,7 +331,9 @@ def test_page_series_match_closed_forms(n, case):
 def test_empty_page_series_is_zero():
     cfg = AlgebraConfig(1)
     ss = SSConfig(cfg, Component.G, 10)
-    assert page_series(Page(3, {}), ss).coefficients == (0,) * 11
+    page = Page(3, cfg.dim, 10, (0,) * 11, (0,) * 9)
+    assert page_series(page, ss).coefficients == (0,) * 11
+    assert list(page.cells()) == [] and page.entries == {}
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -331,9 +374,106 @@ def test_page_json_round_trip():
     page = e3_page(ss)
     obj = page_to_json(page, ss)
     assert set(obj) == {"page", "entries", "series"}
-    assert page_from_json(obj) == page
+    assert page_from_json(obj, ss) == page
 
 
 def test_page_from_json_rejects_malformed():
+    ss = SSConfig(AlgebraConfig(1), Component.G, 10)
     with pytest.raises(InputError):
-        page_from_json({"page": 3})
+        page_from_json({"page": 3}, ss)
+
+
+def _insert_sorted(entries, cell):
+    entries.append(cell)
+    entries.sort(key=lambda e: (e["p"], e["q"]))
+
+
+def _negate_dim(obj, shift):
+    # consistent apart from the sign: the non-contractible third page lives in
+    # column 0, so the series coefficient at q + shift is that cell alone
+    cell = obj["entries"][0]
+    cell["dim"] = -cell["dim"]
+    obj["series"][cell["q"] + shift] = cell["dim"]
+
+
+REFUSED_PAGE_SHAPES = {
+    "page-not-int": lambda obj, shift: obj.update(page="seven"),
+    "page-below-two": lambda obj, shift: obj.update(page=1),
+    "dim-not-int": lambda obj, shift: obj["entries"][0].update(dim="x"),
+    "q-float": lambda obj, shift: obj["entries"][0].update(q=float(obj["entries"][0]["q"])),
+    "dim-bool": lambda obj, shift: obj["entries"][0].update(dim=True),
+    "series-float": lambda obj, shift: obj["series"].__setitem__(0, float(obj["series"][0])),
+    "negative-p": lambda obj, shift: obj["entries"].insert(0, {"p": -4, "q": 0, "dim": 1}),
+    "negative-dim": _negate_dim,
+    "duplicate-cell": lambda obj, shift: obj["entries"].insert(
+        1, dict(obj["entries"][0], dim=obj["entries"][0]["dim"] + 1)
+    ),
+    "past-cutoff": lambda obj, shift: obj["entries"].append({"p": 9, "q": -shift, "dim": 1}),
+    "missing-cell": lambda obj, shift: obj["entries"].pop(),
+    "unsorted": lambda obj, shift: obj["entries"].reverse(),
+    "zero-cell": lambda obj, shift: _insert_sorted(obj["entries"], {"p": 0, "q": 0, "dim": 0}),
+    "wrong-series": lambda obj, shift: obj["series"].__setitem__(3, obj["series"][3] + 1),
+    "extra-key": lambda obj, shift: obj.update(extra=1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REFUSED_PAGE_SHAPES))
+def test_page_from_json_refuses(shape):
+    comp = Component.G if shape == "negative-dim" else Component.E
+    cfg = AlgebraConfig(1)
+    ss = SSConfig(cfg, comp, 16)
+    obj = page_to_json(e3_page(ss), ss)
+    assert page_from_json(obj, ss) == e3_page(ss)
+    REFUSED_PAGE_SHAPES[shape](obj, cfg.dim)
+    with pytest.raises(InputError):
+        page_from_json(obj, ss)
+
+
+def test_page_from_json_refuses_other_column_shape():
+    """A page whose columns p >= 2 differ from p = 1 is not a two-column page."""
+    ss = SSConfig(AlgebraConfig(1), Component.E, 16)
+    obj = page_to_json(e3_page(ss), ss)
+    cell = next(e for e in obj["entries"] if e["p"] == 2)
+    cell["dim"] += 1
+    obj["series"][2 * cell["p"] + cell["q"] + ss.algebra.dim] += 1
+    with pytest.raises(InputError):
+        page_from_json(obj, ss)
+
+
+def test_page_from_json_refuses_other_configuration():
+    ss = SSConfig(AlgebraConfig(1), Component.E, 16)
+    obj = page_to_json(e3_page(ss), ss)
+    for other in (SSConfig(AlgebraConfig(1), Component.E, 15),
+                  SSConfig(AlgebraConfig(2), Component.E, 16)):
+        with pytest.raises(InputError):
+            page_from_json(obj, other)
+        with pytest.raises(InputError):
+            page_series(e3_page(ss), other)
+
+
+def test_pages_stay_column_backed_at_large_cutoff(monkeypatch):
+    """``e3_page``, ``page_series`` and ``dim`` never walk the cells: at n=1,
+    D=10^5 a page has about 2.5e9 of them."""
+
+    def no_cells(self):
+        raise AssertionError("Page.cells called")
+
+    monkeypatch.setattr(Page, "cells", no_cells)
+    limit = 10**5
+    cfg = AlgebraConfig(1, BVCase.B_WXVW)
+    for comp, closed in ((Component.E, le_series), (Component.G, lg_series)):
+        ss = SSConfig(cfg, comp, limit)
+        page = e3_page(ss)
+        assert page == e3_page(ss)
+        assert page_series(page, ss).coefficients == expand(closed(1), limit).coefficients
+        for q in (-3, -2, 0, 1, 4, limit // 2, limit - 4, limit - 3):
+            if comp is Component.E:  # the contractible page is its second page
+                column_0 = column_p = dimension(cfg, comp, q)
+            else:  # only the odd powers of x survive, in column 0
+                column_0, column_p = sum(m.a % 2 for m in basis(cfg, comp, q)), 0
+            top_p = (limit - q - cfg.dim) // 2
+            assert page.dim(0, q) == column_0, (comp, q)
+            if top_p:
+                assert page.dim(1, q) == page.dim(top_p, q) == column_p, (comp, q)
+            assert page.dim(top_p + 1, q) == page.dim(-1, q) == 0
+        assert page.dim(0, -4) == page.dim(0, limit - 2) == 0
