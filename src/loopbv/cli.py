@@ -87,7 +87,7 @@ def cmd_rows(args) -> int:
             "loop_degree": loop_degree(m, cfg),
             last: value(m, cfg),
         }
-        for q in range(lo, hi + 1)
+        for q in range(max(lo, -cfg.dim), hi + 1)  # no monomial sits below -(2n+1)
         for comp in _components(args.component)
         for m in basis(cfg, comp, q)
     ]

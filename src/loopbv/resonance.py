@@ -261,6 +261,10 @@ def morse_truncation(
 
 def record_from_dict(obj: dict) -> GeodesicRecord:
     """Build a record from the JSON object layout."""
+    if not isinstance(obj, dict):
+        raise InputError(
+            f"malformed geodesic record: expected an object, got {type(obj).__name__}"
+        )
     try:
         type_numbers = {}
         for entry in obj.get("type_numbers", []):
@@ -279,7 +283,7 @@ def record_from_dict(obj: dict) -> GeodesicRecord:
             nullities=nullities,
             nondegenerate=obj.get("nondegenerate"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, InputError):
             raise
         raise InputError(f"malformed geodesic record: {exc}") from exc
@@ -293,4 +297,8 @@ def load_problem(obj: dict) -> tuple[int, list[GeodesicRecord]]:
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed resonance input: {exc}") from exc
     check_n(n)
+    if not isinstance(geodesics, list):
+        raise InputError(
+            f"malformed resonance input: geodesics must be a list, got {type(geodesics).__name__}"
+        )
     return n, [record_from_dict(g) for g in geodesics]

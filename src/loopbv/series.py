@@ -128,24 +128,15 @@ class RationalSeries:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Finite coefficient window starting at ``offset`` (may be negative)."""
+    """Coefficients of t^0 .. t^(len - 1) of a power series."""
 
-    offset: int
     coefficients: tuple
 
     def coefficient(self, k: int):
         """Coefficient of t^k; k must lie inside the represented window."""
-        i = k - self.offset
-        if not 0 <= i < len(self.coefficients):
-            raise InputError(f"exponent {k} outside window "
-                             f"[{self.offset}, {self.offset + len(self.coefficients) - 1}]")
-        return self.coefficients[i]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.offset != other.offset or len(self.coefficients) != len(other.coefficients):
-            raise InputError("can only add truncated series over identical windows")
-        summed = tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        return TruncatedSeries(self.offset, summed)
+        if not 0 <= k < len(self.coefficients):
+            raise InputError(f"exponent {k} outside window [0, {len(self.coefficients) - 1}]")
+        return self.coefficients[k]
 
 
 def eq_exact(r1: RationalSeries, r2: RationalSeries) -> bool:
@@ -176,7 +167,7 @@ def expand(r: RationalSeries, n_terms: int) -> TruncatedSeries:
         else:
             value = Fraction(acc) / den0
             coeffs.append(int(value) if value.denominator == 1 else value)
-    return TruncatedSeries(0, tuple(coeffs))
+    return TruncatedSeries(tuple(coeffs))
 
 
 def betti(r: RationalSeries, k: int) -> int:

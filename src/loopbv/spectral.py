@@ -26,15 +26,20 @@ operator, and ranks whenever the operator is ``bv.delta`` itself.  Any other
 operator, a wrapper of ``bv.delta`` included, is ranked in every fiber
 degree up to the cutoff.
 
-``verify_collapse`` turns the same period into an exact certificate for
-``bv.delta``: each page series is a rational function (a head of three
-degrees, one 4n-block over 1 - t^(4n), and the p >= 1 column times
-t^2 / (1 - t^2)), so collapse is proved in every degree by one
-``eq_exact`` against the closed form for the whole loop space.  That costs
-O(n) rank computations whatever the cutoff; only the returned expansion is
-O(D).  Any other operator, or a failed proof, gets the truncated O(D)
-comparison through the cutoff D.  A page is held as its two columns, and
-emitting one costs its nonzero cells plus D, with no sort.
+``verify_collapse`` turns the same period into a certificate for every
+degree.  For ``bv.delta`` each column repeats with period 4n after a head
+of three entries, so it is P / (1 - t^(4n)) with deg P <= 4n+2, and the sum
+of the two page series is N / ((1 - t^(4n)) (1 - t^2)) with
+deg N <= 4n+4.  It equals the closed form num/den in every degree iff
+N den - num (1 - t^(4n)) (1 - t^2) = 0, a polynomial of degree at most
+K = max(4n+4 + deg den, deg num + 4n+2), so agreement of the coefficients
+0..K proves it.  K >= 4n+4, so the E-stability check through K also
+covers the head and a whole period.  The one truncated comparison is
+therefore run to K, which costs O(n) rank computations whatever the cutoff;
+only the returned expansion is O(D).  Any other operator, or a failed
+proof, gets the same comparison through the cutoff D.  A page is held as
+its two columns, and emitting one costs its nonzero cells plus D, with no
+sort.
 """
 
 from __future__ import annotations
@@ -255,7 +260,7 @@ def _check_fits(page: Page, cfg: SSConfig) -> None:
 def page_series(page: Page, cfg: SSConfig) -> series.TruncatedSeries:
     """Poincaré series of a page in the topological grading, through the cutoff."""
     _check_fits(page, cfg)
-    return series.TruncatedSeries(0, tuple(_column_series(page.first, page.rest)))
+    return series.TruncatedSeries(tuple(_column_series(page.first, page.rest)))
 
 
 @dataclass(frozen=True)
@@ -279,37 +284,25 @@ class CollapseReport:
         return self.e_page_stable and self.first_mismatch is None
 
 
-def _column_rational(column: list[int], period: int) -> series.RationalSeries:
-    """Generating function of a column that repeats with ``period`` after a
-    head of ``HEAD + 1`` entries, given through one period.
-
-    Column 0 subtracts the rank one fiber degree down, so the columns start
-    repeating one degree after the ranks do.
-    """
-    head = HEAD + 1
-    block = (0,) * head + tuple(column[head:head + period])
-    return series.RationalSeries(column[:head]) + series.RationalSeries(
-        block, series.one_minus_t_power(period)
+def _compare(
+    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn
+) -> tuple[bool, tuple, tuple, tuple | None]:
+    """Page-series comparison through degree ``top``: (e_page_stable,
+    computed, expected, first_mismatch) as :class:`CollapseReport` holds them."""
+    dims_e, first_e, rest_e = _e3_columns(SSConfig(cfg, Component.E, top), delta_fn)
+    _, first_g, rest_g = _e3_columns(SSConfig(cfg, Component.G, top), delta_fn)
+    # the top two fiber degrees have no cell in columns p >= 1
+    size = max(top - 1, 0)
+    e_stable = first_e == dims_e and rest_e[:size] == dims_e[:size]
+    computed = tuple(
+        a + b for a, b in zip(_column_series(first_e, rest_e), _column_series(first_g, rest_g))
     )
-
-
-def _collapses_in_all_degrees(cfg: AlgebraConfig) -> bool:
-    """Exact collapse certificate for ``bv.delta``, valid in every degree.
-
-    The contractible ranks must vanish over the head and one period, so that
-    the contractible third page is its second page everywhere, and the two
-    page series, built as rational functions from the tiled columns, must
-    sum to the closed form for the whole loop space.
-    """
-    period = 4 * cfg.n
-    shifted = series.RationalSeries((0, 0, 1), series.one_minus_t_power(2))  # p >= 1
-    total = series.RationalSeries((0,))
-    for comp in Component:
-        dims, first, rest = _e3_columns(SSConfig(cfg, comp, HEAD + period), bv.delta)
-        if comp is Component.E and not first == rest == dims:
-            return False
-        total = total + _column_rational(first, period) + _column_rational(rest, period) * shifted
-    return series.eq_exact(total, series.total_series(cfg.n))
+    expected = series.expand(series.total_series(cfg.n), top).coefficients
+    first_mismatch = next(
+        ((k, got, want) for k, (got, want) in enumerate(zip(computed, expected)) if got != want),
+        None,
+    )
+    return e_stable, computed, expected, first_mismatch
 
 
 def verify_collapse(
@@ -322,31 +315,23 @@ def verify_collapse(
     The contractible component must keep its second page, and the sum of the
     two third-page series must equal the closed form for the full loop space.
     Matching dimensions leave no room for further differentials, which is the
-    whole certificate.  For ``bv.delta`` it is proved in every degree from
-    one period and the tuples are the closed form's expansion; otherwise, or
-    if that proof fails, the series are compared through the cutoff.
+    whole certificate.  For ``bv.delta`` the comparison is first run to the
+    degree bound K = max(4n+4 + deg den, deg num + 4n+2) of the closed form
+    num/den; a pass there proves collapse in every degree (see the module
+    docstring), and the tuples are the closed form's expansion.  Otherwise,
+    or if that proof fails, the series are compared through the cutoff.
     """
     # built first: a negative cutoff is reported as such before any work
-    cfg_e = SSConfig(cfg, Component.E, max_top_degree)
-    cfg_g = SSConfig(cfg, Component.G, max_top_degree)
-    expected = series.expand(series.total_series(cfg.n), max_top_degree).coefficients
-    if delta_fn is bv.delta and _collapses_in_all_degrees(cfg):
-        return CollapseReport(cfg, max_top_degree, True, expected, expected, None, True)
-    dims_e, first_e, rest_e = _e3_columns(cfg_e, delta_fn)
-    _, first_g, rest_g = _e3_columns(cfg_g, delta_fn)
-    # the top two fiber degrees have no cell in columns p >= 1
-    e_stable = first_e == dims_e and all(
-        rest_e[i] == dims_e[i] for i in range(max_top_degree - 1)
-    )
-    computed = tuple(
-        a + b for a, b in zip(_column_series(first_e, rest_e), _column_series(first_g, rest_g))
-    )
-    first_mismatch = None
-    for k, (got, want) in enumerate(zip(computed, expected)):
-        if got != want:
-            first_mismatch = (k, got, want)
-            break
-    return CollapseReport(cfg, max_top_degree, e_stable, computed, expected, first_mismatch)
+    SSConfig(cfg, Component.E, max_top_degree)
+    if delta_fn is bv.delta:
+        total = series.total_series(cfg.n)
+        deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1
+        bound = max(4 * cfg.n + 4 + deg_den, deg_num + 4 * cfg.n + 2)
+        stable, *_, mismatch = _compare(cfg, bound, delta_fn)
+        if stable and mismatch is None:
+            expected = series.expand(total, max_top_degree).coefficients
+            return CollapseReport(cfg, max_top_degree, True, expected, expected, None, True)
+    return CollapseReport(cfg, max_top_degree, *_compare(cfg, max_top_degree, delta_fn))
 
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:

@@ -5,7 +5,7 @@ import shlex
 import pytest
 
 from loopbv.cli import main
-from loopbv.ring import AlgebraConfig, BVCase, Component
+from loopbv.ring import AlgebraConfig, BVCase, Component, basis
 from loopbv.spectral import SSConfig, e3_page, page_from_json
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -119,6 +119,21 @@ def test_bv_table_action(capsys):
                        "--component", "g", "--min-degree", "-1", "--max-degree", "-1")
     assert code == 0
     assert "x*v" in out and "v" in out
+
+
+@pytest.mark.parametrize("sub", ["ring", "bv"])
+def test_rows_skip_degrees_below_the_bottom(sub, capsys):
+    n, hi = 1, 2
+    code, deep, _ = run(capsys, sub, "--n", str(n), "--min-degree", "-1000000",
+                        "--max-degree", str(hi))
+    assert code == 0
+    _, bottom, _ = run(capsys, sub, "--n", str(n), "--min-degree", str(-(2 * n + 1)),
+                       "--max-degree", str(hi))
+    assert deep == bottom
+    basis.cache_clear()
+    run(capsys, sub, "--n", str(n), "--min-degree", "-1000000", "--max-degree", str(hi))
+    # one entry per component and loop degree actually listed
+    assert basis.cache_info().currsize <= 3 * (hi + 2 * n + 2)
 
 
 def test_bv_json_records(capsys):
@@ -362,6 +377,26 @@ def test_resonance_mistyped_record_exits_two(field, value, message, tmp_path, ca
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "geodesics, message",
+    [
+        (5, "geodesics must be a list, got int"),
+        ([5], "expected an object, got int"),
+        ({"a": 1}, "geodesics must be a list, got dict"),
+        ([{"label": "c", "initial_index": 0, "mean_index": "1/0", "period": 2}],
+         "malformed geodesic record"),
+    ],
+    ids=["number", "list-of-number", "object", "zero-denominator"],
+)
+def test_resonance_malformed_geodesics_exit_two(geodesics, message, tmp_path, capsys):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps({"n": 1, "geodesics": geodesics}))
+    code, out, err = run(capsys, "resonance", "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_resonance_boolean_n_exits_two(tmp_path, capsys):

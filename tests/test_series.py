@@ -266,20 +266,11 @@ def test_average_alternating_large_n(n):
 
 
 def test_truncated_series_window_arithmetic():
-    a = TruncatedSeries(0, (1, 2, 3))
-    b = TruncatedSeries(0, (4, 5, 6))
-    assert (a + b).coefficients == (5, 7, 9)
+    a = TruncatedSeries((1, 2, 3))
     assert a.coefficient(2) == 3
-    with pytest.raises(InputError):
-        a + TruncatedSeries(1, (1, 2, 3))
-    with pytest.raises(InputError):
-        a + TruncatedSeries(0, (1, 2))
-
-
-def test_truncated_series_negative_offset_window():
-    laurent = TruncatedSeries(-2, (7, 0, 1))
-    assert laurent.coefficient(-2) == 7
-    assert laurent.coefficient(0) == 1
+    for k in (-1, 3):
+        with pytest.raises(InputError):
+            a.coefficient(k)
 
 
 def test_series_constructor_rejects_bad_n():

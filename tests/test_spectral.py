@@ -6,7 +6,7 @@ import pytest
 from loopbv import bv
 from loopbv.ring import AlgebraConfig, BVCase, Component, InputError, Monomial, basis, dimension, zero
 from loopbv.series import expand, le_series, lg_series, total_series
-from loopbv import spectral
+from loopbv import series, spectral
 from loopbv.spectral import (
     Page,
     SSConfig,
@@ -206,6 +206,20 @@ def test_verify_collapse_covers_all_degrees_for_builtin_delta(n):
             for name in ("passed", "e_page_stable", "computed", "expected", "first_mismatch"):
                 assert getattr(wrapped, name) == getattr(report, name), (case, limit, name)
             assert not verify_collapse(cfg, limit, zero_delta).all_degrees
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_verify_collapse_cutoff_follows_closed_form_degrees(n, monkeypatch):
+    """A closed form off by t^j agrees through any cutoff below j but in no
+    degree bound fixed in advance, so the proof must not claim every degree."""
+    for limit in (0, 4 * n + 1):
+        for j in (limit + 1, 6 * n + 8, 10 * n + 50):
+            bumped = total_series(n) + series.RationalSeries((0,) * j + (1,))
+            monkeypatch.setattr(series, "total_series", lambda _n, r=bumped: r)
+            for case in ALL_CASES:
+                report = verify_collapse(AlgebraConfig(n, case), limit)
+                assert report.passed and not report.all_degrees, (limit, j, case)
+                assert report.computed == expand(bumped, limit).coefficients
 
 
 def bruteforce_rank(rows):
