@@ -2,13 +2,16 @@
 
 All four case configurations share Delta(x) = Delta(v) = Delta(w) = 0 and
 {v, w} = 0; they differ only in {x, v} and {x, w}.  Over F2 the BV relation
-reads Delta(ab) = Delta(a) b + a Delta(b) + {a, b}, so Delta is determined on
-monomials by the brackets of generator pairs: for a factorisation g1 ... gk,
+reads Delta(ab) = Delta(a) b + a Delta(b) + {a, b}, so Delta is the
+second-order operator and the bracket the biderivation built from the same
+table of generator brackets {g_i, g_j}, i < j, generator i being exponent i
+of x^e = x^e0 v^e1 w^e2.  ``_contract`` computes both as one sum:
 
-    Delta(g1 ... gk) = sum over i < j of {gi, gj} * (product of the rest).
+    sum over i < j with odd weight of {g_i, g_j} x^e / (g_i g_j),
 
-Brackets of a generator with itself vanish, so only cross-generator pairs
-contribute, each counted by the product of the two exponents mod 2.
+with weight e_i e_j for Delta(x^e), and e = e1 + e2 with weight
+e1_i e2_j + e1_j e2_i for {x^e1, x^e2}.  The exponent triple e may be any
+representative, normal or not: ``multiply`` reduces the result.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import lru_cache
 from . import gf2
 from .ring import (
     GENERATOR_EXPONENTS,
+    ZERO,
     AlgebraConfig,
     AlgebraElement,
     BVCase,
@@ -34,6 +38,7 @@ from .ring import (
     multiply,
     power,
     unit,
+    window_basis,
     zero,
 )
 
@@ -41,27 +46,21 @@ GENERATOR_NAMES = ("x", "v", "w")
 
 
 @lru_cache(maxsize=None)
-def bracket_table(cfg: AlgebraConfig) -> dict[frozenset[str], AlgebraElement]:
-    """Brackets of unordered generator pairs for one case configuration,
-    keyed by the frozenset of the two generator names."""
+def bracket_table(cfg: AlgebraConfig) -> dict[tuple[int, int], AlgebraElement]:
+    """Nonzero brackets {g_i, g_j} of one case configuration, keyed by the
+    index pair (i, j), i < j, with 0, 1, 2 standing for x, v, w.  Pairs that
+    are absent (the diagonal and {v, w}) bracket to zero."""
     n = cfg.n
     xv = element(Monomial(0, 1, 0))  # v
     if cfg.bv_case is BVCase.A_VXW:
         xv = add(xv, element(Monomial(2 * n, 1, 1)))  # + x^(2n) v w
-    if cfg.bv_case.w_is_contractible:
-        xw = zero()
-    else:
+    table = {(0, 1): xv}
+    if not cfg.bv_case.w_is_contractible:
         xw = element(Monomial(0, 0, 1))  # w
         if cfg.bv_case is BVCase.B_WXVW:
             xw = add(xw, element(Monomial(2 * n, 1, 2)))  # + x^(2n) v w^2
-    return {
-        frozenset(("x",)): zero(),
-        frozenset(("v",)): zero(),
-        frozenset(("w",)): zero(),
-        frozenset(("x", "v")): xv,
-        frozenset(("x", "w")): xw,
-        frozenset(("v", "w")): zero(),
-    }
+        table[(0, 2)] = xw
+    return table
 
 
 def generator_bracket(g1: str, g2: str, cfg: AlgebraConfig) -> AlgebraElement:
@@ -69,71 +68,54 @@ def generator_bracket(g1: str, g2: str, cfg: AlgebraConfig) -> AlgebraElement:
     for g in (g1, g2):
         if g not in GENERATOR_NAMES:
             raise InputError(f"unknown generator {g!r}; expected one of x, v, w")
-    return bracket_table(cfg)[frozenset((g1, g2))]
+    return bracket_table(cfg).get(tuple(sorted(map(GENERATOR_NAMES.index, (g1, g2)))), ZERO)
 
 
-def _lower(m: Monomial, name: str) -> Monomial:
-    if name == "x":
-        return Monomial(m.a - 1, m.b, m.c)
-    if name == "v":
-        return Monomial(m.a, m.b - 1, m.c)
-    return Monomial(m.a, m.b, m.c - 1)
-
-
-def _exponent(m: Monomial, name: str) -> int:
-    return {"x": m.a, "v": m.b, "w": m.c}[name]
+def _contract(e: tuple[int, int, int], weight, cfg: AlgebraConfig) -> AlgebraElement:
+    """Sum of {g_i, g_j} x^e / (g_i g_j) over the table's pairs with odd
+    ``weight(i, j)``; ``e`` need not be in normal form."""
+    result = zero()
+    for (i, j), gb in bracket_table(cfg).items():
+        if weight(i, j) % 2:
+            rest = list(e)
+            rest[i] -= 1
+            rest[j] -= 1
+            result = add(result, multiply(gb, element(Monomial(*rest)), cfg))
+    return result
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
     """Gerstenhaber bracket, extended from generators as a biderivation.
 
-    On monomials {m1, m2} expands to the sum over generator pairs (g, h) of
-    e_g(m1) e_h(m2) {g, h} (m1/g) (m2/h), coefficients mod 2.
+    Both ordered generator pairs (g_i, g_j) and (g_j, g_i) lower m1 m2 to the
+    same monomial, so each unordered pair enters once with weight
+    e1_i e2_j + e1_j e2_i.
     """
     result = zero()
     for m1 in u.terms:
+        e1 = (m1.a, m1.b, m1.c)
         for m2 in v.terms:
-            for g in GENERATOR_NAMES:
-                e1 = _exponent(m1, g)
-                if not e1:
-                    continue
-                for h in GENERATOR_NAMES:
-                    e2 = _exponent(m2, h)
-                    if (e1 * e2) % 2 == 0:
-                        continue
-                    gb = generator_bracket(g, h, cfg)
-                    if gb.is_zero():
-                        continue
-                    term = multiply(gb, element(_lower(m1, g)), cfg)
-                    term = multiply(term, element(_lower(m2, h)), cfg)
-                    result = add(result, term)
+            e2 = (m2.a, m2.b, m2.c)
+            e = (m1.a + m2.a, m1.b + m2.b, m1.c + m2.c)
+            result = add(result, _contract(e, lambda i, j: e1[i] * e2[j] + e1[j] * e2[i], cfg))
     return result
 
 
 def delta(u: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
-    """BV operator via the pairwise-bracket closed form; raises loop degree by 1."""
+    """BV operator: weight e_i e_j on pair (i, j); raises loop degree by 1."""
     result = zero()
     for m in u.terms:
-        pairs = (
-            ("x", "v", m.a * m.b, Monomial(m.a - 1, m.b - 1, m.c)),
-            ("x", "w", m.a * m.c, Monomial(m.a - 1, m.b, m.c - 1)),
-            ("v", "w", m.b * m.c, Monomial(m.a, m.b - 1, m.c - 1)),
-        )
-        for g, h, count, rest in pairs:
-            if count % 2 == 0:
-                continue
-            gb = generator_bracket(g, h, cfg)
-            if gb.is_zero():
-                continue
-            result = add(result, multiply(gb, element(rest), cfg))
+        e = (m.a, m.b, m.c)
+        result = add(result, _contract(e, lambda i, j: e[i] * e[j], cfg))
     return result
 
 
 def delta_oracle(u: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
     """Independent BV operator: peel one generator at a time via the BV relation.
 
-    Delta(g * rest) = g * Delta(rest) + {g, rest} since Delta kills generators.
-    Must agree with :func:`delta` on every input.
+    Delta(g * rest) = g * Delta(rest) + {g, rest} since Delta kills
+    generators, and {g, rest} expands by the derivation rule over the
+    generators h of rest.  Must agree with :func:`delta` on every input.
     """
     result = zero()
     for m in u.terms:
@@ -142,16 +124,21 @@ def delta_oracle(u: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
 
 
 def _delta_oracle_monomial(m: Monomial, cfg: AlgebraConfig) -> AlgebraElement:
-    total = m.a + m.b + m.c
-    if total <= 1:
+    if m.a + m.b + m.c <= 1:
         return zero()
-    for g in GENERATOR_NAMES:
-        if _exponent(m, g):
-            break
-    rest = _lower(m, g)
-    g_el = generator(g)
-    headed = multiply(g_el, _delta_oracle_monomial(rest, cfg), cfg)
-    return add(headed, bracket(g_el, element(rest), cfg))
+    g = "x" if m.a else "v" if m.b else "w"
+    rest = _divide(m, g)
+    result = multiply(generator(g), _delta_oracle_monomial(rest, cfg), cfg)
+    for h, count in zip(GENERATOR_NAMES, (rest.a, rest.b, rest.c)):
+        if count % 2:
+            bracket_gh = generator_bracket(g, h, cfg)
+            result = add(result, multiply(bracket_gh, element(_divide(rest, h)), cfg))
+    return result
+
+
+def _divide(m: Monomial, name: str) -> Monomial:
+    d = GENERATOR_EXPONENTS[name]
+    return Monomial(m.a - d.a, m.b - d.b, m.c - d.c)
 
 
 @dataclass(frozen=True)
@@ -165,12 +152,7 @@ class DeltaTable:
 
 
 def delta_table(cfg: AlgebraConfig, comp: Component, lo: int, hi: int) -> DeltaTable:
-    if lo > hi:
-        raise InputError(f"empty degree window [{lo}, {hi}]")
-    rows: dict[Monomial, AlgebraElement] = {}
-    for q in range(lo, hi + 1):
-        for m in basis(cfg, comp, q):
-            rows[m] = delta(element(m), cfg)
+    rows = {m: delta(element(m), cfg) for m in window_basis(cfg, (comp,), lo, hi)}
     return DeltaTable(cfg, comp, (lo, hi), rows)
 
 
@@ -199,7 +181,7 @@ def axiom_failures(
     """
     if samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
-    pool = [m for q in range(lo, hi + 1) for m in basis(cfg, None, q)]
+    pool = window_basis(cfg, (None,), lo, hi)
     failures: list[str] = []
     for m in pool:
         if not delta(delta(element(m), cfg), cfg).is_zero():
@@ -209,21 +191,14 @@ def axiom_failures(
         a, b, c = (element(rng.choice(pool)) for _ in range(3))
         if not bv_relation_holds(a, b, cfg):
             failures.append(f"BV relation fails at ({a}, {b})")
-        if bracket(a, b, cfg) != bracket(b, a, cfg):
+        ab, ac = bracket(a, b, cfg), bracket(a, c, cfg)
+        if ab != bracket(b, a, cfg):
             failures.append(f"bracket not symmetric at ({a}, {b})")
         jac_lhs = bracket(a, bracket(b, c, cfg), cfg)
-        jac_rhs = add(
-            bracket(bracket(a, b, cfg), c, cfg),
-            bracket(b, bracket(a, c, cfg), cfg),
-        )
-        if jac_lhs != jac_rhs:
+        if jac_lhs != add(bracket(ab, c, cfg), bracket(b, ac, cfg)):
             failures.append(f"Jacobi fails at ({a}, {b}, {c})")
         poisson_lhs = bracket(a, multiply(b, c, cfg), cfg)
-        poisson_rhs = add(
-            multiply(bracket(a, b, cfg), c, cfg),
-            multiply(b, bracket(a, c, cfg), cfg),
-        )
-        if poisson_lhs != poisson_rhs:
+        if poisson_lhs != add(multiply(ab, c, cfg), multiply(b, ac, cfg)):
             failures.append(f"derivation rule fails at ({a}, {b}, {c})")
     return failures
 
@@ -312,8 +287,7 @@ def apply_morphism(phi: GeneratorMorphism, u: AlgebraElement, cfg: AlgebraConfig
     for m in u.terms:
         term = unit()
         for image, exp in ((phi.image_x, m.a), (phi.image_v, m.b), (phi.image_w, m.c)):
-            for _ in range(exp):
-                term = multiply(term, image, cfg)
+            term = multiply(term, power(image, exp, cfg), cfg)
         result = add(result, term)
     return result
 
@@ -381,17 +355,9 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
     detail = "full rank in every degree"
     for q in range(-(2 * n + 1), 2 * n + 1):
         pool = basis(cfg, None, q)
-        if not pool:
-            continue
         index = {m: i for i, m in enumerate(pool)}
-        rows = []
-        for m in pool:
-            image = apply_morphism(phi, element(m), cfg)
-            row = 0
-            for t in image.terms:
-                row |= 1 << index[t]
-            rows.append(row)
-        rk = gf2.rank(rows)
+        images = [apply_morphism(phi, element(m), cfg) for m in pool]
+        rk = gf2.rank([sum(1 << index[t] for t in image.terms) for image in images])
         if rk != len(pool):
             rank_ok = False
             detail = f"degree {q}: rank {rk} < dimension {len(pool)}"

@@ -20,13 +20,13 @@ from .ring import (
     Component,
     InputError,
     Monomial,
-    basis,
     component,
     element,
     loop_degree,
     render_element,
     render_monomial,
     top_degree,
+    window_basis,
 )
 
 CASE_CHOICES = [case.value for case in BVCase]
@@ -44,10 +44,10 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _components(arg: str) -> list[Component]:
+def _components(arg: str) -> tuple[Component, ...]:
     if arg == "both":
-        return [Component.E, Component.G]
-    return [Component(arg)]
+        return (Component.E, Component.G)
+    return (Component(arg),)
 
 
 def _print_rows(rows, columns, fmt: str) -> None:
@@ -77,8 +77,6 @@ def cmd_rows(args) -> int:
     cfg = _algebra(args)
     lo = args.min_degree if args.min_degree is not None else -cfg.dim
     hi = args.max_degree if args.max_degree is not None else 2 * cfg.n
-    if lo > hi:
-        raise InputError(f"empty degree window [{lo}, {hi}]")
     last, value = LAST_COLUMN[args.subcommand]
     rows = [
         {
@@ -87,9 +85,7 @@ def cmd_rows(args) -> int:
             "loop_degree": loop_degree(m, cfg),
             last: value(m, cfg),
         }
-        for q in range(max(lo, -cfg.dim), hi + 1)  # no monomial sits below -(2n+1)
-        for comp in _components(args.component)
-        for m in basis(cfg, comp, q)
+        for m in window_basis(cfg, _components(args.component), lo, hi)
     ]
     _print_rows(rows, ["monomial", "component", "loop_degree", last], args.format)
     return 0

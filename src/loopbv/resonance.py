@@ -8,7 +8,7 @@ equivariant Betti number (n+1)/(2n) of the non-contractible component.
 
 The analytical period is taken as input: computing it would require the
 nullities of all iterates, which is outside this engine's scope.  Optional
-nullity data is stored untouched, for the record only.
+nullity data is checked and stored, for the record only.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ class GeodesicRecord:
                 raise InputError(f"{self.label}: type-number degree l={l} is negative")
             if k < 0:
                 raise InputError(f"{self.label}: type number k={k} is negative")
+        for nullity in self.nullities or ():
+            _check_int(self.label, "nullity", nullity)
+            if nullity < 0:
+                raise InputError(f"{self.label}: nullity {nullity} is negative")
+        flag = self.nondegenerate
+        if not isinstance(flag, (bool, type(None))):
+            raise InputError(f"{self.label}: nondegenerate must be a bool, got {flag!r}")
 
 
 def nondegenerate_record(label: str, initial_index: int, mean_index) -> GeodesicRecord:
@@ -259,21 +266,40 @@ def morse_truncation(
     return MorseTruncation(tuple(counts), alternating, average)
 
 
+RECORD_KEYS = {
+    "label", "initial_index", "mean_index", "period", "type_numbers", "nullities", "nondegenerate"
+}
+
+
+def _check_keys(label, what: str, obj: dict, allowed: set[str]) -> None:
+    if unknown := sorted(map(str, set(obj) - allowed)):
+        raise InputError(f"{label}: unknown {what} keys {unknown}; expected {sorted(allowed)}")
+
+
 def record_from_dict(obj: dict) -> GeodesicRecord:
-    """Build a record from the JSON object layout."""
+    """Build a record from the JSON object layout: ``label``, ``initial_index``,
+    ``mean_index``, ``period`` and optionally ``type_numbers`` ({m, l, k}
+    objects), ``nullities`` (a list) and ``nondegenerate``; no other keys."""
     if not isinstance(obj, dict):
         raise InputError(
             f"malformed geodesic record: expected an object, got {type(obj).__name__}"
         )
+    label = obj.get("label")
+    _check_keys(label, "record", obj, RECORD_KEYS)
     try:
         type_numbers = {}
         for entry in obj.get("type_numbers", []):
+            if isinstance(entry, dict):
+                _check_keys(label, "type-number", entry, {"m", "l", "k"})
             slot = (entry["m"], entry["l"])
             if slot in type_numbers:
-                raise InputError(f"{obj.get('label')}: duplicate type-number slot "
-                                 f"(m, l) = {slot}")
+                raise InputError(f"{label}: duplicate type-number slot (m, l) = {slot}")
             type_numbers[slot] = entry["k"]
-        nullities = tuple(obj["nullities"]) if "nullities" in obj else None
+        nullities = None
+        if "nullities" in obj:
+            if not isinstance(obj["nullities"], list):
+                raise InputError(f"{label}: nullities must be a list, got {obj['nullities']!r}")
+            nullities = tuple(obj["nullities"])
         return GeodesicRecord(
             label=obj["label"],
             initial_index=obj["initial_index"],

@@ -220,6 +220,17 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
     return tuple(sorted(out))
 
 
+def window_basis(
+    cfg: AlgebraConfig, comps: tuple[Component | None, ...], lo: int, hi: int
+) -> list[Monomial]:
+    """Basis monomials of loop degree lo..hi by degree, then by component in
+    ``comps`` order; starts at max(lo, -(2n+1)) since no monomial sits lower."""
+    if lo > hi:
+        raise InputError(f"empty degree window [{lo}, {hi}]")
+    degrees = range(max(lo, -cfg.dim), hi + 1)
+    return [m for q in degrees for comp in comps for m in basis(cfg, comp, q)]
+
+
 def dimension(cfg: AlgebraConfig, comp: Component | None, k: int) -> int:
     return len(basis(cfg, comp, k))
 

@@ -12,6 +12,7 @@ from loopbv.bv import (
     generator_bracket,
 )
 from loopbv.ring import (
+    GENERATOR_EXPONENTS,
     AlgebraConfig,
     BVCase,
     Component,
@@ -27,6 +28,7 @@ from loopbv.ring import (
     normalize,
     power,
     unit,
+    window_basis,
     zero,
 )
 
@@ -83,8 +85,11 @@ def test_bracket_table_object():
     table = bracket_table(cfg)
     assert type(table) is dict
     assert table is bracket_table(cfg)
-    assert set(table) == {frozenset(pair) for pair in ("x", "v", "w", "xv", "xw", "vw")}
-    assert table[frozenset("xw")] == generator("w")
+    # index pairs i < j (0, 1, 2 = x, v, w); only the nonzero brackets
+    assert set(table) == {(0, 1), (0, 2)}
+    assert table[(0, 1)] == generator("v")
+    assert table[(0, 2)] == generator("w")
+    assert set(bracket_table(AlgebraConfig(1, BVCase.A_V))) == {(0, 1)}
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -291,6 +296,78 @@ def test_delta_table_matches_pointwise_delta():
     table = delta_table(cfg, Component.G, -3, 5)
     for m, image in table.rows.items():
         assert image == delta(element(m), cfg)
+
+
+def test_windows_reaching_below_the_bottom_degree():
+    cfg = AlgebraConfig(1)
+    basis.cache_clear()
+    table = delta_table(cfg, Component.G, -10**6, 2)
+    assert table.window == (-10**6, 2)
+    assert table.rows == delta_table(cfg, Component.G, -3, 2).rows
+    assert axiom_failures(cfg, -10**6, 2, samples=10, seed=0) == []
+    # one entry per component and loop degree actually listed
+    assert basis.cache_info().currsize <= 2 * (2 + 2 * cfg.n + 2)
+
+
+# ------------------------------------------------- exhaustive references
+
+REFERENCE_CELLS = [(n, case) for n in range(1, 5) for case in ALL_CASES]
+
+
+def reference_window(cfg):
+    return window_basis(cfg, (None,), -cfg.dim, 4 * cfg.n)
+
+
+def divide(m, g):
+    d = GENERATOR_EXPONENTS[g]
+    return Monomial(m.a - d.a, m.b - d.b, m.c - d.c)
+
+
+def biderivation_bracket(m1, m2, cfg):
+    """{m1, m2} from the definition: the sum over ordered generator pairs
+    (g, h) of e_g(m1) e_h(m2) {g, h} (m1 / g) (m2 / h), mod 2."""
+    result = zero()
+    for g, eg in zip("xvw", (m1.a, m1.b, m1.c)):
+        for h, eh in zip("xvw", (m2.a, m2.b, m2.c)):
+            if eg * eh % 2:
+                rest = multiply(element(divide(m1, g)), element(divide(m2, h)), cfg)
+                result = add(result, multiply(generator_bracket(g, h, cfg), rest, cfg))
+    return result
+
+
+@pytest.mark.parametrize("n,case", REFERENCE_CELLS)
+def test_delta_equals_oracle_on_reference_window(n, case):
+    cfg = AlgebraConfig(n, case)
+    for m in reference_window(cfg):
+        assert delta(element(m), cfg) == delta_oracle(element(m), cfg), m
+
+
+@pytest.mark.parametrize("n,case", REFERENCE_CELLS)
+def test_bracket_equals_biderivation_definition_exhaustive(n, case):
+    cfg = AlgebraConfig(n, case)
+    window = reference_window(cfg)
+    for m1 in window:
+        for m2 in window:
+            assert bracket(element(m1), element(m2), cfg) == biderivation_bracket(m1, m2, cfg), (m1, m2)
+
+
+@pytest.mark.parametrize(
+    "n,case", [(n, case) for n, case in REFERENCE_CELLS if case.w_is_contractible or n % 2]
+)
+def test_bracket_equals_oracle_bv_defect_exhaustive(n, case):
+    """On admissible configurations {a, b} = Delta(ab) + Delta(a) b + a Delta(b),
+    with every Delta taken from the oracle."""
+    cfg = AlgebraConfig(n, case)
+    window = reference_window(cfg)
+    for m1 in window:
+        a = element(m1)
+        for m2 in window:
+            b = element(m2)
+            defect = add(
+                delta_oracle(multiply(a, b, cfg), cfg),
+                add(multiply(delta_oracle(a, cfg), b, cfg), multiply(a, delta_oracle(b, cfg), cfg)),
+            )
+            assert bracket(a, b, cfg) == defect, (m1, m2)
 
 
 # ------------------------------------------------- inadmissible configurations

@@ -380,6 +380,29 @@ def test_resonance_mistyped_record_exits_two(field, value, message, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("nondegenerate", "yes", "nondegenerate must be a bool, got 'yes'"),
+        ("nullities", ["a", None], "nullity must be an integer, got 'a'"),
+        ("extra", "zzz", "unknown record keys ['extra']"),
+        ("type_numbers", [{"m": 1, "l": 0, "k": 1, "zz": 3}],
+         "unknown type-number keys ['zz']"),
+    ],
+    ids=["string-nondegenerate", "string-nullity", "unknown-record-key", "unknown-slot-key"],
+)
+def test_resonance_unvalidated_field_exits_two(field, value, message, tmp_path, capsys):
+    record = {"label": "c", "initial_index": 0, "mean_index": "1", "period": 2,
+              "type_numbers": [{"m": 1, "l": 0, "k": 1}]}
+    record[field] = value
+    bad = tmp_path / "unvalidated.json"
+    bad.write_text(json.dumps({"n": 1, "geodesics": [record]}))
+    code, out, err = run(capsys, "resonance", "--input", str(bad), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "geodesics, message",
     [
         (5, "geodesics must be a list, got int"),

@@ -23,6 +23,7 @@ from loopbv.ring import (
     render_monomial,
     top_degree,
     unit,
+    window_basis,
     zero,
 )
 
@@ -216,6 +217,30 @@ def test_basis_split_by_component_cases():
     cfg_b = AlgebraConfig(1, BVCase.B_W)
     assert basis(cfg_b, Component.E, 0) == (Monomial(0, 0, 0), Monomial(2, 1, 1))
     assert basis(cfg_b, Component.G, 0) == (Monomial(0, 1, 0), Monomial(2, 0, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_window_basis_orders_by_degree_then_component(n):
+    cfg = AlgebraConfig(n, BVCase.B_W)
+    lo, hi = -(2 * n + 1), 6 * n
+    comps = (Component.G, Component.E)
+    assert window_basis(cfg, comps, lo, hi) == [
+        m for q in range(lo, hi + 1) for comp in comps for m in basis(cfg, comp, q)
+    ]
+    assert window_basis(cfg, (None,), lo, hi) == [
+        m for q in range(lo, hi + 1) for m in basis(cfg, None, q)
+    ]
+    with pytest.raises(InputError, match="empty degree window"):
+        window_basis(cfg, (None,), hi, lo)
+
+
+def test_window_basis_starts_at_the_bottom_degree():
+    cfg = AlgebraConfig(1)
+    basis.cache_clear()
+    deep = window_basis(cfg, (None,), -10**6, 2)
+    assert deep == window_basis(cfg, (None,), -3, 2)
+    assert basis.cache_info().currsize == 2 + 3 + 1
+    assert window_basis(cfg, (None,), -10**6, -4) == []
 
 
 def test_generator_name_validation():
