@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
 
 from . import gf2
 from .ring import (
     GENERATOR_EXPONENTS,
+    UNIT_MONOMIAL,
     ZERO,
     AlgebraConfig,
     AlgebraElement,
@@ -36,7 +38,7 @@ from .ring import (
     generator,
     loop_degree,
     multiply,
-    power,
+    normalize,
     unit,
     window_basis,
     zero,
@@ -182,6 +184,8 @@ def axiom_failures(
     if samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
     pool = window_basis(cfg, (None,), lo, hi)
+    if samples and not pool:
+        raise InputError(f"no basis monomial to sample in degree window [{lo}, {hi}]")
     failures: list[str] = []
     for m in pool:
         if not delta(delta(element(m), cfg), cfg).is_zero():
@@ -205,13 +209,8 @@ def axiom_failures(
 
 @dataclass(frozen=True)
 class GeneratorMorphism:
-    """A change of generators (images of x, v, w) together with its switches.
-
-    The images follow the admissible shape: the x image adds multiples of
-    x v, x^(2n+1) w and x^(2n+1) v w (switches a1..a3); the v image adds 1,
-    x^(2n) w and x^(2n) v w (b1..b3); the w image combines w, (image of v) w,
-    x^(2n) w^2 and x^(2n) (image of v) w^2 (c0..c3).
-    """
+    """A change of generators (images of x, v, w) together with its switches;
+    the switch table in :func:`morphism_from_switches` states the shapes."""
 
     image_x: AlgebraElement
     image_v: AlgebraElement
@@ -227,41 +226,30 @@ def morphism_from_switches(
     b: tuple[int, int, int] = (0, 0, 0),
     c: tuple[int, int, int, int] = (1, 0, 0, 0),
 ) -> GeneratorMorphism:
-    """Build the generator images from switch bits; all bits live in {0, 1}."""
-    for bits in (a, b, c):
+    """Build the generator images from switch bits; all bits live in {0, 1}.
+
+    Each image is its base plus the shapes whose switch is set:
+
+        x image:  x + a1 x v + a2 x^(2n+1) w + a3 x^(2n+1) v w
+        v image:  v + b1 + b2 x^(2n) w + b3 x^(2n) v w
+        w image:  (c0 + c1 v') w + (c2 + c3 v') x^(2n) w^2,  v' the v image
+
+    Even powers of the x image equal plain powers of x, so the v image can be
+    written directly in the plain generators.
+    """
+    for name, bits, length in (("a", a, 3), ("b", b, 3), ("c", c, 4)):
+        if len(bits) != length:
+            raise InputError(f"switches {name} must be {length} bits, got {bits}")
         if any(bit not in (0, 1) for bit in bits):
             raise InputError(f"switches must be 0 or 1, got {bits}")
-    n = cfg.n
-    a1, a2, a3 = a
-    b1, b2, b3 = b
-    c0, c1, c2, c3 = c
-    image_x = element(Monomial(1, 0, 0))
-    if a1:
-        image_x = add(image_x, element(Monomial(1, 1, 0)))
-    if a2:
-        image_x = add(image_x, element(Monomial(2 * n + 1, 0, 1)))
-    if a3:
-        image_x = add(image_x, element(Monomial(2 * n + 1, 1, 1)))
-    # even powers of the x image equal plain powers of x, so the v image can
-    # be written directly in the plain generators
-    image_v = element(Monomial(0, 1, 0))
-    if b1:
-        image_v = add(image_v, unit())
-    if b2:
-        image_v = add(image_v, element(Monomial(2 * n, 0, 1)))
-    if b3:
-        image_v = add(image_v, element(Monomial(2 * n, 1, 1)))
-    w_el = element(Monomial(0, 0, 1))
-    x2n_w2 = element(Monomial(2 * n, 0, 2))
-    image_w = zero()
-    if c0:
-        image_w = add(image_w, w_el)
-    if c1:
-        image_w = add(image_w, multiply(image_v, w_el, cfg))
-    if c2:
-        image_w = add(image_w, x2n_w2)
-    if c3:
-        image_w = add(image_w, multiply(image_v, x2n_w2, cfg))
+    two_n = 2 * cfg.n
+    x_shapes = (Monomial(1, 1, 0), Monomial(two_n + 1, 0, 1), Monomial(two_n + 1, 1, 1))
+    v_shapes = (UNIT_MONOMIAL, Monomial(two_n, 0, 1), Monomial(two_n, 1, 1))
+    image_x = element(Monomial(1, 0, 0), *compress(x_shapes, a))
+    image_v = element(Monomial(0, 1, 0), *compress(v_shapes, b))
+    w, x2n_w2 = generator("w"), element(Monomial(two_n, 0, 2))
+    w_shapes = (w, multiply(image_v, w, cfg), x2n_w2, multiply(image_v, x2n_w2, cfg))
+    image_w = reduce(add, compress(w_shapes, c), zero())
     return GeneratorMorphism(image_x, image_v, image_w, a, b, c)
 
 
@@ -269,8 +257,11 @@ def identity_morphism() -> GeneratorMorphism:
     return GeneratorMorphism(generator("x"), generator("v"), generator("w"))
 
 
-def _check_images_homogeneous(phi: GeneratorMorphism, cfg: AlgebraConfig) -> None:
-    for name, image in (("x", phi.image_x), ("v", phi.image_v), ("w", phi.image_w)):
+def _power_tables(phi: GeneratorMorphism, tops, cfg: AlgebraConfig) -> tuple[list[AlgebraElement], ...]:
+    """Powers 0..top of the x, v and w images, one product per power, once
+    each image is checked homogeneous of its generator's loop degree."""
+    tables = []
+    for name, image, top in zip(GENERATOR_NAMES, (phi.image_x, phi.image_v, phi.image_w), tops):
         want = loop_degree(GENERATOR_EXPONENTS[name], cfg)
         degrees = {loop_degree(m, cfg) for m in image.terms}
         if degrees - {want}:
@@ -278,18 +269,27 @@ def _check_images_homogeneous(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Non
                 f"image of {name} is not homogeneous of loop degree {want}: "
                 f"found degrees {sorted(degrees)}"
             )
+        table = [unit()]
+        for _ in range(top):
+            table.append(multiply(table[-1], image, cfg))
+        tables.append(table)
+    return tuple(tables)
+
+
+def _substitute(m: Monomial, tables, cfg: AlgebraConfig) -> AlgebraElement:
+    """Image of x^a v^b w^c: the product of the a-th, b-th and c-th entries
+    of the x, v and w power tables."""
+    xs, vs, ws = tables
+    return multiply(multiply(xs[m.a], vs[m.b], cfg), ws[m.c], cfg)
 
 
 def apply_morphism(phi: GeneratorMorphism, u: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
     """Substitute the generator images into u and renormalize."""
-    _check_images_homogeneous(phi, cfg)
-    result = zero()
-    for m in u.terms:
-        term = unit()
-        for image, exp in ((phi.image_x, m.a), (phi.image_v, m.b), (phi.image_w, m.c)):
-            term = multiply(term, power(image, exp, cfg), cfg)
-        result = add(result, term)
-    return result
+    exponents = [(m.a, m.b, m.c) for m in u.terms]
+    if any(e < 0 for triple in exponents for e in triple):
+        raise InputError("negative powers are not defined in this ring")
+    tables = _power_tables(phi, [max(column) for column in zip((0, 0, 0), *exponents)], cfg)
+    return reduce(add, (_substitute(m, tables, cfg) for m in u.terms), zero())
 
 
 @dataclass(frozen=True)
@@ -313,41 +313,38 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
     degree in a small window) that substitution maps basis monomials to
     linearly independent elements.
     """
-    _check_images_homogeneous(phi, cfg)
     n = cfg.n
+    # the power law reads x-image powers up to 2n+3; the basis monomials of
+    # loop degree <= 2n that the rank check maps have b <= 1 and c <= 2
+    tables = xs, vs, ws = _power_tables(phi, (2 * n + 3, 2, 2), cfg)
     checks: list[tuple[str, bool, str]] = []
 
-    nilpotent = power(phi.image_x, 2 * n + 2, cfg)
+    nilpotent = xs[2 * n + 2]
     checks.append(
         ("x_image_nilpotent", nilpotent.is_zero(), f"(image of x)^{2 * n + 2} = {nilpotent}")
     )
 
-    b1 = phi.b[0]
-    c1 = phi.c[1]
+    b1, c1 = phi.b[0], phi.c[1]
     sigma = 0 if (b1, c1) == (0, 1) else 1
-    relation = power(phi.image_v, 2, cfg)
+    relation = vs[2]
     if b1:
         relation = add(relation, unit())
     if ((n + 1) * sigma) % 2:
-        correction = power(phi.image_x, 2 * n, cfg)
-        correction = multiply(correction, power(phi.image_v, b1 * c1, cfg), cfg)
-        correction = multiply(correction, phi.image_w, cfg)
+        correction = multiply(multiply(xs[2 * n], vs[b1 * c1], cfg), ws[1], cfg)
         relation = add(relation, correction)
     checks.append(("v_image_relation", relation.is_zero(), f"residual {relation}"))
 
     a1 = phi.a[0]
-    x_el = generator("x")
     one_plus_v = add(unit(), generator("v"))
     power_law_ok = True
     detail = "all powers match"
     for k in range(2, 2 * n + 4):
-        got = power(phi.image_x, k, cfg)
-        want = power(x_el, k, cfg)
+        want = normalize(k, 0, 0, cfg)
         if k % 2 and a1:
             want = multiply(want, one_plus_v, cfg)
-        if got != want:
+        if xs[k] != want:
             power_law_ok = False
-            detail = f"power {k}: got {got}, want {want}"
+            detail = f"power {k}: got {xs[k]}, want {want}"
             break
     checks.append(("x_image_power_law", power_law_ok, detail))
 
@@ -356,7 +353,7 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
     for q in range(-(2 * n + 1), 2 * n + 1):
         pool = basis(cfg, None, q)
         index = {m: i for i, m in enumerate(pool)}
-        images = [apply_morphism(phi, element(m), cfg) for m in pool]
+        images = [_substitute(m, tables, cfg) for m in pool]
         rk = gf2.rank([sum(1 << index[t] for t in image.terms) for image in images])
         if rk != len(pool):
             rank_ok = False

@@ -206,6 +206,8 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
     ``comp=None`` pools both components.  The list is finite for every k and
     sorted by (a, b, c).
     """
+    if comp is not None and not isinstance(comp, Component):
+        raise InputError(f"unknown component {comp!r}; expected a Component or None")
     out = []
     # k + a must be a nonnegative multiple of 2n, which leaves at most two a
     for a in range(-k % (2 * cfg.n), 2 * cfg.n + 2, 2 * cfg.n):

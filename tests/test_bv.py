@@ -291,6 +291,18 @@ def test_axiom_failures_sample_count_validation():
     assert axiom_failures(cfg, -3, 12, samples=0, seed=0) == []
 
 
+def test_axiom_failures_empty_window_cannot_be_sampled():
+    cfg = AlgebraConfig(1)
+    with pytest.raises(InputError, match=r"degree window \[-50, -10\]"):
+        axiom_failures(cfg, -50, -10, samples=3, seed=0)
+    assert axiom_failures(cfg, -50, -10, samples=0, seed=0) == []
+
+
+def test_delta_table_rejects_a_non_component():
+    with pytest.raises(InputError, match="unknown component 'e'"):
+        delta_table(AlgebraConfig(1), "e", -3, 5)
+
+
 def test_delta_table_matches_pointwise_delta():
     cfg = AlgebraConfig(1, BVCase.A_VXW)
     table = delta_table(cfg, Component.G, -3, 5)

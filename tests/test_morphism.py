@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -20,6 +22,7 @@ from loopbv.ring import (
     normalize,
     power,
     unit,
+    window_basis,
     zero,
 )
 from loopbv.bv import GeneratorMorphism
@@ -96,6 +99,14 @@ def test_switch_validation():
         morphism_from_switches(AlgebraConfig(1), a=(2, 0, 0))
 
 
+@pytest.mark.parametrize("switches", [
+    {"a": (1, 0)}, {"a": (1, 0, 0, 0)}, {"b": ()}, {"b": (0, 1)}, {"c": (1, 0, 0)}, {"c": (1, 0, 0, 0, 0)},
+])
+def test_switch_tuples_of_the_wrong_length_are_refused(switches):
+    with pytest.raises(InputError, match="bits"):
+        morphism_from_switches(AlgebraConfig(1), **switches)
+
+
 def test_apply_morphism_is_multiplicative():
     # the chosen switches keep the original quadratic relation shape, so
     # substitution is a ring map even across normalisation steps
@@ -125,6 +136,12 @@ def test_non_homogeneous_image_rejected():
         verify_morphism_relations(broken, cfg)
 
 
+def test_negative_exponent_rejected():
+    cfg = AlgebraConfig(1)
+    with pytest.raises(InputError, match="negative powers"):
+        apply_morphism(identity_morphism(), element(Monomial(3, 0, 0), Monomial(-1, 0, 0)), cfg)
+
+
 def test_degenerate_morphism_fails_rank_check():
     cfg = AlgebraConfig(1)
     collapsed = GeneratorMorphism(
@@ -141,3 +158,53 @@ def test_degenerate_morphism_fails_rank_check():
 def test_generator_exponent_table_is_consistent():
     assert GENERATOR_EXPONENTS["x"] == Monomial(1, 0, 0)
     assert element(GENERATOR_EXPONENTS["w"]) == generator("w")
+
+
+# ------------------------------------------------- every switch setting
+
+SWITCH_SETTINGS = [
+    (a, b, c)
+    for a in itertools.product((0, 1), repeat=3)
+    for b in itertools.product((0, 1), repeat=3)
+    for c in itertools.product((0, 1), repeat=4)
+]
+
+
+def reference_apply(phi, u, cfg):
+    """Substitution by definition: each term's exponents as ``ring.power``s."""
+    result = zero()
+    for m in u.terms:
+        term = unit()
+        for image, exp in ((phi.image_x, m.a), (phi.image_v, m.b), (phi.image_w, m.c)):
+            term = multiply(term, power(image, exp, cfg), cfg)
+        result = add(result, term)
+    return result
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_morphism_matches_power_substitution(n):
+    cfg = AlgebraConfig(n)
+    pool = window_basis(cfg, (None,), -cfg.dim, 6 * n)
+    rng = random.Random(n)
+    for a, b, c in SWITCH_SETTINGS:
+        phi = morphism_from_switches(cfg, a=a, b=b, c=c)
+        u = element(*rng.choices(pool, k=rng.randint(1, 6)))
+        assert apply_morphism(phi, u, cfg) == reference_apply(phi, u, cfg), (a, b, c, str(u))
+
+
+# sha256 over the rendered images and the checks of all 1,024 switch
+# settings at n = 1..3, taken from the implementation that substitutes with
+# ring.power term by term (``reference_apply``)
+MORPHISM_DIGEST = "0a2345de079be211998a7eb9d649eebf0635f8ac21392b69f4186ae257a3acfe"
+
+
+def test_every_switch_setting_renders_and_verifies_as_pinned():
+    digest = hashlib.sha256()
+    for n in (1, 2, 3):
+        cfg = AlgebraConfig(n)
+        for a, b, c in SWITCH_SETTINGS:
+            phi = morphism_from_switches(cfg, a=a, b=b, c=c)
+            checks = verify_morphism_relations(phi, cfg).checks
+            line = f"{n} {a} {b} {c} {phi.image_x} | {phi.image_v} | {phi.image_w} | {checks!r}\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == MORPHISM_DIGEST

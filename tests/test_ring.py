@@ -243,6 +243,15 @@ def test_window_basis_starts_at_the_bottom_degree():
     assert window_basis(cfg, (None,), -10**6, -4) == []
 
 
+@pytest.mark.parametrize("comp", ["e", "g", "both", 0])
+def test_basis_rejects_a_non_component(comp):
+    cfg = AlgebraConfig(1)
+    with pytest.raises(InputError, match="unknown component"):
+        basis(cfg, comp, 0)
+    with pytest.raises(InputError, match="unknown component"):
+        window_basis(cfg, (Component.E, comp), -3, 2)
+
+
 def test_generator_name_validation():
     with pytest.raises(InputError):
         generator("y")

@@ -491,3 +491,10 @@ def test_pages_stay_column_backed_at_large_cutoff(monkeypatch):
                 assert page.dim(1, q) == page.dim(top_p, q) == column_p, (comp, q)
             assert page.dim(top_p + 1, q) == page.dim(-1, q) == 0
         assert page.dim(0, -4) == page.dim(0, limit - 2) == 0
+
+
+def test_page_of_a_non_component_is_refused():
+    cfg = SSConfig(AlgebraConfig(1), "e", 10)
+    for build in (e2_page, e3_page):
+        with pytest.raises(InputError, match="unknown component 'e'"):
+            build(cfg)
