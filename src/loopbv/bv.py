@@ -5,12 +5,13 @@ All four case configurations share Delta(x) = Delta(v) = Delta(w) = 0 and
 reads Delta(ab) = Delta(a) b + a Delta(b) + {a, b}, so Delta is the
 second-order operator and the bracket the biderivation built from the same
 table of generator brackets {g_i, g_j}, i < j, generator i being exponent i
-of x^e = x^e0 v^e1 w^e2.  ``_contract`` computes both as one sum:
+of x^e = x^e0 v^e1 w^e2, e a :class:`~loopbv.ring.Monomial`.  ``_contract``
+computes both as one sum:
 
     sum over i < j with odd weight of {g_i, g_j} x^e / (g_i g_j),
 
 with weight e_i e_j for Delta(x^e), and e = e1 + e2 with weight
-e1_i e2_j + e1_j e2_i for {x^e1, x^e2}.  The exponent triple e may be any
+e1_i e2_j + e1_j e2_i for {x^e1, x^e2}.  The monomial e may be any
 representative, normal or not: ``multiply`` reduces the result.
 """
 
@@ -24,6 +25,7 @@ from itertools import compress
 from . import gf2
 from .ring import (
     GENERATOR_EXPONENTS,
+    GENERATOR_NAMES,
     UNIT_MONOMIAL,
     ZERO,
     AlgebraConfig,
@@ -43,8 +45,6 @@ from .ring import (
     window_basis,
     zero,
 )
-
-GENERATOR_NAMES = ("x", "v", "w")
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +73,7 @@ def generator_bracket(g1: str, g2: str, cfg: AlgebraConfig) -> AlgebraElement:
     return bracket_table(cfg).get(tuple(sorted(map(GENERATOR_NAMES.index, (g1, g2)))), ZERO)
 
 
-def _contract(e: tuple[int, int, int], weight, cfg: AlgebraConfig) -> AlgebraElement:
+def _contract(e: Monomial, weight, cfg: AlgebraConfig) -> AlgebraElement:
     """Sum of {g_i, g_j} x^e / (g_i g_j) over the table's pairs with odd
     ``weight(i, j)``; ``e`` need not be in normal form."""
     result = zero()
@@ -95,11 +95,9 @@ def bracket(u: AlgebraElement, v: AlgebraElement, cfg: AlgebraConfig) -> Algebra
     """
     result = zero()
     for m1 in u.terms:
-        e1 = (m1.a, m1.b, m1.c)
         for m2 in v.terms:
-            e2 = (m2.a, m2.b, m2.c)
-            e = (m1.a + m2.a, m1.b + m2.b, m1.c + m2.c)
-            result = add(result, _contract(e, lambda i, j: e1[i] * e2[j] + e1[j] * e2[i], cfg))
+            e = Monomial(m1.a + m2.a, m1.b + m2.b, m1.c + m2.c)
+            result = add(result, _contract(e, lambda i, j: m1[i] * m2[j] + m1[j] * m2[i], cfg))
     return result
 
 
@@ -107,8 +105,7 @@ def delta(u: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
     """BV operator: weight e_i e_j on pair (i, j); raises loop degree by 1."""
     result = zero()
     for m in u.terms:
-        e = (m.a, m.b, m.c)
-        result = add(result, _contract(e, lambda i, j: e[i] * e[j], cfg))
+        result = add(result, _contract(m, lambda i, j: m[i] * m[j], cfg))
     return result
 
 
@@ -131,7 +128,7 @@ def _delta_oracle_monomial(m: Monomial, cfg: AlgebraConfig) -> AlgebraElement:
     g = "x" if m.a else "v" if m.b else "w"
     rest = _divide(m, g)
     result = multiply(generator(g), _delta_oracle_monomial(rest, cfg), cfg)
-    for h, count in zip(GENERATOR_NAMES, (rest.a, rest.b, rest.c)):
+    for h, count in zip(GENERATOR_NAMES, rest):
         if count % 2:
             bracket_gh = generator_bracket(g, h, cfg)
             result = add(result, multiply(bracket_gh, element(_divide(rest, h)), cfg))
@@ -285,10 +282,9 @@ def _substitute(m: Monomial, tables, cfg: AlgebraConfig) -> AlgebraElement:
 
 def apply_morphism(phi: GeneratorMorphism, u: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
     """Substitute the generator images into u and renormalize."""
-    exponents = [(m.a, m.b, m.c) for m in u.terms]
-    if any(e < 0 for triple in exponents for e in triple):
+    if any(e < 0 for m in u.terms for e in m):
         raise InputError("negative powers are not defined in this ring")
-    tables = _power_tables(phi, [max(column) for column in zip((0, 0, 0), *exponents)], cfg)
+    tables = _power_tables(phi, [max(column) for column in zip(UNIT_MONOMIAL, *u.terms)], cfg)
     return reduce(add, (_substitute(m, tables, cfg) for m in u.terms), zero())
 
 

@@ -103,10 +103,12 @@ def cmd_pages(args) -> int:
         print(_emit_json(out))
         return 0
     if args.format == "csv":
-        print("component,p,q,dim")
-        for comp_name, obj in payload.items():
-            for entry in obj["entries"]:
-                print(f"{comp_name},{entry['p']},{entry['q']},{entry['dim']}")
+        rows = [
+            {"component": comp_name, **entry}
+            for comp_name, obj in payload.items()
+            for entry in obj["entries"]
+        ]
+        _print_rows(rows, ["component", "p", "q", "dim"], "csv")
         return 0
     for comp_name, obj in payload.items():
         if not args.quiet:
@@ -309,10 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, series_mod.NonQuasilinearError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, series_mod.NonQuasilinearError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ The ring is Z2[x, v, w] / (x^(2n+2), v^2 - (n+1) x^(2n) w) with generator
 degrees |x| = -1, |v| = 0, |w| = 2n in the loop grading (homology grading
 shifted down by the manifold dimension 2n+1).  Every element is a finite
 F2-sum of normal-form monomials x^a v^b w^c with 0 <= a <= 2n+1, b in {0, 1}
-and c >= 0.
+and c >= 0.  A :class:`Monomial` is the exponent triple (a, b, c) itself:
+entry i is the exponent of ``GENERATOR_NAMES[i]``.
 
 The free loop space has two connected components, labelled ``e`` (loops that
 contract) and ``g`` (loops that do not).  The component of a monomial depends
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -81,9 +83,9 @@ class AlgebraConfig:
         return 2 * self.n + 1
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """Exponent triple (a, b, c) standing for x^a v^b w^c."""
+class Monomial(NamedTuple):
+    """Exponent triple (a, b, c) standing for x^a v^b w^c; entry i is the
+    exponent of ``GENERATOR_NAMES[i]``."""
 
     a: int
     b: int
@@ -109,7 +111,10 @@ class AlgebraElement:
 ZERO = AlgebraElement(frozenset())
 UNIT_MONOMIAL = Monomial(0, 0, 0)
 
-GENERATOR_EXPONENTS = {"x": Monomial(1, 0, 0), "v": Monomial(0, 1, 0), "w": Monomial(0, 0, 1)}
+GENERATOR_NAMES = ("x", "v", "w")
+GENERATOR_EXPONENTS = dict(
+    zip(GENERATOR_NAMES, (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)))
+)
 
 
 def element(*monomials: Monomial) -> AlgebraElement:
@@ -199,6 +204,11 @@ def component(m: Monomial, cfg: AlgebraConfig) -> Component:
     return Component.G if odd else Component.E
 
 
+def _check_component(comp) -> None:
+    if comp is not None and not isinstance(comp, Component):
+        raise InputError(f"unknown component {comp!r}; expected a Component or None")
+
+
 @lru_cache(maxsize=None)
 def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial, ...]:
     """All normal-form monomials of loop degree k in the given component.
@@ -206,8 +216,7 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
     ``comp=None`` pools both components.  The list is finite for every k and
     sorted by (a, b, c).
     """
-    if comp is not None and not isinstance(comp, Component):
-        raise InputError(f"unknown component {comp!r}; expected a Component or None")
+    _check_component(comp)
     out = []
     # k + a must be a nonnegative multiple of 2n, which leaves at most two a
     for a in range(-k % (2 * cfg.n), 2 * cfg.n + 2, 2 * cfg.n):
@@ -227,6 +236,8 @@ def window_basis(
 ) -> list[Monomial]:
     """Basis monomials of loop degree lo..hi by degree, then by component in
     ``comps`` order; starts at max(lo, -(2n+1)) since no monomial sits lower."""
+    for comp in comps:
+        _check_component(comp)
     if lo > hi:
         raise InputError(f"empty degree window [{lo}, {hi}]")
     degrees = range(max(lo, -cfg.dim), hi + 1)
@@ -240,7 +251,7 @@ def dimension(cfg: AlgebraConfig, comp: Component | None, k: int) -> int:
 def render_monomial(m: Monomial) -> str:
     """Canonical text form "x^a*v^b*w^c" with zero exponents elided."""
     parts = []
-    for name, exp in (("x", m.a), ("v", m.b), ("w", m.c)):
+    for name, exp in zip(GENERATOR_NAMES, m):
         if exp == 1:
             parts.append(name)
         elif exp > 1:

@@ -70,10 +70,11 @@ class SSConfig:
     max_top_degree: int
 
     def __post_init__(self) -> None:
-        if self.max_top_degree < 0:
-            raise InputError(
-                f"max_top_degree must be nonnegative, got {self.max_top_degree}"
-            )
+        top = self.max_top_degree
+        if not isinstance(top, int) or isinstance(top, bool):
+            raise InputError(f"max_top_degree must be an integer, got {top!r}")
+        if top < 0:
+            raise InputError(f"max_top_degree must be nonnegative, got {top}")
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,11 @@ def test_delta_table_rejects_a_non_component():
         delta_table(AlgebraConfig(1), "e", -3, 5)
 
 
+def test_delta_table_rejects_a_non_component_below_the_bottom_degree():
+    with pytest.raises(InputError, match="unknown component 'e'"):
+        delta_table(AlgebraConfig(1), "e", -50, -10)
+
+
 def test_delta_table_matches_pointwise_delta():
     cfg = AlgebraConfig(1, BVCase.A_VXW)
     table = delta_table(cfg, Component.G, -3, 5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import shlex
@@ -142,6 +143,27 @@ def test_bv_json_records(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert {"monomial": "x*v", "component": "g", "loop_degree": -1, "delta": "v"} in rows
+
+
+# sha256 over the --format json output of ring and bv for n = 1..4, all four
+# cases and --component e|g|both, recorded when Monomial was a frozen dataclass
+ROWS_JSON_DIGESTS = {
+    "ring": "dbc0acbcb9249bc3d9a587d5be3b6c1784db6650dccbfa397631f9f765f8caf9",
+    "bv": "c649cf17e7124da118b8dad704162bd01b93f403bfb8f3897ce760bcb93dc970",
+}
+
+
+@pytest.mark.parametrize("sub", ["ring", "bv"])
+def test_rows_json_output_is_pinned(sub, capsys):
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for case in BVCase:
+            for comp in ("e", "g", "both"):
+                code, out, _ = run(capsys, sub, "--n", str(n), "--case", case.value,
+                                   "--component", comp, "--format", "json")
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == ROWS_JSON_DIGESTS[sub]
 
 
 def test_pages_csv(capsys):

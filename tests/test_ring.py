@@ -4,6 +4,8 @@ import random
 import pytest
 
 from loopbv.ring import (
+    GENERATOR_EXPONENTS,
+    GENERATOR_NAMES,
     AlgebraConfig,
     BVCase,
     Component,
@@ -250,6 +252,27 @@ def test_basis_rejects_a_non_component(comp):
         basis(cfg, comp, 0)
     with pytest.raises(InputError, match="unknown component"):
         window_basis(cfg, (Component.E, comp), -3, 2)
+
+
+@pytest.mark.parametrize("comp", ["e", ["e"], 0])
+def test_window_basis_checks_components_before_degrees(comp):
+    cfg = AlgebraConfig(1)
+    for lo, hi in ((0, 1), (-50, -10)):
+        with pytest.raises(InputError, match="unknown component"):
+            window_basis(cfg, (comp,), lo, hi)
+
+
+def test_monomial_is_its_exponent_triple():
+    m = Monomial(1, 0, 1)
+    assert m == (1, 0, 1)
+    assert (m[0], m[1], m[2]) == (m.a, m.b, m.c) == (1, 0, 1)
+    assert list(m) == [1, 0, 1]
+    assert hash(m) == hash((1, 0, 1))
+    assert repr(m) == "Monomial(a=1, b=0, c=1)"
+    assert str(m) == "x*w"
+    assert GENERATOR_NAMES == ("x", "v", "w")
+    for i, name in enumerate(GENERATOR_NAMES):
+        assert GENERATOR_EXPONENTS[name][i] == sum(GENERATOR_EXPONENTS[name]) == 1
 
 
 def test_generator_name_validation():

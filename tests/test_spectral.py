@@ -4,7 +4,19 @@ import json
 import pytest
 
 from loopbv import bv
-from loopbv.ring import AlgebraConfig, BVCase, Component, InputError, Monomial, basis, dimension, zero
+from loopbv.ring import (
+    AlgebraConfig,
+    BVCase,
+    Component,
+    InputError,
+    Monomial,
+    add,
+    basis,
+    component,
+    dimension,
+    element,
+    zero,
+)
 from loopbv.series import expand, le_series, lg_series, total_series
 from loopbv import series, spectral
 from loopbv.spectral import (
@@ -28,6 +40,17 @@ ALL_CASES = list(BVCase)
 def zero_delta(u, cfg):
     """A BV operator that kills everything: E3 = E2 and the total overshoots."""
     return zero()
+
+
+def moving_delta(u, cfg):
+    """``bv.delta`` plus x^(a-1) v^b w^c for every contractible term with
+    a >= 1: the contractible page moves between pages two and three.  Its
+    square is not zero, so page entries are the rank formula and may be
+    negative; both page paths must still agree on them."""
+    lowered = (
+        Monomial(m.a - 1, m.b, m.c) for m in u.terms if m.a and component(m, cfg) is Component.E
+    )
+    return add(bv.delta(u, cfg), element(*lowered))
 
 
 def wrapped_delta(u, cfg):
@@ -119,7 +142,9 @@ def oracle_degrees(n):
     return sorted({0, 1, 2, 4 * n - 1, 4 * n, 4 * n + 1, 97, 200})
 
 
-@pytest.mark.parametrize("delta_fn", [bv.delta, zero_delta], ids=["delta", "zero"])
+@pytest.mark.parametrize(
+    "delta_fn", [bv.delta, zero_delta, moving_delta], ids=["delta", "zero", "moving"]
+)
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pages_and_collapse_match_dense_oracle(n, delta_fn):
     for case in ALL_CASES:
@@ -147,6 +172,19 @@ def test_pages_and_collapse_match_dense_oracle(n, delta_fn):
                 cfg, limit, *dense[Component.E], dense[Component.G][1]
             ), (n, case, limit)
             assert (report.algebra, report.max_top_degree) == (cfg, limit)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moving_contractible_page_fails_collapse(n):
+    """The moving input of the dense-oracle test is not vacuous: from cutoff 1
+    on, the contractible page moves and no certificate is claimed."""
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        for limit in oracle_degrees(n):
+            if limit >= 1:
+                report = verify_collapse(cfg, limit, moving_delta)
+                fields = (report.e_page_stable, report.passed, report.all_degrees)
+                assert fields == (False, False, False), (case, limit)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -239,6 +277,15 @@ def bruteforce_rank(rows):
 def test_ssconfig_validation():
     with pytest.raises(InputError):
         SSConfig(AlgebraConfig(1), Component.E, -1)
+
+
+@pytest.mark.parametrize("cutoff", [True, False, 7.0, "7", None])
+def test_non_integer_cutoff_is_refused(cutoff):
+    cfg = AlgebraConfig(1)
+    with pytest.raises(InputError, match="max_top_degree must be an integer"):
+        SSConfig(cfg, Component.E, cutoff)
+    with pytest.raises(InputError, match="max_top_degree must be an integer"):
+        verify_collapse(cfg, cutoff)
 
 
 def test_e2_entries_repeat_fiber_dimensions():
