@@ -36,6 +36,7 @@ from .ring import (
     Monomial,
     add,
     basis,
+    check_count,
     element,
     generator,
     loop_degree,
@@ -178,8 +179,7 @@ def axiom_failures(
     symmetry, the Jacobi identity and the derivation rule run over ``samples``
     seeded random pairs/triples.  Returns one message per violation.
     """
-    if samples < 0:
-        raise InputError(f"samples must be nonnegative, got {samples}")
+    check_count(samples, "samples")
     pool = window_basis(cfg, (None,), lo, hi)
     if samples and not pool:
         raise InputError(f"no basis monomial to sample in degree window [{lo}, {hi}]")

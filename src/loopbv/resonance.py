@@ -18,17 +18,11 @@ from fractions import Fraction
 from math import floor
 from typing import Mapping, Sequence
 
-from .ring import InputError, check_n
+from .ring import InputError, check_count, check_int, check_n
 
 # most iterates morse_truncation visits in one call; the count grows with
 # q / mean_index, so a tiny mean index would otherwise run for minutes
 MORSE_ITERATE_BUDGET = 10**6
-
-
-def _check_int(label: str, name: str, value) -> None:
-    """Reject anything but an ``int``, as :func:`check_n` does; ``bool`` is not one."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{label}: {name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +45,8 @@ class GeodesicRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
             raise InputError(f"geodesic label must be a string, got {self.label!r}")
-        _check_int(self.label, "initial index", self.initial_index)
-        _check_int(self.label, "period", self.period)
-        if self.initial_index < 0:
-            raise InputError(f"{self.label}: initial index must be nonnegative")
+        check_count(self.initial_index, f"{self.label}: initial index")
+        check_int(self.period, f"{self.label}: period")
         mean = Fraction(self.mean_index)
         object.__setattr__(self, "mean_index", mean)
         if mean <= 0:
@@ -62,18 +54,13 @@ class GeodesicRecord:
         if self.period <= 0 or self.period % 2:
             raise InputError(f"{self.label}: period must be a positive even integer")
         for (m, l), k in self.type_numbers.items():
-            for name, value in (("iterate slot m", m), ("degree l", l), ("type number k", k)):
-                _check_int(self.label, name, value)
+            check_int(m, f"{self.label}: iterate slot m")
+            check_count(l, f"{self.label}: degree l")
+            check_count(k, f"{self.label}: type number k")
             if not 1 <= m <= self.period // 2:
                 raise InputError(f"{self.label}: iterate slot m={m} outside 1..{self.period // 2}")
-            if l < 0:
-                raise InputError(f"{self.label}: type-number degree l={l} is negative")
-            if k < 0:
-                raise InputError(f"{self.label}: type number k={k} is negative")
         for nullity in self.nullities or ():
-            _check_int(self.label, "nullity", nullity)
-            if nullity < 0:
-                raise InputError(f"{self.label}: nullity {nullity} is negative")
+            check_count(nullity, f"{self.label}: nullity")
         flag = self.nondegenerate
         if not isinstance(flag, (bool, type(None))):
             raise InputError(f"{self.label}: nondegenerate must be a bool, got {flag!r}")
@@ -175,6 +162,20 @@ def _rounded_linear_index(rec: GeodesicRecord, iterate: int) -> int:
     return low if 2 * p * iterate <= (2 * low + 2) * r else low + 2
 
 
+def _check_model(model, records: Sequence[GeodesicRecord] = ()) -> None:
+    """Refuse a bad index model before any iterate is visited: a name other
+    than "rounded-linear", or a label mapping that lacks one of ``records``."""
+    if isinstance(model, Mapping):
+        for rec in records:
+            if rec.label not in model:
+                raise InputError(
+                    f"{rec.label}: the index model mapping has no entry for this label"
+                )
+            _check_model(model[rec.label])
+    elif isinstance(model, str) and model != "rounded-linear":
+        raise InputError(f"unknown index model {model!r}")
+
+
 def _index_at(
     rec: GeodesicRecord,
     n: int,
@@ -182,8 +183,6 @@ def _index_at(
     model,
 ) -> int:
     if isinstance(model, str):
-        if model != "rounded-linear":
-            raise InputError(f"unknown index model {model!r}")
         value = _rounded_linear_index(rec, iterate)
     else:
         position = (iterate - 1) // 2
@@ -212,8 +211,8 @@ def index_sequence(rec: GeodesicRecord, n: int, model, count: int) -> list[int]:
     indices for the odd iterates; both are validated against the parity rule
     and the linear-growth deviation bound.
     """
-    if count < 0:
-        raise InputError(f"count must be nonnegative, got {count}")
+    check_count(count, "count")
+    _check_model(model)
     return [_index_at(rec, n, 2 * j + 1, model) for j in range(count)]
 
 
@@ -239,8 +238,8 @@ def morse_truncation(
     than ``MORSE_ITERATE_BUDGET`` raise ``InputError``.  ``model`` may be a
     mapping from labels to explicit index sequences.
     """
-    if q < 0:
-        raise InputError(f"truncation degree must be nonnegative, got {q}")
+    check_count(q, "truncation degree")
+    _check_model(model, records)
     slots = []
     for rec in records:
         _check_l_range(rec, n)

@@ -10,6 +10,11 @@ entry i is the exponent of ``GENERATOR_NAMES[i]``.
 The free loop space has two connected components, labelled ``e`` (loops that
 contract) and ``g`` (loops that do not).  The component of a monomial depends
 on which component carries w; that choice is part of :class:`AlgebraConfig`.
+
+``ring`` also owns the package's input rule.  :func:`check_int` refuses
+anything but an ``int`` (a ``bool`` is not one here), and :func:`check_count`
+also refuses a negative value.  The package refuses malformed input with an
+:class:`InputError`, which the command line reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -24,8 +29,21 @@ class InputError(ValueError):
     """Raised when an operation receives structurally invalid input."""
 
 
+def check_int(value, what: str) -> None:
+    """Reject anything but an ``int``; ``bool`` is not an ``int`` here."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def check_count(value, what: str) -> None:
+    """Reject anything but a nonnegative ``int``, as :func:`check_int` does."""
+    check_int(value, what)
+    if value < 0:
+        raise InputError(f"{what} must be nonnegative, got {value}")
+
+
 def check_n(n) -> None:
-    """Reject anything but a positive ``int``; ``bool`` is not an ``int`` here."""
+    """Reject anything but a positive ``int``, as :func:`check_int` does."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
 

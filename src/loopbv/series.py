@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ring import InputError, check_n
+from .ring import InputError, check_count, check_n
 
 
-class NonQuasilinearError(ArithmeticError):
+class NonQuasilinearError(InputError, ArithmeticError):
     """No Cesàro limit, or a denominator that is not c (1 - t^e1) ... (1 - t^ek)."""
 
 
@@ -151,8 +151,7 @@ def expand(r: RationalSeries, n_terms: int) -> TruncatedSeries:
     turns into a ``Fraction`` only when a division by den(0) is inexact;
     integral coefficients are returned as ``int`` either way.
     """
-    if n_terms < 0:
-        raise InputError(f"expansion degree must be nonnegative, got {n_terms}")
+    check_count(n_terms, "expansion degree")
     den0 = r.denominator[0]
     den_terms = [(j, d) for j, d in enumerate(r.denominator) if j and d]
     coeffs: list = []
@@ -172,8 +171,7 @@ def expand(r: RationalSeries, n_terms: int) -> TruncatedSeries:
 
 def betti(r: RationalSeries, k: int) -> int:
     """k-th expansion coefficient."""
-    if k < 0:
-        raise InputError(f"Betti index must be nonnegative, got {k}")
+    check_count(k, "Betti index")
     return expand(r, k).coefficient(k)
 
 

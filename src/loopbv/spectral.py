@@ -24,7 +24,9 @@ monomial of degree q+4n would need c < 0 at q) and one period of 4n degrees,
 and tiled beyond: dimensions always, since they do not depend on the
 operator, and ranks whenever the operator is ``bv.delta`` itself.  Any other
 operator, a wrapper of ``bv.delta`` included, is ranked in every fiber
-degree up to the cutoff.
+degree up to the cutoff.  A ``delta_fn`` of ``None`` stands for ``bv.delta``
+as it is bound when the function is called, so rebinding ``bv.delta`` (to
+count its calls, say) keeps the periodic path.
 
 ``verify_collapse`` turns the same period into a certificate for every
 degree.  For ``bv.delta`` each column repeats with period 4n after a head
@@ -54,6 +56,7 @@ from .ring import (
     Component,
     InputError,
     basis,
+    check_count,
     dimension,
     element,
 )
@@ -70,11 +73,7 @@ class SSConfig:
     max_top_degree: int
 
     def __post_init__(self) -> None:
-        top = self.max_top_degree
-        if not isinstance(top, int) or isinstance(top, bool):
-            raise InputError(f"max_top_degree must be an integer, got {top!r}")
-        if top < 0:
-            raise InputError(f"max_top_degree must be nonnegative, got {top}")
+        check_count(self.max_top_degree, "max_top_degree")
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def _fiber_dims(cfg: SSConfig) -> list[int]:
     return _per_fiber_degree(cfg, lambda q: dimension(cfg.algebra, cfg.comp, q), True)
 
 
-def _e3_columns(cfg: SSConfig, delta_fn: DeltaFn) -> tuple[list[int], list[int], list[int]]:
+def _e3_columns(cfg: SSConfig, delta_fn: DeltaFn | None) -> tuple[list[int], list[int], list[int]]:
     """Fiber dimensions, E3 column 0 and E3 column p >= 1, indexed like
     :func:`_fiber_dims`.
 
@@ -174,6 +173,7 @@ def _e3_columns(cfg: SSConfig, delta_fn: DeltaFn) -> tuple[list[int], list[int],
     alone (see the module docstring).
     """
     dims = _fiber_dims(cfg)
+    delta_fn = delta_fn or bv.delta
     ranks = _per_fiber_degree(
         cfg, lambda q: d2_rank(cfg.algebra, cfg.comp, q, delta_fn), delta_fn is bv.delta
     )
@@ -206,13 +206,14 @@ def d2_matrix(
     cfg: AlgebraConfig,
     comp: Component,
     q: int,
-    delta_fn: DeltaFn = bv.delta,
+    delta_fn: DeltaFn | None = None,
 ) -> list[int]:
     """Matrix of the BV operator from fiber degree q to q+1 as bitmask rows.
 
     Row i holds the coordinates of the image of the i-th degree-q basis
     monomial in the degree-(q+1) basis.
     """
+    delta_fn = delta_fn or bv.delta
     target = {m: i for i, m in enumerate(basis(cfg, comp, q + 1))}
     rows = []
     for m in basis(cfg, comp, q):
@@ -233,12 +234,12 @@ def d2_rank(
     cfg: AlgebraConfig,
     comp: Component,
     q: int,
-    delta_fn: DeltaFn = bv.delta,
+    delta_fn: DeltaFn | None = None,
 ) -> int:
     return gf2.rank(d2_matrix(cfg, comp, q, delta_fn))
 
 
-def e3_page(cfg: SSConfig, delta_fn: DeltaFn = bv.delta) -> Page:
+def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     """Third page: homology of the second differential.
 
     Column 0 has no outgoing differential, so only incoming images are
@@ -309,7 +310,7 @@ def _compare(
 def verify_collapse(
     cfg: AlgebraConfig,
     max_top_degree: int,
-    delta_fn: DeltaFn = bv.delta,
+    delta_fn: DeltaFn | None = None,
 ) -> CollapseReport:
     """Certify collapse by comparing page series against the known total.
 
@@ -324,6 +325,7 @@ def verify_collapse(
     """
     # built first: a negative cutoff is reported as such before any work
     SSConfig(cfg, Component.E, max_top_degree)
+    delta_fn = delta_fn or bv.delta
     if delta_fn is bv.delta:
         total = series.total_series(cfg.n)
         deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1

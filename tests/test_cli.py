@@ -1,10 +1,13 @@
 import hashlib
 import json
 import pathlib
+import re
 import shlex
 
 import pytest
 
+import loopbv
+from loopbv import series
 from loopbv.cli import main
 from loopbv.ring import AlgebraConfig, BVCase, Component, basis
 from loopbv.spectral import SSConfig, e3_page, page_from_json
@@ -33,6 +36,15 @@ def test_every_subcommand_has_help(sub, capsys):
         main([sub, "--help"])
     assert exit_info.value.code == 0
     assert sub in capsys.readouterr().out
+
+
+def test_installed_script_is_this_cli():
+    """pyproject.toml (read by regex: Python 3.10 has no tomllib) declares the
+    package version and points the loopbv script at cli.main."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == loopbv.__version__
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^(\S+) = "([^"]+)"$', scripts, re.M) == [("loopbv", "loopbv.cli:main")]
 
 
 def test_unknown_flag_exits_two():
@@ -166,6 +178,33 @@ def test_rows_json_output_is_pinned(sub, capsys):
     assert digest.hexdigest() == ROWS_JSON_DIGESTS[sub]
 
 
+# n = 1, cutoff 6: page-2 column of either component, which the contractible
+# component keeps on page 3, and the page-3 column of the other component
+PAGE_E_CELLS = (
+    "   0    -3    1\n   0    -2    1\n   0    -1    2\n   0     0    2\n"
+    "   0     1    2\n   0     2    2\n   0     3    2\n   1    -3    1\n"
+    "   1    -2    1\n   1    -1    2\n   1     0    2\n   1     1    2\n"
+    "   2    -3    1\n   2    -2    1\n   2    -1    2\n   3    -3    1\n"
+    "series 1 1 3 3 5 5 7\n"
+)
+PAGE_3_G_CELLS = (
+    "   0    -3    1\n   0    -1    2\n   0     1    2\n   0     3    2\n"
+    "series 1 0 2 0 2 0 2\n"
+)
+
+
+@pytest.mark.parametrize("page, g_cells", [("2", PAGE_E_CELLS), ("3", PAGE_3_G_CELLS)])
+@pytest.mark.parametrize("quiet", [False, True])
+def test_pages_table_output_is_pinned(page, g_cells, quiet, capsys):
+    argv = ["pages", "--n", "1", "--max-degree", "6", "--component", "both",
+            "--format", "table", "--page", page] + ["--quiet"] * quiet
+    code, out, err = run(capsys, *argv)
+    headers = ("", "") if quiet else (f"# component e, page {page}\n",
+                                      f"# component g, page {page}\n")
+    assert (code, err) == (0, "")
+    assert out == headers[0] + PAGE_E_CELLS + headers[1] + g_cells
+
+
 def test_pages_csv(capsys):
     code, out, _ = run(capsys, "pages", "--n", "1", "--component", "g",
                        "--max-degree", "4", "--format", "csv")
@@ -296,6 +335,32 @@ def test_verify_rejects_csv_format(capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("j", [0, 5, 10])
+def test_verify_reports_a_collapse_mismatch(j, monkeypatch, capsys):
+    """A closed form off by t^j, j within the cutoff, fails collapse at j."""
+    true_total = series.total_series(1)
+    bumped = true_total + series.RationalSeries((0,) * j + (1,))
+    computed = series.expand(true_total, 10).coefficients
+    expected = series.expand(bumped, 10).coefficients
+    monkeypatch.setattr(series, "total_series", lambda _n: bumped)
+    argv = ["verify", "--n", "1", "--max-degree", "10", "--samples", "0"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == [
+        "collapse n=1 case=A_v: FAIL",
+        f"  first mismatch at degree {j}: computed {computed[j]}, expected {expected[j]}",
+        f"  computed series: {list(computed)}",
+        f"  expected series: {list(expected)}",
+        "axioms n=1 case=A_v on degrees [-3, 12] with 0 samples (seed 0): PASS",
+    ]
+    assert expected[j] == computed[j] + 1
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["collapse"]["first_mismatch"] == [j, computed[j], expected[j]]
+    assert payload["collapse"]["passed"] is False and payload["passed"] is False
+
+
 def test_verify_quiet(capsys):
     code, out, _ = run(capsys, "verify", "--n", "1", "--case", "A_v",
                        "--max-degree", "30", "--samples", "10", "--quiet")
@@ -383,10 +448,12 @@ def test_resonance_invalid_record_exits_two(tmp_path, capsys):
         ("initial_index", True, "initial index must be an integer, got True"),
         ("type_numbers", [{"m": 1, "l": 0, "k": 0.5}],
          "type number k must be an integer, got 0.5"),
+        ("type_numbers", [{"m": 1, "l": 0, "k": -1}],
+         "c: type number k must be nonnegative, got -1"),
         ("type_numbers", [{"m": 1, "l": 0, "k": 1}, {"m": 1, "l": 0, "k": 2}],
          "duplicate type-number slot (m, l) = (1, 0)"),
     ],
-    ids=["float-period", "bool-index", "float-k", "duplicate-slot"],
+    ids=["float-period", "bool-index", "float-k", "negative-k", "duplicate-slot"],
 )
 def test_resonance_mistyped_record_exits_two(field, value, message, tmp_path, capsys):
     record = {"label": "c", "initial_index": 0, "mean_index": "1", "period": 2,
@@ -406,11 +473,14 @@ def test_resonance_mistyped_record_exits_two(field, value, message, tmp_path, ca
     [
         ("nondegenerate", "yes", "nondegenerate must be a bool, got 'yes'"),
         ("nullities", ["a", None], "nullity must be an integer, got 'a'"),
+        ("nullities", [0, -1], "c: nullity must be nonnegative, got -1"),
+        ("nullities", 5, "c: nullities must be a list, got 5"),
         ("extra", "zzz", "unknown record keys ['extra']"),
         ("type_numbers", [{"m": 1, "l": 0, "k": 1, "zz": 3}],
          "unknown type-number keys ['zz']"),
     ],
-    ids=["string-nondegenerate", "string-nullity", "unknown-record-key", "unknown-slot-key"],
+    ids=["string-nondegenerate", "string-nullity", "negative-nullity", "scalar-nullities",
+         "unknown-record-key", "unknown-slot-key"],
 )
 def test_resonance_unvalidated_field_exits_two(field, value, message, tmp_path, capsys):
     record = {"label": "c", "initial_index": 0, "mean_index": "1", "period": 2,

@@ -94,6 +94,17 @@ def test_shifted_v_with_v_times_w_image_verifies_everywhere():
         assert report.ok, (n, report.failures())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_x_image_outside_the_switches_fails_the_power_law_alone(n):
+    # x + x v with switch a1 unset: (x + x v)^3 = x^3 + x^3 v, not x^3
+    cfg = AlgebraConfig(n)
+    x, v, w = (generator(name) for name in "xvw")
+    report = verify_morphism_relations(GeneratorMorphism(add(x, multiply(x, v, cfg)), v, w), cfg)
+    assert not report.ok
+    assert [name for name, passed, _ in report.checks if not passed] == ["x_image_power_law"]
+    assert report.failures() == ["x_image_power_law: power 3: got x^3 + x^3*v, want x^3"]
+
+
 def test_switch_validation():
     with pytest.raises(InputError):
         morphism_from_switches(AlgebraConfig(1), a=(2, 0, 0))

@@ -174,6 +174,41 @@ def test_index_sequence_explicit_list_validation():
         index_sequence(rec, 1, "linear", 3)  # unknown model name
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("initial_index", -1, "c: initial index must be nonnegative, got -1"),
+        ("type_numbers", {(1, -1): 1}, "c: degree l must be nonnegative, got -1"),
+        ("type_numbers", {(1, 0): -1}, "c: type number k must be nonnegative, got -1"),
+        ("nullities", (0, -1), "c: nullity must be nonnegative, got -1"),
+    ],
+    ids=["initial-index", "degree-l", "type-number-k", "nullity"],
+)
+def test_record_refuses_negative_counts(field, value, message):
+    fields = dict(label="c", initial_index=0, mean_index=Fraction(1), period=2,
+                  type_numbers={(1, 0): 1})
+    fields[field] = value
+    with pytest.raises(InputError) as err:
+        GeodesicRecord(**fields)
+    assert str(err.value) == message
+
+
+def test_unknown_model_name_is_refused_before_any_iterate():
+    rec = GeodesicRecord("c", 0, Fraction(1), 2, {(1, 0): 1})
+    with pytest.raises(InputError, match="unknown index model 'linear'"):
+        index_sequence(rec, 1, "linear", 0)
+    with pytest.raises(InputError, match="unknown index model 'linear'"):
+        morse_truncation([], 1, 5, model="linear")
+    with pytest.raises(InputError, match="unknown index model 'linear'"):
+        morse_truncation([rec], 1, 0, model={"c": "linear"})
+
+
+def test_model_mapping_without_a_record_label_is_refused():
+    records = [nondegenerate_record("c", 0, 1), nondegenerate_record("d", 0, 1)]
+    with pytest.raises(InputError, match="^d: the index model mapping has no entry"):
+        morse_truncation(records, 1, 10, model={"c": [2 * j for j in range(10)]})
+
+
 def test_zero_mean_index_is_rejected_at_construction():
     with pytest.raises(InputError):
         GeodesicRecord("flat", 0, Fraction(0), 2, {(1, 0): 1})

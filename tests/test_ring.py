@@ -1,8 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from loopbv.bv import axiom_failures
+from loopbv.resonance import GeodesicRecord, index_sequence, morse_truncation
 from loopbv.ring import (
     GENERATOR_EXPONENTS,
     GENERATOR_NAMES,
@@ -13,6 +16,8 @@ from loopbv.ring import (
     Monomial,
     add,
     basis,
+    check_count,
+    check_int,
     component,
     dimension,
     element,
@@ -28,6 +33,7 @@ from loopbv.ring import (
     window_basis,
     zero,
 )
+from loopbv.series import betti, expand, lg_series
 
 ALL_CASES = list(BVCase)
 
@@ -44,6 +50,49 @@ def test_config_validation():
     with pytest.raises(InputError):
         AlgebraConfig(True)
     assert AlgebraConfig(3).dim == 7
+
+
+def test_check_int_and_check_count():
+    check_int(-3, "slot")
+    check_count(0, "degree")
+    for value in (True, False, 1.0, "1", None):
+        with pytest.raises(InputError) as err:
+            check_int(value, "slot")
+        assert str(err.value) == f"slot must be an integer, got {value!r}"
+        with pytest.raises(InputError, match="degree must be an integer"):
+            check_count(value, "degree")
+    with pytest.raises(InputError) as err:
+        check_count(-1, "degree")
+    assert str(err.value) == "degree must be nonnegative, got -1"
+
+
+RECORD = GeodesicRecord("c", 0, Fraction(1), 2, {(1, 0): 1})
+
+# every public function that takes a count, with the name its refusal uses
+COUNT_CALLS = {
+    "expand": (lambda v: expand(lg_series(1), v), "expansion degree"),
+    "betti": (lambda v: betti(lg_series(1), v), "Betti index"),
+    "index_sequence": (lambda v: index_sequence(RECORD, 1, "rounded-linear", v), "count"),
+    "morse_truncation": (lambda v: morse_truncation([RECORD], 1, v), "truncation degree"),
+    "axiom_failures": (lambda v: axiom_failures(AlgebraConfig(1), 0, 2, v, 0), "samples"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 1.5])
+@pytest.mark.parametrize("call", sorted(COUNT_CALLS))
+def test_counts_refuse_bools_and_floats(call, value):
+    run, what = COUNT_CALLS[call]
+    with pytest.raises(InputError) as err:
+        run(value)
+    assert str(err.value) == f"{what} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("call", sorted(COUNT_CALLS))
+def test_counts_refuse_negatives(call):
+    run, what = COUNT_CALLS[call]
+    with pytest.raises(InputError) as err:
+        run(-1)
+    assert str(err.value) == f"{what} must be nonnegative, got -1"
 
 
 def test_normalize_v_square_even_n():

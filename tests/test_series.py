@@ -183,6 +183,13 @@ def test_average_alternating_rejects_unbounded_betti_series(n):
         average_alternating(total_series(n))
 
 
+def test_non_quasilinear_error_is_an_input_error():
+    assert issubclass(NonQuasilinearError, InputError)
+    assert issubclass(NonQuasilinearError, ArithmeticError)
+    with pytest.raises(InputError, match="non-quasilinear"):
+        average_alternating(le_series(1))
+
+
 def cyclic_den(c, exponents):
     den = (c,)
     for e in exponents:

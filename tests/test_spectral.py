@@ -1,9 +1,11 @@
+import functools
 import itertools
 import json
 
 import pytest
 
 from loopbv import bv
+from loopbv.cli import main
 from loopbv.ring import (
     AlgebraConfig,
     BVCase,
@@ -229,6 +231,38 @@ def test_verify_collapse_rank_calls_do_not_grow_with_cutoff(n, monkeypatch):
         calls.clear()
         assert verify_collapse(AlgebraConfig(n, BVCase.B_WXVW), limit).passed
         assert 0 < len(calls) <= 2 * (4 * n + 2), limit
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rebound_delta_keeps_the_periodic_path(n, monkeypatch):
+    """Rebinding bv.delta, as a call counter does, must not send the default
+    operator down the per-degree rank path, in the library or in the CLI."""
+    original_delta, original_collapse = bv.delta, verify_collapse
+    delta_calls, rank_calls, reports = [], [], []
+
+    @functools.wraps(original_delta)
+    def counting_delta(u, cfg):
+        delta_calls.append(u)
+        return original_delta(u, cfg)
+
+    def counting_rank(*args):
+        rank_calls.append(args)
+        return d2_rank(*args)
+
+    def recording_collapse(*args):
+        reports.append(original_collapse(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(bv, "delta", counting_delta)
+    monkeypatch.setattr(spectral, "d2_rank", counting_rank)
+    monkeypatch.setattr(spectral, "verify_collapse", recording_collapse)
+    argv = ["verify", "--n", str(n), "--max-degree", "400", "--samples", "0", "--format", "json"]
+    for run in (lambda: recording_collapse(AlgebraConfig(n), 400), lambda: main(argv)):
+        rank_calls.clear()
+        run()
+        assert reports[-1].passed and reports[-1].all_degrees
+        assert 0 < len(rank_calls) <= 2 * (4 * n + 2)
+    assert delta_calls
 
 
 @pytest.mark.parametrize("n", range(1, 9))
