@@ -18,7 +18,6 @@ representative, normal or not: ``multiply`` reduces the result.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import compress
 
@@ -34,6 +33,7 @@ from .ring import (
     Component,
     InputError,
     Monomial,
+    Record,
     add,
     basis,
     check_count,
@@ -141,14 +141,15 @@ def _divide(m: Monomial, name: str) -> Monomial:
     return Monomial(m.a - d.a, m.b - d.b, m.c - d.c)
 
 
-@dataclass(frozen=True)
-class DeltaTable:
+class DeltaTable(Record):
     """Delta on every basis monomial of one component inside a degree window."""
+
+    _hidden = ("rows",)
 
     cfg: AlgebraConfig
     comp: Component
     window: tuple[int, int]
-    rows: dict[Monomial, AlgebraElement] = field(repr=False)
+    rows: dict[Monomial, AlgebraElement]
 
 
 def delta_table(cfg: AlgebraConfig, comp: Component, lo: int, hi: int) -> DeltaTable:
@@ -204,8 +205,7 @@ def axiom_failures(
     return failures
 
 
-@dataclass(frozen=True)
-class GeneratorMorphism:
+class GeneratorMorphism(Record):
     """A change of generators (images of x, v, w) together with its switches;
     the switch table in :func:`morphism_from_switches` states the shapes."""
 
@@ -288,8 +288,7 @@ def apply_morphism(phi: GeneratorMorphism, u: AlgebraElement, cfg: AlgebraConfig
     return reduce(add, (_substitute(m, tables, cfg) for m in u.terms), zero())
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(Record):
     checks: tuple[tuple[str, bool, str], ...]
 
     @property

@@ -10,10 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import bv, resonance, spectral
-from . import series as series_mod
 from .ring import (
     AlgebraConfig,
     BVCase,
@@ -32,7 +29,7 @@ from .ring import (
 CASE_CHOICES = [case.value for case in BVCase]
 
 
-def _frac(value: Fraction) -> str:
+def _frac(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -65,19 +62,18 @@ def _print_rows(rows, columns, fmt: str) -> None:
         print("  ".join(str(row[c]).ljust(w) for c, w in zip(columns, widths)))
 
 
-# the last column of each rows subcommand and how to compute it
-LAST_COLUMN = {
-    "ring": ("top_degree", top_degree),
-    "bv": ("delta", lambda m, cfg: render_element(bv.delta(element(m), cfg))),
-}
-
-
 def cmd_rows(args) -> int:
-    """ring and bv: one row per basis monomial of the loop-degree window."""
+    """ring and bv: one row per basis monomial of the loop-degree window; the
+    last column is the top degree for ring and Delta for bv."""
     cfg = _algebra(args)
     lo = args.min_degree if args.min_degree is not None else -cfg.dim
     hi = args.max_degree if args.max_degree is not None else 2 * cfg.n
-    last, value = LAST_COLUMN[args.subcommand]
+    if args.subcommand == "bv":
+        from . import bv
+
+        last, value = "delta", lambda m, cfg: render_element(bv.delta(element(m), cfg))
+    else:
+        last, value = "top_degree", top_degree
     rows = [
         {
             "monomial": render_monomial(m),
@@ -92,6 +88,8 @@ def cmd_rows(args) -> int:
 
 
 def cmd_pages(args) -> int:
+    from . import spectral
+
     cfg = _algebra(args)
     payload = {}
     for comp in _components(args.component):
@@ -120,20 +118,24 @@ def cmd_pages(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from fractions import Fraction
+
+    from . import series
+
     builders = {
-        "lg": series_mod.lg_series,
-        "le": series_mod.le_series,
-        "total": series_mod.total_series,
+        "lg": series.lg_series,
+        "le": series.le_series,
+        "total": series.total_series,
     }
     r = builders[args.which](args.n)
     payload = {"num": list(r.numerator), "den": list(r.denominator)}
     if args.expand is not None:
         payload["expansion"] = [
             _frac(c) if isinstance(c, Fraction) else c
-            for c in series_mod.expand(r, args.expand).coefficients
+            for c in series.expand(r, args.expand).coefficients
         ]
     if args.average:
-        payload["average"] = _frac(series_mod.average_alternating(r))
+        payload["average"] = _frac(series.average_alternating(r))
     if args.format == "json":
         print(_emit_json(payload))
         return 0
@@ -154,6 +156,8 @@ OBSTRUCTION_WITNESS = (Monomial(1, 1, 0), Monomial(0, 1, 1))  # (x*v, v*w)
 
 
 def cmd_verify(args) -> int:
+    from . import bv, spectral
+
     cfg = _algebra(args)
     report = spectral.verify_collapse(cfg, args.max_degree)
     lo, hi = -cfg.dim, 12 * cfg.n
@@ -203,6 +207,8 @@ def cmd_verify(args) -> int:
 
 
 def _resonance_payload(args, n: int, records) -> tuple[dict, bool]:
+    from . import resonance
+
     if args.check == "nondegenerate":
         rep = resonance.nondegenerate_check(records, n)
         payload: dict = {"consistent_with_full": rep.consistent_with_full}
@@ -230,6 +236,8 @@ def _resonance_payload(args, n: int, records) -> tuple[dict, bool]:
 
 
 def cmd_resonance(args) -> int:
+    from . import resonance
+
     try:
         with open(args.input, encoding="utf-8") as handle:
             obj = json.load(handle)

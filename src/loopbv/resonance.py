@@ -13,20 +13,18 @@ nullity data is checked and stored, for the record only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 from typing import Mapping, Sequence
 
-from .ring import InputError, check_count, check_int, check_n
+from .ring import InputError, Record, check_count, check_int, check_n
 
 # most iterates morse_truncation visits in one call; the count grows with
 # q / mean_index, so a tiny mean index would otherwise run for minutes
 MORSE_ITERATE_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class GeodesicRecord:
+class GeodesicRecord(Record):
     """Index and type-number data of one prime closed geodesic.
 
     ``type_numbers`` maps (m, l) to the l-th type number of the (2m-1)-st
@@ -38,11 +36,13 @@ class GeodesicRecord:
     initial_index: int
     mean_index: Fraction
     period: int
-    type_numbers: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    type_numbers: Mapping[tuple[int, int], int] | None = None  # None: a fresh {}
     nullities: tuple[int, ...] | None = None
     nondegenerate: bool | None = None
 
     def __post_init__(self) -> None:
+        if self.type_numbers is None:
+            object.__setattr__(self, "type_numbers", {})
         if not isinstance(self.label, str):
             raise InputError(f"geodesic label must be a string, got {self.label!r}")
         check_count(self.initial_index, f"{self.label}: initial index")
@@ -96,8 +96,7 @@ def mean_euler(rec: GeodesicRecord, n: int) -> Fraction:
     return Fraction(total, rec.period)
 
 
-@dataclass(frozen=True)
-class ResonanceReport:
+class ResonanceReport(Record):
     per_geodesic: dict[str, Fraction]  # mean Euler number of each geodesic
     total: Fraction                    # sum of (mean Euler)/(mean index)
     target: Fraction
@@ -118,8 +117,7 @@ def resonance_check(records: Sequence[GeodesicRecord], n: int) -> ResonanceRepor
     return ResonanceReport(per, total, target, passed=total == target)
 
 
-@dataclass(frozen=True)
-class NondegenerateReport:
+class NondegenerateReport(Record):
     total: Fraction
     target: Fraction
     passed: bool
@@ -216,8 +214,7 @@ def index_sequence(rec: GeodesicRecord, n: int, model, count: int) -> list[int]:
     return [_index_at(rec, n, 2 * j + 1, model) for j in range(count)]
 
 
-@dataclass(frozen=True)
-class MorseTruncation:
+class MorseTruncation(Record):
     counts: tuple[int, ...]      # w_h for h = 0..q
     alternating_sum: int         # sum of (-1)^h w_h
     average: Fraction | None     # alternating_sum / q; None when q = 0

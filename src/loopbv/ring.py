@@ -11,17 +11,17 @@ The free loop space has two connected components, labelled ``e`` (loops that
 contract) and ``g`` (loops that do not).  The component of a monomial depends
 on which component carries w; that choice is part of :class:`AlgebraConfig`.
 
-``ring`` also owns the package's input rule.  :func:`check_int` refuses
-anything but an ``int`` (a ``bool`` is not one here), and :func:`check_count`
-also refuses a negative value.  The package refuses malformed input with an
-:class:`InputError`, which the command line reports with exit code 2.
+``ring`` also owns the package's record type, :class:`Record`, and its input
+rule.  :func:`check_int` refuses anything but an ``int`` (a ``bool`` is not
+one here), and :func:`check_count` also refuses a negative value.  The
+package refuses malformed input with an :class:`InputError`, which the
+command line reports with exit code 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 
@@ -46,6 +46,93 @@ def check_n(n) -> None:
     """Reject anything but a positive ``int``, as :func:`check_int` does."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
+
+
+class Record:
+    """Immutable record whose fields are the annotated names of the class body.
+
+    Fields are passed by position or keyword; a value in the class body is the
+    field's default.  ``__post_init__`` runs next and may still set fields
+    with ``object.__setattr__``.  ``==`` and ``hash`` compare the tuple of
+    field values, built and hashed on first use (some records hold dicts);
+    ``class C(Record, eq=False)`` compares by identity instead.  Fields named
+    in ``_hidden`` stay out of ``repr``.  Assignment and deletion raise
+    ``AttributeError``.
+    """
+
+    _fields = ()
+    _defaults = {}
+    _tail = ()
+    _hidden = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__annotations__ if name not in cls._fields]
+        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+        cls._fields += tuple(own)
+        # defaults of the longest run of defaulted fields at the end
+        cls._tail = ()
+        for field in reversed(cls._fields):
+            if field not in cls._defaults:
+                break
+            cls._tail = (cls._defaults[field],) + cls._tail
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        # fast path: the fields by position, those left out taking the tail defaults
+        missing = len(self._fields) - len(args)
+        if kwargs or not 0 <= missing <= len(self._tail):
+            args = self._bind(args, kwargs)
+        elif missing:
+            args += self._tail[-missing:]
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field value, in field order, from a call's arguments and the defaults."""
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields or field in values:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {field!r}")
+            values[field] = value
+        try:
+            return tuple([values[f] if f in values else cls._defaults[f] for f in fields])
+        except KeyError as missing:
+            raise TypeError(f"{name}() missing required argument {missing.args[0]!r}") from None
+
+    def __post_init__(self) -> None:
+        pass
+
+    @cached_property
+    def _key(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._fields])
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={self.__dict__[f]!r}" for f in self._fields if f not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class BVCase(Enum):
@@ -84,8 +171,7 @@ class Component(Enum):
         return Component.E if self is other else Component.G
 
 
-@dataclass(frozen=True)
-class AlgebraConfig:
+class AlgebraConfig(Record):
     """Pair (n, case) fixing the ring and its BV structure; dim M = 2n+1."""
 
     n: int
@@ -113,11 +199,14 @@ class Monomial(NamedTuple):
         return render_monomial(self)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """Finite F2-sum of normal-form monomials; the empty sum is zero."""
 
     terms: frozenset[Monomial]
+
+    def __init__(self, terms: frozenset[Monomial]) -> None:
+        # every ring operation builds one: skip the generic argument matching
+        self.__dict__["terms"], self.__dict__["_key"] = terms, (terms,)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -195,8 +284,7 @@ def multiply(u: AlgebraElement, v: AlgebraElement, cfg: AlgebraConfig) -> Algebr
 
 
 def power(u: AlgebraElement, k: int, cfg: AlgebraConfig) -> AlgebraElement:
-    if k < 0:
-        raise InputError("negative powers are not defined in this ring")
+    check_count(k, "exponent")
     result = unit()
     for _ in range(k):
         result = multiply(result, u, cfg)
@@ -256,6 +344,8 @@ def window_basis(
     ``comps`` order; starts at max(lo, -(2n+1)) since no monomial sits lower."""
     for comp in comps:
         _check_component(comp)
+    check_int(lo, "lowest degree")
+    check_int(hi, "highest degree")
     if lo > hi:
         raise InputError(f"empty degree window [{lo}, {hi}]")
     degrees = range(max(lo, -cfg.dim), hi + 1)

@@ -15,11 +15,10 @@ iff g (1 - t^P) is a polynomial h / c; each period then adds h(1) / c to S_N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ring import InputError, check_count, check_n
+from .ring import InputError, Record, check_count, check_n
 
 
 class NonQuasilinearError(InputError, ArithmeticError):
@@ -91,8 +90,7 @@ def one_minus_t_power(e: int) -> Poly:
     return _trim((1,) + (0,) * (e - 1) + (-1,))
 
 
-@dataclass(frozen=True, eq=False)
-class RationalSeries:
+class RationalSeries(Record, eq=False):
     """num/den with integer coefficients and den(0) != 0; kept unreduced."""
 
     numerator: Poly
@@ -126,8 +124,7 @@ class RationalSeries:
         )
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Coefficients of t^0 .. t^(len - 1) of a power series."""
 
     coefficients: tuple

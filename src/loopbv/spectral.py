@@ -46,7 +46,6 @@ sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import bv, gf2, series
@@ -55,6 +54,7 @@ from .ring import (
     AlgebraElement,
     Component,
     InputError,
+    Record,
     basis,
     check_count,
     dimension,
@@ -64,8 +64,7 @@ from .ring import (
 DeltaFn = Callable[[AlgebraElement, AlgebraConfig], AlgebraElement]
 
 
-@dataclass(frozen=True)
-class SSConfig:
+class SSConfig(Record):
     """Component selection plus the topological-degree cutoff for reports."""
 
     algebra: AlgebraConfig
@@ -76,8 +75,7 @@ class SSConfig:
         check_count(self.max_top_degree, "max_top_degree")
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(Record):
     """A page held as two columns in the fiber degree q.
 
     ``first`` is column 0 and ``rest`` the column shared by every p >= 1,
@@ -88,11 +86,13 @@ class Page:
     and equal pages have the same nonzero cells.
     """
 
+    _hidden = ("first", "rest")
+
     page_index: int
     shift: int
     max_top_degree: int
-    first: tuple[int, ...] = field(repr=False)
-    rest: tuple[int, ...] = field(repr=False)
+    first: tuple[int, ...]
+    rest: tuple[int, ...]
 
     def __post_init__(self) -> None:
         top, size = self.max_top_degree, max(self.max_top_degree - 1, 0)
@@ -111,22 +111,30 @@ class Page:
             return 0
         return self.rest[i] if p else self.first[i]
 
-    def cells(self) -> Iterator[tuple[int, int, int]]:
-        """Nonzero cells (p, q, dim) in (p, q) order, in O(cells + D).
+    def columns(self) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+        """Nonempty columns (p, [(q, dim), ...]) in p order, each holding its
+        nonzero cells in q order, in O(cells + D).
 
         Column p >= 1 is the prefix of the nonzero entries of ``rest`` up to
         index D - 2p, which shrinks by two indices per column.
         """
         shift, top = self.shift, self.max_top_degree
-        for i, d in enumerate(self.first):
-            if d:
-                yield 0, i - shift, d
-        nonzero = [(i, i - shift, d) for i, d in enumerate(self.rest) if d]
+        first = [(i - shift, d) for i, d in enumerate(self.first) if d]
+        if first:
+            yield 0, first
+        nonzero = [(i - shift, d) for i, d in enumerate(self.rest) if d]
         end = len(nonzero)
         for p in range(1, top // 2 + 1):
-            while end and nonzero[end - 1][0] > top - 2 * p:
+            while end and nonzero[end - 1][0] + shift > top - 2 * p:
                 end -= 1
-            for _, q, d in nonzero[:end]:
+            if not end:
+                return
+            yield p, nonzero[:end]
+
+    def cells(self) -> Iterator[tuple[int, int, int]]:
+        """Nonzero cells (p, q, dim) in (p, q) order: :meth:`columns` flattened."""
+        for p, column in self.columns():
+            for q, d in column:
                 yield p, q, d
 
     @property
@@ -265,8 +273,7 @@ def page_series(page: Page, cfg: SSConfig) -> series.TruncatedSeries:
     return series.TruncatedSeries(tuple(_column_series(page.first, page.rest)))
 
 
-@dataclass(frozen=True)
-class CollapseReport:
+class CollapseReport(Record):
     """Outcome of the dimension-count collapse certificate.
 
     ``all_degrees`` says that the verdict was proved in every degree, not
@@ -339,7 +346,7 @@ def verify_collapse(
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:
     """JSON-ready mapping, entries in (p, q) order."""
-    entries = [{"p": p, "q": q, "dim": d} for p, q, d in page.cells()]
+    entries = [{"p": p, "q": q, "dim": d} for p, column in page.columns() for q, d in column]
     coeffs = list(page_series(page, cfg).coefficients)
     return {"page": page.page_index, "entries": entries, "series": coeffs}
 

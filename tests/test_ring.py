@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopbv.bv import axiom_failures
+from loopbv.bv import axiom_failures, delta_table
 from loopbv.resonance import GeodesicRecord, index_sequence, morse_truncation
 from loopbv.ring import (
     GENERATOR_EXPONENTS,
@@ -75,6 +75,7 @@ COUNT_CALLS = {
     "index_sequence": (lambda v: index_sequence(RECORD, 1, "rounded-linear", v), "count"),
     "morse_truncation": (lambda v: morse_truncation([RECORD], 1, v), "truncation degree"),
     "axiom_failures": (lambda v: axiom_failures(AlgebraConfig(1), 0, 2, v, 0), "samples"),
+    "power": (lambda v: power(generator("x"), v, AlgebraConfig(1)), "exponent"),
 }
 
 
@@ -93,6 +94,27 @@ def test_counts_refuse_negatives(call):
     with pytest.raises(InputError) as err:
         run(-1)
     assert str(err.value) == f"{what} must be nonnegative, got -1"
+
+
+# every public function that takes a loop-degree window (lo, hi)
+WINDOW_CALLS = {
+    "window_basis": lambda lo, hi: window_basis(AlgebraConfig(1), (None,), lo, hi),
+    "delta_table": lambda lo, hi: delta_table(AlgebraConfig(1), Component.G, lo, hi),
+    "axiom_failures": lambda lo, hi: axiom_failures(AlgebraConfig(1), lo, hi, 2, 0),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5])
+@pytest.mark.parametrize("call", sorted(WINDOW_CALLS))
+def test_degree_windows_refuse_bools_and_floats(call, value):
+    run = WINDOW_CALLS[call]
+    with pytest.raises(InputError) as err:
+        run(value, 4)
+    assert str(err.value) == f"lowest degree must be an integer, got {value!r}"
+    with pytest.raises(InputError) as err:
+        run(-3, value)
+    assert str(err.value) == f"highest degree must be an integer, got {value!r}"
+    run(-3, 4)
 
 
 def test_normalize_v_square_even_n():
