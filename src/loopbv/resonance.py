@@ -30,13 +30,14 @@ class GeodesicRecord(Record):
     ``type_numbers`` maps (m, l) to the l-th type number of the (2m-1)-st
     iterate, for m in 1..period/2; entries repeat with period ``period`` in
     the iterate, which is what makes the truncated Morse sums computable.
+    Left out or ``None``, it becomes a fresh empty dict: no type numbers.
     """
 
     label: str
     initial_index: int
     mean_index: Fraction
     period: int
-    type_numbers: Mapping[tuple[int, int], int] | None = None  # None: a fresh {}
+    type_numbers: Mapping[tuple[int, int], int] | None = None
     nullities: tuple[int, ...] | None = None
     nondegenerate: bool | None = None
 

@@ -62,48 +62,30 @@ class Record:
 
     _fields = ()
     _defaults = {}
-    _tail = ()
     _hidden = ()
 
     def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        own = [name for name in cls.__annotations__ if name not in cls._fields]
-        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
-        cls._fields += tuple(own)
-        # defaults of the longest run of defaulted fields at the end
-        cls._tail = ()
-        for field in reversed(cls._fields):
-            if field not in cls._defaults:
-                break
-            cls._tail = (cls._defaults[field],) + cls._tail
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs) -> None:
-        # fast path: the fields by position, those left out taking the tail defaults
-        missing = len(self._fields) - len(args)
-        if kwargs or not 0 <= missing <= len(self._tail):
-            args = self._bind(args, kwargs)
-        elif missing:
-            args += self._tail[-missing:]
-        self.__dict__.update(zip(self._fields, args))
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """Every field value, in field order, from a call's arguments and the defaults."""
-        name, fields = cls.__name__, cls._fields
+        name, fields = type(self).__name__, self._fields
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for field, value in kwargs.items():
-            if field not in fields or field in values:
+        values = dict(self._defaults)
+        values.update(zip(fields, args))
+        for field in kwargs:
+            if field not in fields or field in fields[: len(args)]:
                 raise TypeError(f"{name}() got an unexpected or repeated argument {field!r}")
-            values[field] = value
-        try:
-            return tuple([values[f] if f in values else cls._defaults[f] for f in fields])
-        except KeyError as missing:
-            raise TypeError(f"{name}() missing required argument {missing.args[0]!r}") from None
+        values.update(kwargs)
+        if len(values) < len(fields):
+            missing = next(f for f in fields if f not in values)
+            raise TypeError(f"{name}() missing required argument {missing!r}")
+        self.__dict__.update(values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         pass

@@ -175,6 +175,7 @@ def test_defaults_and_keyword_construction():
     first, second = GeodesicRecord("a", 0, 1, 2), GeodesicRecord(label="b", initial_index=0,
                                                                    mean_index=1, period=2)
     assert first.type_numbers == {} and first.type_numbers is not second.type_numbers
+    assert GeodesicRecord("c", 0, 1, 2, None).type_numbers == {}
     assert (first.nullities, first.nondegenerate) == (None, None)
     assert first.mean_index == Fraction(1) and type(first.mean_index) is Fraction
 
