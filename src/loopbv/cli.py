@@ -118,8 +118,6 @@ def cmd_pages(args) -> int:
 
 
 def cmd_series(args) -> int:
-    from fractions import Fraction
-
     from . import series
 
     builders = {
@@ -131,7 +129,7 @@ def cmd_series(args) -> int:
     payload = {"num": list(r.numerator), "den": list(r.denominator)}
     if args.expand is not None:
         payload["expansion"] = [
-            _frac(c) if isinstance(c, Fraction) else c
+            c if isinstance(c, int) else _frac(c)
             for c in series.expand(r, args.expand).coefficients
         ]
     if args.average:

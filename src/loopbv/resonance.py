@@ -14,8 +14,9 @@ nullity data is checked and stored, for the record only.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import floor
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .ring import InputError, Record, check_count, check_int, check_n
 
@@ -31,6 +32,9 @@ class GeodesicRecord(Record):
     iterate, for m in 1..period/2; entries repeat with period ``period`` in
     the iterate, which is what makes the truncated Morse sums computable.
     Left out or ``None``, it becomes a fresh empty dict: no type numbers.
+    ``mean_index`` is anything but a ``bool`` that ``Fraction`` reads as a
+    finite rational, and is stored as a ``Fraction``; ``nullities``, if
+    given, is a list or tuple.
     """
 
     label: str
@@ -48,18 +52,33 @@ class GeodesicRecord(Record):
             raise InputError(f"geodesic label must be a string, got {self.label!r}")
         check_count(self.initial_index, f"{self.label}: initial index")
         check_int(self.period, f"{self.label}: period")
-        mean = Fraction(self.mean_index)
+        mean = self.mean_index
+        try:  # Fraction(None) raises TypeError, as a bool should here
+            mean = Fraction(None if isinstance(mean, bool) else mean)
+        except (TypeError, ValueError, ArithmeticError):
+            raise InputError(
+                f"{self.label}: mean index must be a finite rational, got {mean!r}") from None
         object.__setattr__(self, "mean_index", mean)
         if mean <= 0:
             raise InputError(f"{self.label}: mean index must be positive, got {mean}")
         if self.period <= 0 or self.period % 2:
             raise InputError(f"{self.label}: period must be a positive even integer")
-        for (m, l), k in self.type_numbers.items():
+        if not isinstance(self.type_numbers, Mapping):
+            raise InputError(f"{self.label}: type numbers must map (m, l) pairs to k, "
+                             f"got {self.type_numbers!r}")
+        for slot, k in self.type_numbers.items():
+            if not (isinstance(slot, tuple) and len(slot) == 2):
+                raise InputError(f"{self.label}: type-number slot must be an (m, l) pair, "
+                                 f"got {slot!r}")
+            m, l = slot
             check_int(m, f"{self.label}: iterate slot m")
             check_count(l, f"{self.label}: degree l")
             check_count(k, f"{self.label}: type number k")
             if not 1 <= m <= self.period // 2:
                 raise InputError(f"{self.label}: iterate slot m={m} outside 1..{self.period // 2}")
+        if not isinstance(self.nullities, (list, tuple, type(None))):
+            raise InputError(f"{self.label}: nullities must be a list or tuple, "
+                             f"got {self.nullities!r}")
         for nullity in self.nullities or ():
             check_count(nullity, f"{self.label}: nullity")
         flag = self.nondegenerate
@@ -72,7 +91,7 @@ def nondegenerate_record(label: str, initial_index: int, mean_index) -> Geodesic
     return GeodesicRecord(
         label,
         initial_index,
-        Fraction(mean_index),
+        mean_index,
         period=2,
         type_numbers={(1, 0): 1},
         nondegenerate=True,
@@ -89,6 +108,7 @@ def _check_l_range(rec: GeodesicRecord, n: int) -> None:
 
 def mean_euler(rec: GeodesicRecord, n: int) -> Fraction:
     """Period-averaged alternating sum of the type numbers of odd iterates."""
+    check_n(n)
     _check_l_range(rec, n)
     sign_base = rec.initial_index % 2
     total = 0
@@ -107,6 +127,7 @@ class ResonanceReport(Record):
 
 def resonance_check(records: Sequence[GeodesicRecord], n: int) -> ResonanceReport:
     """Exact comparison of the weighted sum against (n+1)/(2n)."""
+    check_n(n)
     target = Fraction(n + 1, 2 * n)
     if not records:
         return ResonanceReport({}, Fraction(0), target, passed=False, vacuous=True)
@@ -128,6 +149,7 @@ class NondegenerateReport(Record):
 def nondegenerate_check(records: Sequence[GeodesicRecord], n: int) -> NondegenerateReport:
     """Specialised identity for all-nondegenerate data: signed reciprocal mean
     indices must sum to (n+1)/n, exactly twice the general sum."""
+    check_n(n)
     for r in records:
         expected = {(1, 0): 1}
         positive = {key: k for key, k in r.type_numbers.items() if k}
@@ -146,73 +168,75 @@ def nondegenerate_check(records: Sequence[GeodesicRecord], n: int) -> Nondegener
     return NondegenerateReport(total, target, passed=total == target, consistent_with_full=consistent)
 
 
-def _rounded_linear_index(rec: GeodesicRecord, iterate: int) -> int:
-    """Nearest integer to iterate * mean_index with the parity of the initial
-    index, ties broken downward.
-
-    With mean_index = p/r and t = p*iterate/r, the candidates are the largest
-    ``low`` <= t of the right parity and low + 2; ``low`` wins iff
-    t - low <= low + 2 - t, that is 2*p*iterate <= (2*low + 2)*r.
-    """
-    p, r = rec.mean_index.as_integer_ratio()
+def _rounded_linear_index(p: int, r: int, parity: int, iterate: int) -> int:
+    """Nearest integer to t = iterate * p/r of the given parity, ties broken
+    downward: the candidates are the largest ``low`` <= t of that parity and
+    low + 2, and ``low`` wins iff t - low <= low + 2 - t, that is
+    2*p*iterate <= (2*low + 2)*r.  The winner lies within 1 <= 2n of t, so with
+    p/r the mean index and the initial index's parity, a rounded-linear index
+    meets the parity rule and the deviation bound by construction."""
     low = p * iterate // r
-    if low % 2 != rec.initial_index % 2:
+    if low % 2 != parity:
         low -= 1
     return low if 2 * p * iterate <= (2 * low + 2) * r else low + 2
 
 
-def _check_model(model, records: Sequence[GeodesicRecord] = ()) -> None:
-    """Refuse a bad index model before any iterate is visited: a name other
-    than "rounded-linear", or a label mapping that lacks one of ``records``."""
-    if isinstance(model, Mapping):
-        for rec in records:
-            if rec.label not in model:
+def _index_model(model, n: int) -> Callable[[GeodesicRecord], Callable[[int], int]]:
+    """Check an index model whole, before any record is looked at, and return
+    the map from a record to its ``iterate -> index`` function.  A model is
+    "rounded-linear", a list or tuple of the indices of the odd iterates
+    1, 3, 5, ..., or a mapping from labels to either.  An explicit index must
+    be an integer; it is checked against the parity rule and the deviation
+    bound 2n when its iterate is visited."""
+    mapped = isinstance(model, Mapping)
+    entries = model if mapped else {None: model}
+    for label, entry in entries.items():
+        where = f"{label}: " if mapped else ""
+        if isinstance(entry, (list, tuple)):
+            for j, value in enumerate(entry):
+                check_int(value, f"{where}explicit index at iterate {2 * j + 1}")
+        elif not isinstance(entry, str):  # a mapping inside a mapping included
+            raise InputError(f"{where}index model must be 'rounded-linear', a list or tuple of "
+                             f"indices{'' if mapped else ' or a mapping of labels to those'}, "
+                             f"got {entry!r}")
+        elif entry != "rounded-linear":
+            raise InputError(f"unknown index model {entry!r}")
+
+    def resolve(rec: GeodesicRecord) -> Callable[[int], int]:
+        label = rec.label if mapped else None
+        if label not in entries:
+            raise InputError(f"{rec.label}: the index model mapping has no entry for this label")
+        indices = entries[label]
+        p, r = rec.mean_index.as_integer_ratio()
+        parity = rec.initial_index % 2
+        if isinstance(indices, str):
+            return partial(_rounded_linear_index, p, r, parity)
+
+        def explicit(iterate: int) -> int:
+            if (iterate - 1) // 2 >= len(indices):
                 raise InputError(
-                    f"{rec.label}: the index model mapping has no entry for this label"
-                )
-            _check_model(model[rec.label])
-    elif isinstance(model, str) and model != "rounded-linear":
-        raise InputError(f"unknown index model {model!r}")
+                    f"{rec.label}: explicit index sequence too short for iterate {iterate}")
+            value = indices[(iterate - 1) // 2]
+            if value % 2 != parity:
+                raise InputError(
+                    f"{rec.label}: index {value} at iterate {iterate} breaks the parity rule")
+            if abs(value * r - p * iterate) > 2 * n * r:
+                raise InputError(f"{rec.label}: index {value} at iterate {iterate} deviates "
+                                 f"from {rec.mean_index * iterate} by more than {2 * n}")
+            return value
 
+        return explicit
 
-def _index_at(
-    rec: GeodesicRecord,
-    n: int,
-    iterate: int,
-    model,
-) -> int:
-    if isinstance(model, str):
-        value = _rounded_linear_index(rec, iterate)
-    else:
-        position = (iterate - 1) // 2
-        if position >= len(model):
-            raise InputError(
-                f"{rec.label}: explicit index sequence too short for iterate {iterate}"
-            )
-        value = model[position]
-    if value % 2 != rec.initial_index % 2:
-        raise InputError(
-            f"{rec.label}: index {value} at iterate {iterate} breaks the parity rule"
-        )
-    p, r = rec.mean_index.as_integer_ratio()
-    if abs(value * r - p * iterate) > 2 * n * r:
-        raise InputError(
-            f"{rec.label}: index {value} at iterate {iterate} deviates from "
-            f"{rec.mean_index * iterate} by more than {2 * n}"
-        )
-    return value
+    return resolve
 
 
 def index_sequence(rec: GeodesicRecord, n: int, model, count: int) -> list[int]:
-    """Morse indices of the first ``count`` odd iterates 1, 3, 5, ...
-
-    ``model`` is either the string "rounded-linear" or an explicit list of
-    indices for the odd iterates; both are validated against the parity rule
-    and the linear-growth deviation bound.
-    """
+    """Morse indices of the first ``count`` odd iterates 1, 3, 5, ... under
+    ``model``, as :func:`_index_model` reads it."""
+    check_n(n)
     check_count(count, "count")
-    _check_model(model)
-    return [_index_at(rec, n, 2 * j + 1, model) for j in range(count)]
+    index = _index_model(model, n)(rec)
+    return [index(2 * j + 1) for j in range(count)]
 
 
 class MorseTruncation(Record):
@@ -233,29 +257,28 @@ def morse_truncation(
     type numbers repeating along the period.  Iterate 2m - 1 + s * period is
     visited while mean_index * iterate - 2n <= q, since the deviation bound
     puts every later index above q; the visits are counted up front and more
-    than ``MORSE_ITERATE_BUDGET`` raise ``InputError``.  ``model`` may be a
-    mapping from labels to explicit index sequences.
+    than ``MORSE_ITERATE_BUDGET`` raise ``InputError``.  ``model`` is read
+    as in :func:`index_sequence`; a bad one, or a label it lacks, is refused
+    before any record's l-range is checked.
     """
+    check_n(n)
     check_count(q, "truncation degree")
-    _check_model(model, records)
+    resolve = _index_model(model, n)
     slots = []
-    for rec in records:
+    for rec, index in [(rec, resolve(rec)) for rec in records]:
         _check_l_range(rec, n)
-        rec_model = model[rec.label] if isinstance(model, Mapping) else model
         for (m, l), k in rec.type_numbers.items():
             if k:
                 last = floor(((q + 2 * n) / rec.mean_index - (2 * m - 1)) / rec.period)
-                slots.append((rec, rec_model, 2 * m - 1, l, k, max(last + 1, 0)))
+                slots.append((index, 2 * m - 1, rec.period, l, k, max(last + 1, 0)))
     total = sum(slot[-1] for slot in slots)
     if total > MORSE_ITERATE_BUDGET:
-        raise InputError(
-            f"truncation degree {q} needs {total} iterates, more than the "
-            f"budget of {MORSE_ITERATE_BUDGET}"
-        )
+        raise InputError(f"truncation degree {q} needs {total} iterates, more than the "
+                         f"budget of {MORSE_ITERATE_BUDGET}")
     counts = [0] * (q + 1)
-    for rec, rec_model, first, l, k, count in slots:
-        for s in range(count):
-            h = l + _index_at(rec, n, first + s * rec.period, rec_model)
+    for index, first, period, l, k, count in slots:
+        for iterate in range(first, first + count * period, period):
+            h = l + index(iterate)
             if h <= q:
                 counts[h] += k
     alternating = sum(-c if h % 2 else c for h, c in enumerate(counts))
@@ -263,9 +286,7 @@ def morse_truncation(
     return MorseTruncation(tuple(counts), alternating, average)
 
 
-RECORD_KEYS = {
-    "label", "initial_index", "mean_index", "period", "type_numbers", "nullities", "nondegenerate"
-}
+RECORD_KEYS = frozenset(GeodesicRecord._fields)
 
 
 def _check_keys(label, what: str, obj: dict, allowed: set[str]) -> None:

@@ -15,7 +15,6 @@ iff g (1 - t^P) is a polynomial h / c; each period then adds h(1) / c to S_N.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .ring import InputError, Record, check_count, check_n
@@ -161,6 +160,8 @@ def expand(r: RationalSeries, n_terms: int) -> TruncatedSeries:
         if isinstance(acc, int) and acc % den0 == 0:
             coeffs.append(acc // den0)
         else:
+            from fractions import Fraction  # only here: it loads decimal and numbers
+
             value = Fraction(acc) / den0
             coeffs.append(int(value) if value.denominator == 1 else value)
     return TruncatedSeries(tuple(coeffs))
@@ -219,6 +220,8 @@ def average_alternating(r: RationalSeries) -> Fraction:
     the poles of r(-t), all roots of unity of order dividing P = 2 lcm(e_i),
     must be simple; the limit is then h(1) / (P c) (see the module docstring).
     """
+    from fractions import Fraction
+
     exponents, rest = _cyclic_factors(r.denominator)
     if len(rest) > 1:
         raise NonQuasilinearError(f"non-quasilinear series: denominator factor "

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import floor
 
@@ -6,7 +7,7 @@ import pytest
 
 from loopbv.resonance import (
     GeodesicRecord,
-    _index_at,
+    _index_model,
     _rounded_linear_index,
     index_sequence,
     load_problem,
@@ -330,8 +331,10 @@ def test_integer_index_arithmetic_matches_fraction_oracle():
         iterate = 2 * rng.randint(0, 400) + 1
         want = fraction_rounded_index(rec, iterate)
         ties += mean * iterate - (want - 1) == 1  # t sits midway between two candidates
-        assert _rounded_linear_index(rec, iterate) == want, (mean, rec.initial_index, iterate)
-        assert _index_at(rec, n, iterate, "rounded-linear") == want
+        p, r = mean.as_integer_ratio()
+        assert _rounded_linear_index(p, r, rec.initial_index % 2, iterate) == want, (
+            mean, rec.initial_index, iterate)
+        assert _index_model("rounded-linear", n)(rec)(iterate) == want
         # an explicit index of the right parity, near the line or past the bound
         value = want + 2 * rng.randint(-2 * n, 2 * n)
         explicit = [value] * ((iterate - 1) // 2 + 1)
@@ -340,8 +343,171 @@ def test_integer_index_arithmetic_matches_fraction_oracle():
             message = (f"c: index {value} at iterate {iterate} deviates from "
                        f"{mean * iterate} by more than {2 * n}")
             with pytest.raises(InputError) as err:
-                _index_at(rec, n, iterate, explicit)
+                _index_model(explicit, n)(rec)(iterate)
             assert str(err.value) == message
         else:
-            assert _index_at(rec, n, iterate, explicit) == value
+            assert _index_model(explicit, n)(rec)(iterate) == value
     assert ties >= 100 and deviations >= 100, (ties, deviations)
+
+
+ENTRY_POINTS = {
+    "index_sequence": lambda rec, n: index_sequence(rec, n, "rounded-linear", 3),
+    "mean_euler": lambda rec, n: mean_euler(rec, n),
+    "morse_truncation": lambda rec, n: morse_truncation([rec], n, 5),
+    "nondegenerate_check": lambda rec, n: nondegenerate_check([rec], n),
+    "resonance_check": lambda rec, n: resonance_check([rec], n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 1.5], ids=["zero", "negative", "bool", "float"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bad_n(entry, n):
+    rec = nondegenerate_record("c", 0, 1)
+    with pytest.raises(InputError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+        ENTRY_POINTS[entry](rec, n)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("type_numbers", 5, "c: type numbers must map (m, l) pairs to k, got 5"),
+        ("type_numbers", [((1, 0), 1)],
+         "c: type numbers must map (m, l) pairs to k, got [((1, 0), 1)]"),
+        ("type_numbers", {1: 1}, "c: type-number slot must be an (m, l) pair, got 1"),
+        ("type_numbers", {(1, 0, 0): 1},
+         "c: type-number slot must be an (m, l) pair, got (1, 0, 0)"),
+        ("mean_index", "x", "c: mean index must be a finite rational, got 'x'"),
+        ("mean_index", float("nan"), "c: mean index must be a finite rational, got nan"),
+        ("mean_index", float("inf"), "c: mean index must be a finite rational, got inf"),
+        ("mean_index", float("-inf"), "c: mean index must be a finite rational, got -inf"),
+        ("mean_index", None, "c: mean index must be a finite rational, got None"),
+        ("mean_index", True, "c: mean index must be a finite rational, got True"),
+        ("mean_index", "1/0", "c: mean index must be a finite rational, got '1/0'"),
+        ("nullities", 5, "c: nullities must be a list or tuple, got 5"),
+        ("nullities", {0: 1}, "c: nullities must be a list or tuple, got {0: 1}"),
+    ],
+    ids=["int-type-numbers", "list-type-numbers", "int-slot", "triple-slot", "string-mean",
+         "nan-mean", "inf-mean", "minus-inf-mean", "none-mean", "bool-mean", "zero-denominator",
+         "int-nullities", "dict-nullities"],
+)
+def test_record_refuses_malformed_fields(field, value, message):
+    fields = dict(label="c", initial_index=0, mean_index=Fraction(1), period=2,
+                  type_numbers={(1, 0): 1})
+    fields[field] = value
+    with pytest.raises(InputError) as err:
+        GeodesicRecord(**fields)
+    assert str(err.value) == message
+
+
+def test_record_reads_any_finite_rational_mean_index():
+    for value in ("4/3", 1.5, 2, Fraction(4, 3)):
+        rec = GeodesicRecord("c", 0, value, 2, nullities=[0])
+        assert rec.mean_index == Fraction(value) and type(rec.mean_index) is Fraction
+
+
+def test_index_sequence_takes_a_label_mapping():
+    rec = GeodesicRecord("c", 0, Fraction(1), 2, {(1, 0): 1})
+    assert index_sequence(rec, 1, {"c": [0, 2]}, 2) == [0, 2]
+    assert index_sequence(rec, 1, {"c": "rounded-linear"}, 3) == [0, 2, 4]
+    with pytest.raises(InputError, match="^c: the index model mapping has no entry"):
+        index_sequence(rec, 1, {"d": [0, 2]}, 2)
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (5, "index model must be 'rounded-linear', a list or tuple of indices or a mapping "
+            "of labels to those, got 5"),
+        (None, "index model must be 'rounded-linear', a list or tuple of indices or a "
+               "mapping of labels to those, got None"),
+        (range(0, 20, 2), "index model must be 'rounded-linear', a list or tuple of "
+                          "indices or a mapping of labels to those, got range(0, 20, 2)"),
+        ({"c": {"c": [0]}}, "c: index model must be 'rounded-linear', a list or tuple of "
+                            "indices, got {'c': [0]}"),
+        ({"c": None}, "c: index model must be 'rounded-linear', a list or tuple of indices, "
+                      "got None"),
+        ([0, 2.0], "explicit index at iterate 3 must be an integer, got 2.0"),
+        ([0.0], "explicit index at iterate 1 must be an integer, got 0.0"),
+        ((True, 2), "explicit index at iterate 1 must be an integer, got True"),
+        ({"c": [0, 2], "zz": [0, True]}, "zz: explicit index at iterate 3 must be an integer, "
+                                         "got True"),
+        ({"c": "linear"}, "unknown index model 'linear'"),
+    ],
+    ids=["int", "none", "range", "nested-mapping", "none-in-mapping", "float-entry",
+         "float-zero", "bool-entry", "bool-under-other-label", "unknown-name-in-mapping"],
+)
+def test_index_model_is_refused_before_any_iterate(model, message):
+    rec = GeodesicRecord("c", 0, Fraction(1), 2, {(1, 0): 1})
+    for call in (
+        lambda: index_sequence(rec, 1, model, 0),
+        lambda: morse_truncation([], 1, 5, model=model),
+        lambda: morse_truncation([rec], 1, 0, model=model),
+        # the model is refused before the l-range check and the iterate budget
+        lambda: morse_truncation([GeodesicRecord("c", 0, 1, 2, {(1, 9): 1})], 1, 5, model=model),
+        lambda: morse_truncation([nondegenerate_record("c", 0, Fraction(1, 10**6))], 1, 5,
+                                 model=model),
+    ):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def random_record(rng, label, n, mean=None, parity=None):
+    period = rng.choice((2, 4, 6))
+    if mean is None:
+        den = rng.randint(1, 6)
+        mean = Fraction(rng.randint(1, 40 * den), den)
+    initial = 2 * rng.randint(0, 3) + (rng.randint(0, 1) if parity is None else parity)
+    slots = {(rng.randint(1, period // 2), rng.randint(0, 4 * n)): rng.randint(0, 3)
+             for _ in range(rng.randint(1, 4))}
+    return GeodesicRecord(label, initial, mean, period, slots)
+
+
+def random_explicit(rng, rec, n, horizon):
+    """Indices for the odd iterates up to ``horizon`` / mean_index, each of the
+    initial index's parity, nonnegative and within 2n of iterate * mean_index."""
+    out = []
+    for iterate in range(1, int(horizon / rec.mean_index) + 3, 2):
+        t = rec.mean_index * iterate
+        out.append(rng.choice([v for v in range(floor(t - 2 * n), floor(t + 2 * n) + 1)
+                               if v >= 0 and v % 2 == rec.initial_index % 2
+                               and abs(v - t) <= 2 * n]))
+    return out
+
+
+def recount(records, n, q, index_of):
+    """Morse counts w_0..w_q iterate by iterate, reading each index through
+    ``index_of(rec, iterate)``; it visits past the last iterate that can land
+    at or below q, which must add nothing."""
+    counts = [0] * (q + 1)
+    for rec in records:
+        for (m, l), k in rec.type_numbers.items():
+            iterate = 2 * m - 1
+            while rec.mean_index * iterate <= q + 4 * n:
+                h = l + index_of(rec, iterate)
+                if h <= q:
+                    counts[h] += k
+                iterate += rec.period
+    return tuple(counts)
+
+
+def test_morse_counts_match_a_reference_recount():
+    rng = random.Random(18)
+    for trial in range(60):
+        n, q = rng.randint(1, 3), rng.randint(0, 300)
+        records = [random_record(rng, f"g{i}", n) for i in range(rng.randint(1, 3))]
+        got = morse_truncation(records, n, q)
+        assert got.counts == recount(records, n, q, fraction_rounded_index), trial
+        assert got == morse_truncation(records, n, q, model={r.label: "rounded-linear"
+                                                              for r in records})
+        lists = {r.label: random_explicit(rng, r, n, q + 4 * n) for r in records}
+        want = recount(records, n, q, lambda rec, it: lists[rec.label][(it - 1) // 2])
+        assert morse_truncation(records, n, q, model=lists).counts == want, trial
+        # one list shared by records of one mean index and parity
+        first = records[0]
+        shared = [random_record(rng, f"s{i}", n, first.mean_index, first.initial_index % 2)
+                  for i in range(rng.randint(1, 3))]
+        indices = random_explicit(rng, first, n, q + 4 * n)
+        want = recount(shared, n, q, lambda rec, it: indices[(it - 1) // 2])
+        assert morse_truncation(shared, n, q, model=indices).counts == want, trial
+        assert morse_truncation(shared, n, q, model=tuple(indices)).counts == want, trial

@@ -1,6 +1,7 @@
 """Start-up cost: each command-line call loads only the package modules it
-runs, nothing loads ``dataclasses``, and the package resolves its public
-names on first access.  Each check runs in a fresh interpreter."""
+runs, nothing loads ``dataclasses``, only the subcommands that print
+rationals load ``fractions``, and the package resolves its public names on
+first access.  Each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -14,12 +15,13 @@ import pytest
 ROOT = pathlib.Path(__file__).parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "resonance_n2.json"
 
-# runs CODE, then prints the loaded loopbv modules and whether dataclasses is loaded
+# runs CODE, then prints the loaded loopbv modules and whether dataclasses and
+# fractions are loaded
 PROBE = """
 import contextlib, io, json, sys
 {code}
 print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "loopbv"),
-                  "dataclasses" in sys.modules]))
+                  "dataclasses" in sys.modules, "fractions" in sys.modules]))
 """
 
 RUN_MAIN = """
@@ -39,6 +41,8 @@ SUBCOMMANDS = {
     "verify": (["verify", "--n", "1", "--max-degree", "12", "--samples", "5"], ENGINE),
     "resonance": (["resonance", "--input", str(FIXTURE)], ["loopbv.resonance"]),
 }
+# fractions loads decimal and numbers; only these subcommands build a Fraction
+LOADS_FRACTIONS = {"resonance", "series"}
 
 
 def probe(code: str, *python_args: str):
@@ -56,36 +60,42 @@ def bare_has_dataclasses():
     return probe("pass")[1]
 
 
+def test_bare_interpreter_loads_no_fractions():
+    assert probe("pass")[2] is False
+
+
 def test_import_cli_loads_only_ring(bare_has_dataclasses):
-    modules, dataclasses = probe("import loopbv.cli")
+    modules, dataclasses, fractions = probe("import loopbv.cli")
     assert modules == BASE
     assert dataclasses == bare_has_dataclasses
+    assert fractions is False
 
 
 @pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
 def test_subcommand_loads_only_its_modules(sub, bare_has_dataclasses):
     argv, extra = SUBCOMMANDS[sub]
-    modules, dataclasses = probe(RUN_MAIN.format(argv=argv))
+    modules, dataclasses, fractions = probe(RUN_MAIN.format(argv=argv))
     assert modules == sorted(BASE + extra)
     assert dataclasses == bare_has_dataclasses
+    assert fractions == (sub in LOADS_FRACTIONS)
 
 
 def test_import_loopbv_loads_nothing_until_a_name_is_used():
-    modules, _ = probe("import loopbv; assert loopbv.__version__")
+    modules = probe("import loopbv; assert loopbv.__version__")[0]
     assert modules == ["loopbv"]
-    modules, _ = probe(
+    modules = probe(
         "import loopbv\n"
         "from loopbv.ring import element, generator\n"
         "assert loopbv.delta(element(), loopbv.AlgebraConfig(1)).is_zero()\n"
         "assert loopbv.delta is sys.modules['loopbv.bv'].delta\n"
         "assert loopbv.spectral is sys.modules['loopbv.spectral']"
-    )
+    )[0]
     assert modules == ["loopbv", "loopbv.bv", "loopbv.gf2", "loopbv.ring", "loopbv.series",
                        "loopbv.spectral"]
 
 
 def test_the_whole_package_never_loads_dataclasses(bare_has_dataclasses):
-    modules, dataclasses = probe("from loopbv import *")
+    modules, dataclasses, _ = probe("from loopbv import *")
     assert modules == ["loopbv", "loopbv.bv", "loopbv.gf2", "loopbv.resonance", "loopbv.ring",
                        "loopbv.series", "loopbv.spectral"]
     assert dataclasses == bare_has_dataclasses
