@@ -20,8 +20,9 @@ from typing import Callable, Mapping, Sequence
 
 from .ring import InputError, Record, check_count, check_int, check_n
 
-# most iterates morse_truncation visits in one call; the count grows with
-# q / mean_index, so a tiny mean index would otherwise run for minutes
+# most iterates morse_truncation visits in one call, and most count slots
+# q + 1 it allocates; the iterates grow with q / mean_index, so a tiny mean
+# index would otherwise run for minutes, and a huge q exhaust memory
 MORSE_ITERATE_BUDGET = 10**6
 
 
@@ -185,16 +186,17 @@ def _index_model(model, n: int) -> Callable[[GeodesicRecord], Callable[[int], in
     """Check an index model whole, before any record is looked at, and return
     the map from a record to its ``iterate -> index`` function.  A model is
     "rounded-linear", a list or tuple of the indices of the odd iterates
-    1, 3, 5, ..., or a mapping from labels to either.  An explicit index must
-    be an integer; it is checked against the parity rule and the deviation
-    bound 2n when its iterate is visited."""
+    1, 3, 5, ..., or a mapping from labels to either.  An explicit index is a
+    count, like the initial index, so it must be a nonnegative integer; it is
+    checked against the parity rule and the deviation bound 2n when its
+    iterate is visited."""
     mapped = isinstance(model, Mapping)
     entries = model if mapped else {None: model}
     for label, entry in entries.items():
         where = f"{label}: " if mapped else ""
         if isinstance(entry, (list, tuple)):
             for j, value in enumerate(entry):
-                check_int(value, f"{where}explicit index at iterate {2 * j + 1}")
+                check_count(value, f"{where}explicit index at iterate {2 * j + 1}")
         elif not isinstance(entry, str):  # a mapping inside a mapping included
             raise InputError(f"{where}index model must be 'rounded-linear', a list or tuple of "
                              f"indices{'' if mapped else ' or a mapping of labels to those'}, "
@@ -257,13 +259,18 @@ def morse_truncation(
     type numbers repeating along the period.  Iterate 2m - 1 + s * period is
     visited while mean_index * iterate - 2n <= q, since the deviation bound
     puts every later index above q; the visits are counted up front and more
-    than ``MORSE_ITERATE_BUDGET`` raise ``InputError``.  ``model`` is read
-    as in :func:`index_sequence`; a bad one, or a label it lacks, is refused
-    before any record's l-range is checked.
+    than ``MORSE_ITERATE_BUDGET`` raise ``InputError``, as do more than
+    ``MORSE_ITERATE_BUDGET`` count slots q + 1, before any is allocated.
+    ``model`` is read as in :func:`index_sequence`; a bad one is refused
+    before the count slots are, and a label it lacks before any record's
+    l-range is checked.
     """
     check_n(n)
     check_count(q, "truncation degree")
     resolve = _index_model(model, n)
+    if q + 1 > MORSE_ITERATE_BUDGET:
+        raise InputError(f"truncation degree {q} needs {q + 1} count slots, more than the "
+                         f"budget of {MORSE_ITERATE_BUDGET}")
     slots = []
     for rec, index in [(rec, resolve(rec)) for rec in records]:
         _check_l_range(rec, n)

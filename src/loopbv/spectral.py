@@ -29,9 +29,12 @@ as it is bound when the function is called, so rebinding ``bv.delta`` (to
 count its calls, say) keeps the periodic path.
 
 ``verify_collapse`` turns the same period into a certificate for every
-degree.  For ``bv.delta`` each column repeats with period 4n after a head
-of three entries, so it is P / (1 - t^(4n)) with deg P <= 4n+2, and the sum
-of the two page series is N / ((1 - t^(4n)) (1 - t^2)) with
+degree.  It reads the pages themselves: it compares the sum of the series
+of the two third pages that ``e3_page`` builds, as ``page_series`` gives
+them, with the closed form, and the contractible third page with
+``e2_page``.  For ``bv.delta`` each column repeats with period 4n after a
+head of three entries, so it is P / (1 - t^(4n)) with deg P <= 4n+2, and
+the sum of the two page series is N / ((1 - t^(4n)) (1 - t^2)) with
 deg N <= 4n+4.  It equals the closed form num/den in every degree iff
 N den - num (1 - t^(4n)) (1 - t^2) = 0, a polynomial of degree at most
 K = max(4n+4 + deg den, deg num + 4n+2), so agreement of the coefficients
@@ -166,47 +169,10 @@ def _per_fiber_degree(cfg: SSConfig, value: Callable[[int], int], periodic: bool
     return [known[i if i < HEAD else HEAD + (i - HEAD) % period] for i in range(len(qs))]
 
 
-def _fiber_dims(cfg: SSConfig) -> list[int]:
-    """Fiber dimensions indexed by q + (2n+1) over :func:`_q_range`."""
-    return _per_fiber_degree(cfg, lambda q: dimension(cfg.algebra, cfg.comp, q), True)
-
-
-def _e3_columns(cfg: SSConfig, delta_fn: DeltaFn | None) -> tuple[list[int], list[int], list[int]]:
-    """Fiber dimensions, E3 column 0 and E3 column p >= 1, indexed like
-    :func:`_fiber_dims`.
-
-    Column 0 drops the incoming rank at q-1, columns p >= 1 also the outgoing
-    rank at q.  Nothing sits below the bottom fiber degree, so the incoming
-    rank there is zero.  Ranks are tiled from one period for ``bv.delta``
-    alone (see the module docstring).
-    """
-    dims = _fiber_dims(cfg)
-    delta_fn = delta_fn or bv.delta
-    ranks = _per_fiber_degree(
-        cfg, lambda q: d2_rank(cfg.algebra, cfg.comp, q, delta_fn), delta_fn is bv.delta
-    )
-    first = [d - r for d, r in zip(dims, [0] + ranks)]
-    rest = [d - r for d, r in zip(first, ranks)]
-    return dims, first, rest
-
-
-def _column_series(first: list[int], rest: list[int]) -> list[int]:
-    """Coefficients of the page series through the cutoff, in O(D).
-
-    Degree k collects column 0 at index k and column p >= 1 at every index
-    k - 2p >= 0, a running sum over the indices of k's parity.
-    """
-    coeffs = list(first)
-    tails = [0, 0]
-    for k in range(2, len(coeffs)):
-        tails[k % 2] += rest[k - 2]
-        coeffs[k] += tails[k % 2]
-    return coeffs
-
-
 def e2_page(cfg: SSConfig) -> Page:
-    """Second page: every column repeats the fiber dimensions."""
-    dims = _fiber_dims(cfg)
+    """Second page: every column repeats the fiber dimensions, tiled from one
+    period (see the module docstring)."""
+    dims = _per_fiber_degree(cfg, lambda q: dimension(cfg.algebra, cfg.comp, q), True)
     return Page(2, cfg.algebra.dim, cfg.max_top_degree, dims, dims)
 
 
@@ -252,10 +218,18 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
 
     Column 0 has no outgoing differential, so only incoming images are
     removed there; columns p >= 1 drop both the rank at q and the incoming
-    rank at q-1.  Ranks are computed once per fiber degree and reused across
-    columns.
+    rank at q-1.  Nothing sits below the bottom fiber degree, so the incoming
+    rank there is zero.  Ranks are computed once per fiber degree and reused
+    across columns, and tiled from one period for ``bv.delta`` alone (see the
+    module docstring).
     """
-    _, first, rest = _e3_columns(cfg, delta_fn)
+    dims = e2_page(cfg).first
+    delta_fn = delta_fn or bv.delta
+    ranks = _per_fiber_degree(
+        cfg, lambda q: d2_rank(cfg.algebra, cfg.comp, q, delta_fn), delta_fn is bv.delta
+    )
+    first = [d - r for d, r in zip(dims, [0] + ranks)]
+    rest = [d - r for d, r in zip(first, ranks)]
     return Page(3, cfg.algebra.dim, cfg.max_top_degree, first, rest)
 
 
@@ -268,9 +242,19 @@ def _check_fits(page: Page, cfg: SSConfig) -> None:
 
 
 def page_series(page: Page, cfg: SSConfig) -> series.TruncatedSeries:
-    """Poincaré series of a page in the topological grading, through the cutoff."""
+    """Poincaré series of a page in the topological grading, through the
+    cutoff, in O(D).
+
+    Degree k collects column 0 at index k and column p >= 1 at every index
+    k - 2p >= 0, a running sum over the indices of k's parity.
+    """
     _check_fits(page, cfg)
-    return series.TruncatedSeries(tuple(_column_series(page.first, page.rest)))
+    coeffs = list(page.first)
+    tails = [0, 0]
+    for k in range(2, len(coeffs)):
+        tails[k % 2] += page.rest[k - 2]
+        coeffs[k] += tails[k % 2]
+    return series.TruncatedSeries(tuple(coeffs))
 
 
 class CollapseReport(Record):
@@ -294,19 +278,16 @@ class CollapseReport(Record):
 
 
 def _compare(
-    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn
+    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn, total: series.RationalSeries
 ) -> tuple[bool, tuple, tuple, tuple | None]:
-    """Page-series comparison through degree ``top``: (e_page_stable,
-    computed, expected, first_mismatch) as :class:`CollapseReport` holds them."""
-    dims_e, first_e, rest_e = _e3_columns(SSConfig(cfg, Component.E, top), delta_fn)
-    _, first_g, rest_g = _e3_columns(SSConfig(cfg, Component.G, top), delta_fn)
-    # the top two fiber degrees have no cell in columns p >= 1
-    size = max(top - 1, 0)
-    e_stable = first_e == dims_e and rest_e[:size] == dims_e[:size]
-    computed = tuple(
-        a + b for a, b in zip(_column_series(first_e, rest_e), _column_series(first_g, rest_g))
-    )
-    expected = series.expand(series.total_series(cfg.n), top).coefficients
+    """Page comparison through degree ``top``: (e_page_stable, computed,
+    expected, first_mismatch) as :class:`CollapseReport` holds them."""
+    ss_e, ss_g = SSConfig(cfg, Component.E, top), SSConfig(cfg, Component.G, top)
+    e2_e, e3_e, e3_g = e2_page(ss_e), e3_page(ss_e, delta_fn), e3_page(ss_g, delta_fn)
+    e_stable = (e3_e.first, e3_e.rest) == (e2_e.first, e2_e.rest)
+    series_e, series_g = page_series(e3_e, ss_e), page_series(e3_g, ss_g)
+    computed = tuple(a + b for a, b in zip(series_e.coefficients, series_g.coefficients))
+    expected = series.expand(total, top).coefficients
     first_mismatch = next(
         ((k, got, want) for k, (got, want) in enumerate(zip(computed, expected)) if got != want),
         None,
@@ -322,26 +303,27 @@ def verify_collapse(
     """Certify collapse by comparing page series against the known total.
 
     The contractible component must keep its second page, and the sum of the
-    two third-page series must equal the closed form for the full loop space.
-    Matching dimensions leave no room for further differentials, which is the
-    whole certificate.  For ``bv.delta`` the comparison is first run to the
-    degree bound K = max(4n+4 + deg den, deg num + 4n+2) of the closed form
-    num/den; a pass there proves collapse in every degree (see the module
-    docstring), and the tuples are the closed form's expansion.  Otherwise,
-    or if that proof fails, the series are compared through the cutoff.
+    series of the two third pages that :func:`e3_page` builds must equal the
+    closed form for the full loop space.  Matching dimensions leave no room
+    for further differentials, which is the whole certificate.  For
+    ``bv.delta`` the comparison is first run to the degree bound
+    K = max(4n+4 + deg den, deg num + 4n+2) of the closed form num/den; a
+    pass there proves collapse in every degree (see the module docstring),
+    and the tuples are the closed form's expansion.  Otherwise, or if that
+    proof fails, the pages are compared through the cutoff.
     """
     # built first: a negative cutoff is reported as such before any work
     SSConfig(cfg, Component.E, max_top_degree)
     delta_fn = delta_fn or bv.delta
+    total = series.total_series(cfg.n)
     if delta_fn is bv.delta:
-        total = series.total_series(cfg.n)
         deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1
         bound = max(4 * cfg.n + 4 + deg_den, deg_num + 4 * cfg.n + 2)
-        stable, *_, mismatch = _compare(cfg, bound, delta_fn)
+        stable, *_, mismatch = _compare(cfg, bound, delta_fn, total)
         if stable and mismatch is None:
             expected = series.expand(total, max_top_degree).coefficients
             return CollapseReport(cfg, max_top_degree, True, expected, expected, None, True)
-    return CollapseReport(cfg, max_top_degree, *_compare(cfg, max_top_degree, delta_fn))
+    return CollapseReport(cfg, max_top_degree, *_compare(cfg, max_top_degree, delta_fn, total))
 
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:

@@ -537,6 +537,21 @@ def test_resonance_morse_over_iterate_budget_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_resonance_morse_over_slot_budget_exits_two(tmp_path, capsys):
+    # five iterates, but 10^9 + 1 count slots: refused before any is allocated
+    fast = tmp_path / "fast.json"
+    fast.write_text(json.dumps({
+        "n": 1,
+        "geodesics": [{"label": "fast", "initial_index": 0, "mean_index": "1000000",
+                       "period": 2, "type_numbers": [{"m": 1, "l": 0, "k": 1}]}],
+    }))
+    code, out, err = run(capsys, "resonance", "--input", str(fast), "--morse", "1000000000")
+    assert code == 2
+    assert out == ""
+    assert "1000000001 count slots" in err
+    assert "Traceback" not in err
+
+
 def test_identical_invocations_are_byte_stable(capsys):
     argv = ["pages", "--n", "1", "--component", "both", "--max-degree", "16",
             "--format", "json"]

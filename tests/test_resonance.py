@@ -6,6 +6,7 @@ from math import floor
 import pytest
 
 from loopbv.resonance import (
+    MORSE_ITERATE_BUDGET,
     GeodesicRecord,
     _index_model,
     _rounded_linear_index,
@@ -256,6 +257,35 @@ def test_morse_truncation_over_iterate_budget_names_the_count():
         morse_truncation(records, 1, 100)
 
 
+def test_morse_truncation_counts_the_q_slots_against_the_budget():
+    # q + 1 count slots are allocated: more than the budget is refused before
+    # any is, with no record or with few iterates alike
+    top = MORSE_ITERATE_BUDGET - 1
+    assert len(morse_truncation([], 1, top).counts) == MORSE_ITERATE_BUDGET
+    for records, q in (
+        ([], top + 1),
+        ([], 10**9),
+        ([nondegenerate_record("c", 0, 10**6)], 10**7),
+        ([nondegenerate_record("c", 0, 10**6)], 10**9),
+    ):
+        message = (f"truncation degree {q} needs {q + 1} count slots, more than the "
+                   f"budget of {MORSE_ITERATE_BUDGET}")
+        with pytest.raises(InputError) as err:
+            morse_truncation(records, 1, q)
+        assert str(err.value) == message
+
+
+def test_negative_explicit_index_is_refused_with_the_model():
+    # index -2 used to wrap around to the last count slot
+    rec = nondegenerate_record("c", 0, 1)
+    with pytest.raises(InputError) as err:
+        morse_truncation([rec], 2, 10, model={"c": [-2] + [2 * j for j in range(1, 30)]})
+    assert str(err.value) == "c: explicit index at iterate 1 must be nonnegative, got -2"
+    with pytest.raises(InputError) as err:
+        index_sequence(rec, 2, [-2, 2, 4], 3)
+    assert str(err.value) == "explicit index at iterate 1 must be nonnegative, got -2"
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_resonance_target_is_the_series_limit(n):
     assert resonance_check([], n).target == average_alternating(lg_series(n))
@@ -338,7 +368,13 @@ def test_integer_index_arithmetic_matches_fraction_oracle():
         # an explicit index of the right parity, near the line or past the bound
         value = want + 2 * rng.randint(-2 * n, 2 * n)
         explicit = [value] * ((iterate - 1) // 2 + 1)
-        if abs(Fraction(value) - mean * iterate) > 2 * n:
+        if value < 0:
+            # a Morse index is a count: the model itself is refused
+            with pytest.raises(InputError) as err:
+                _index_model(explicit, n)
+            message = f"explicit index at iterate 1 must be nonnegative, got {value}"
+            assert str(err.value) == message
+        elif abs(Fraction(value) - mean * iterate) > 2 * n:
             deviations += 1
             message = (f"c: index {value} at iterate {iterate} deviates from "
                        f"{mean * iterate} by more than {2 * n}")
@@ -432,9 +468,12 @@ def test_index_sequence_takes_a_label_mapping():
         ({"c": [0, 2], "zz": [0, True]}, "zz: explicit index at iterate 3 must be an integer, "
                                          "got True"),
         ({"c": "linear"}, "unknown index model 'linear'"),
+        ({"c": [0, 2], "zz": [-1]}, "zz: explicit index at iterate 1 must be nonnegative, "
+                                    "got -1"),
     ],
     ids=["int", "none", "range", "nested-mapping", "none-in-mapping", "float-entry",
-         "float-zero", "bool-entry", "bool-under-other-label", "unknown-name-in-mapping"],
+         "float-zero", "bool-entry", "bool-under-other-label", "unknown-name-in-mapping",
+         "negative-under-other-label"],
 )
 def test_index_model_is_refused_before_any_iterate(model, message):
     rec = GeodesicRecord("c", 0, Fraction(1), 2, {(1, 0): 1})

@@ -24,8 +24,6 @@ from loopbv import series, spectral
 from loopbv.spectral import (
     Page,
     SSConfig,
-    _e3_columns,
-    _fiber_dims,
     d2_matrix,
     d2_rank,
     e2_page,
@@ -141,7 +139,8 @@ def outside_ring(cfg):
 
 
 def oracle_degrees(n):
-    return sorted({0, 1, 2, 4 * n - 1, 4 * n, 4 * n + 1, 97, 200})
+    # 6n+7, 6n+8, 6n+9 sit at K-1, K, K+1 of the all-degree certificate
+    return sorted({0, 1, 2, 4 * n - 1, 4 * n, 4 * n + 1, 6 * n + 7, 6 * n + 8, 6 * n + 9, 97, 200})
 
 
 @pytest.mark.parametrize(
@@ -212,8 +211,11 @@ def test_tiled_columns_match_per_degree_columns(n):
             for limit in degrees:
                 ss = SSConfig(cfg, comp, limit)
                 dims = [dimension(cfg, comp, q) for q in range(-cfg.dim, limit - cfg.dim + 1)]
-                assert _fiber_dims(ss) == dims, (case, comp, limit)
-                assert _e3_columns(ss, bv.delta) == _e3_columns(ss, wrapped_delta), (
+                assert e2_page(ss).first == tuple(dims), (case, comp, limit)
+                # at cutoff limit + 2 the third page holds the ranks at fiber
+                # indices 0..limit in both columns
+                wide = SSConfig(cfg, comp, limit + 2)
+                assert e3_page(wide, bv.delta) == e3_page(wide, wrapped_delta), (
                     case, comp, limit,
                 )
 
