@@ -24,9 +24,17 @@ monomial of degree q+4n would need c < 0 at q) and one period of 4n degrees,
 and tiled beyond: dimensions always, since they do not depend on the
 operator, and ranks whenever the operator is ``bv.delta`` itself.  Any other
 operator, a wrapper of ``bv.delta`` included, is ranked in every fiber
-degree up to the cutoff.  A ``delta_fn`` of ``None`` stands for ``bv.delta``
-as it is bound when the function is called, so rebinding ``bv.delta`` (to
-count its calls, say) keeps the periodic path.
+degree up to the cutoff, on every call.  A ``delta_fn`` of ``None`` stands
+for ``bv.delta`` as it is bound when the function is called, so rebinding
+``bv.delta`` (to count its calls, say) keeps the periodic path.
+
+The head and period are computed once per process: dimensions once per
+(config, component) in ``_period_dims``, ranks once per (config, component,
+operator) in ``_period_ranks``, so a later page or certificate of any
+cutoff costs only the O(D) tiling.  The rank table is keyed on the
+operator's identity, so a rebound ``bv.delta`` gets entries of its own;
+anything that changes what ``bv.delta`` computes without rebinding it must
+call ``_period_ranks.cache_clear()``.
 
 ``verify_collapse`` turns the same period into a certificate for every
 degree.  It reads the pages themselves: it compares the sum of the series
@@ -40,15 +48,16 @@ N den - num (1 - t^(4n)) (1 - t^2) = 0, a polynomial of degree at most
 K = max(4n+4 + deg den, deg num + 4n+2), so agreement of the coefficients
 0..K proves it.  K >= 4n+4, so the E-stability check through K also
 covers the head and a whole period.  The one truncated comparison is
-therefore run to K, which costs O(n) rank computations whatever the cutoff;
-only the returned expansion is O(D).  Any other operator, or a failed
-proof, gets the same comparison through the cutoff D.  A page is held as
-its two columns, and emitting one costs its nonzero cells plus D, with no
-sort.
+therefore run to K, which costs O(n) rank computations whatever the cutoff,
+and none once the configuration has been ranked; only the returned
+expansion is O(D).  Any other operator, or a failed proof, gets the same
+comparison through the cutoff D.  A page is held as its two columns, and
+emitting one costs its nonzero cells plus D, with no sort.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import bv, gf2, series
@@ -155,25 +164,36 @@ def _q_range(cfg: SSConfig) -> range:
 HEAD = 2
 
 
-def _per_fiber_degree(cfg: SSConfig, value: Callable[[int], int], periodic: bool) -> list[int]:
-    """``value(q)`` over :func:`_q_range`, indexed by q + (2n+1).
+def _period_degrees(algebra: AlgebraConfig) -> range:
+    """The head and one period of 4n fiber degrees, from q = -(2n+1)."""
+    return range(-algebra.dim, -algebra.dim + HEAD + 4 * algebra.n)
 
-    A periodic quantity is evaluated over the head and one period of 4n fiber
-    degrees only and tiled through the cutoff.
-    """
-    qs = _q_range(cfg)
-    if not periodic:
-        return [value(q) for q in qs]
-    period = 4 * cfg.algebra.n
-    known = [value(q) for q in qs[:HEAD + period]]
-    return [known[i if i < HEAD else HEAD + (i - HEAD) % period] for i in range(len(qs))]
+
+@lru_cache(maxsize=None)
+def _period_dims(algebra: AlgebraConfig, comp: Component) -> tuple[int, ...]:
+    """Fiber dimensions over :func:`_period_degrees`, once per process."""
+    return tuple(dimension(algebra, comp, q) for q in _period_degrees(algebra))
+
+
+@lru_cache(maxsize=None)
+def _period_ranks(algebra: AlgebraConfig, comp: Component, delta_fn: DeltaFn) -> tuple[int, ...]:
+    """Second-differential ranks over :func:`_period_degrees`, once per
+    process and operator object; only for ``bv.delta`` as bound at the call."""
+    return tuple(d2_rank(algebra, comp, q, delta_fn) for q in _period_degrees(algebra))
+
+
+def _tile(known: tuple[int, ...], n: int, size: int) -> list[int]:
+    """The head of ``known`` and its period of 4n repeated, cut to ``size``."""
+    period = 4 * n
+    return (list(known[:HEAD]) + list(known[HEAD:]) * ((size - HEAD) // period + 1))[:size]
 
 
 def e2_page(cfg: SSConfig) -> Page:
     """Second page: every column repeats the fiber dimensions, tiled from one
     period (see the module docstring)."""
-    dims = _per_fiber_degree(cfg, lambda q: dimension(cfg.algebra, cfg.comp, q), True)
-    return Page(2, cfg.algebra.dim, cfg.max_top_degree, dims, dims)
+    top = cfg.max_top_degree
+    dims = _tile(_period_dims(cfg.algebra, cfg.comp), cfg.algebra.n, top + 1)
+    return Page(2, cfg.algebra.dim, top, dims, dims)
 
 
 def d2_matrix(
@@ -220,17 +240,19 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     removed there; columns p >= 1 drop both the rank at q and the incoming
     rank at q-1.  Nothing sits below the bottom fiber degree, so the incoming
     rank there is zero.  Ranks are computed once per fiber degree and reused
-    across columns, and tiled from one period for ``bv.delta`` alone (see the
-    module docstring).
+    across columns, and tiled from one period, ranked once per process, for
+    ``bv.delta`` alone (see the module docstring).
     """
-    dims = e2_page(cfg).first
+    algebra, comp, size = cfg.algebra, cfg.comp, cfg.max_top_degree + 1
+    dims = _tile(_period_dims(algebra, comp), algebra.n, size)
     delta_fn = delta_fn or bv.delta
-    ranks = _per_fiber_degree(
-        cfg, lambda q: d2_rank(cfg.algebra, cfg.comp, q, delta_fn), delta_fn is bv.delta
-    )
+    if delta_fn is bv.delta:
+        ranks = _tile(_period_ranks(algebra, comp, delta_fn), algebra.n, size)
+    else:
+        ranks = [d2_rank(algebra, comp, q, delta_fn) for q in _q_range(cfg)]
     first = [d - r for d, r in zip(dims, [0] + ranks)]
     rest = [d - r for d, r in zip(first, ranks)]
-    return Page(3, cfg.algebra.dim, cfg.max_top_degree, first, rest)
+    return Page(3, algebra.dim, cfg.max_top_degree, first, rest)
 
 
 def _check_fits(page: Page, cfg: SSConfig) -> None:

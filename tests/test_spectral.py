@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from loopbv.ring import (
 from loopbv.series import expand, le_series, lg_series, total_series
 from loopbv import series, spectral
 from loopbv.spectral import (
+    CollapseReport,
     Page,
     SSConfig,
     d2_matrix,
@@ -66,28 +68,33 @@ def dense_cells(cfg):
             yield p, q
 
 
-def dense_e2(cfg):
-    """Reference second page entries: one dimension lookup per cell."""
+def dense_tables(algebra, comp, delta_fn, top):
+    """Reference fiber data through cutoff ``top``: one ``dimension`` and one
+    ``d2_rank`` call per fiber degree from one below the bottom, shared by the
+    pages of every cutoff up to ``top``."""
+    qs = range(-algebra.dim - 1, top - algebra.dim + 1)
+    return (
+        {q: dimension(algebra, comp, q) for q in qs},
+        {q: d2_rank(algebra, comp, q, delta_fn) for q in qs},
+    )
+
+
+def dense_e2(cfg, dims):
+    """Reference second page entries: one dimension per cell."""
     entries = {}
     for p, q in dense_cells(cfg):
-        d = dimension(cfg.algebra, cfg.comp, q)
+        d = dims[q]
         if d:
             entries[(p, q)] = d
     return entries
 
 
-def dense_e3(cfg, delta_fn=bv.delta):
+def dense_e3(cfg, dims, ranks):
     """Reference third page entries: per-cell dimension minus the ranks at
     q-1 and, off column 0, at q."""
-    algebra, comp = cfg.algebra, cfg.comp
-    shift = algebra.dim
-    ranks = {
-        q: d2_rank(algebra, comp, q, delta_fn)
-        for q in range(-shift - 1, cfg.max_top_degree - shift + 1)
-    }
     entries = {}
     for p, q in dense_cells(cfg):
-        d = dimension(algebra, comp, q) - ranks[q - 1]
+        d = dims[q] - ranks[q - 1]
         if p >= 1:
             d -= ranks[q]
         if d:
@@ -150,11 +157,17 @@ def oracle_degrees(n):
 def test_pages_and_collapse_match_dense_oracle(n, delta_fn):
     for case in ALL_CASES:
         cfg = AlgebraConfig(n, case)
-        for limit in oracle_degrees(n):
+        degrees = oracle_degrees(n)
+        tables = {
+            comp: dense_tables(cfg, comp, delta_fn, degrees[-1])
+            for comp in (Component.E, Component.G)
+        }
+        for limit in degrees:
             dense = {}
             for comp in (Component.E, Component.G):
                 ss = SSConfig(cfg, comp, limit)
-                dense[comp] = dense_e2(ss), dense_e3(ss, delta_fn)
+                dims, ranks = tables[comp]
+                dense[comp] = dense_e2(ss, dims), dense_e3(ss, dims, ranks)
                 pages = e2_page(ss), e3_page(ss, delta_fn)
                 for page, reference in zip(pages, dense[comp]):
                     where = (n, case, limit, comp, page.page_index)
@@ -220,17 +233,26 @@ def test_tiled_columns_match_per_degree_columns(n):
                 )
 
 
+def clear_period_tables():
+    spectral._period_dims.cache_clear()
+    spectral._period_ranks.cache_clear()
+
+
+def counting(fn, calls):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_verify_collapse_rank_calls_do_not_grow_with_cutoff(n, monkeypatch):
     calls = []
-
-    def counting_rank(*args):
-        calls.append(args)
-        return d2_rank(*args)
-
-    monkeypatch.setattr(spectral, "d2_rank", counting_rank)
+    monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, calls))
     for limit in (40, 4000):
         calls.clear()
+        clear_period_tables()  # the bound is per cold configuration
         assert verify_collapse(AlgebraConfig(n, BVCase.B_WXVW), limit).passed
         assert 0 < len(calls) <= 2 * (4 * n + 2), limit
 
@@ -247,24 +269,110 @@ def test_rebound_delta_keeps_the_periodic_path(n, monkeypatch):
         delta_calls.append(u)
         return original_delta(u, cfg)
 
-    def counting_rank(*args):
-        rank_calls.append(args)
-        return d2_rank(*args)
-
     def recording_collapse(*args):
         reports.append(original_collapse(*args))
         return reports[-1]
 
     monkeypatch.setattr(bv, "delta", counting_delta)
-    monkeypatch.setattr(spectral, "d2_rank", counting_rank)
+    monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, rank_calls))
     monkeypatch.setattr(spectral, "verify_collapse", recording_collapse)
     argv = ["verify", "--n", str(n), "--max-degree", "400", "--samples", "0", "--format", "json"]
     for run in (lambda: recording_collapse(AlgebraConfig(n), 400), lambda: main(argv)):
         rank_calls.clear()
+        clear_period_tables()  # the bound is per cold configuration
         run()
         assert reports[-1].passed and reports[-1].all_degrees
         assert 0 < len(rank_calls) <= 2 * (4 * n + 2)
     assert delta_calls
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_warm_configuration_makes_no_rank_calls(n, monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, calls))
+    cfg = AlgebraConfig(n, BVCase.A_VXW)
+    clear_period_tables()
+    cold = verify_collapse(cfg, 60)
+    assert 0 < len(calls) <= 2 * (4 * n + 2)
+    calls.clear()
+    for limit in (0, 60, 4000):
+        assert verify_collapse(cfg, limit).all_degrees
+        for comp in (Component.E, Component.G):
+            e3_page(SSConfig(cfg, comp, limit))
+    assert calls == []
+    assert verify_collapse(cfg, 60) == cold
+    info = spectral._period_ranks.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+def pages_and_reports(items, clear):
+    """``page_to_json`` of both pages and the collapse report fields for every
+    (n, case, comp, cutoff) item, in the given order, clearing the period
+    tables before every call if ``clear``."""
+    def report_fields(ss):
+        report = verify_collapse(ss.algebra, ss.max_top_degree)
+        return [getattr(report, f) for f in CollapseReport._fields]
+
+    builds = {
+        "e2": lambda ss: page_to_json(e2_page(ss), ss),
+        "e3": lambda ss: page_to_json(e3_page(ss), ss),
+        "collapse": report_fields,
+    }
+    out = {}
+    for n, case, comp, limit in items:
+        ss = SSConfig(AlgebraConfig(n, case), comp, limit)
+        for name, build in builds.items():
+            if clear:
+                clear_period_tables()
+            out[n, case, comp, limit, name] = build(ss)
+    return out
+
+
+def test_cold_and_warm_period_tables_give_the_same_results():
+    items = [
+        (n, case, comp, limit)
+        for n in range(1, 9)
+        for case in ALL_CASES
+        for comp in (Component.E, Component.G)
+        for limit in oracle_degrees(n)
+    ]
+    random.Random(20).shuffle(items)
+    clear_period_tables()
+    warm = pages_and_reports(items, clear=False)
+    assert spectral._period_ranks.cache_info().hits > 0
+    assert warm == pages_and_reports(items, clear=True)
+
+
+def test_rebound_delta_gets_its_own_table_entry(monkeypatch):
+    cfg = AlgebraConfig(2, BVCase.B_W)
+    original = verify_collapse(cfg, 50)
+    size = spectral._period_ranks.cache_info().currsize
+    delta_calls = []
+    monkeypatch.setattr(bv, "delta", counting(bv.delta, delta_calls))
+    assert verify_collapse(cfg, 50) == original
+    assert delta_calls
+    assert spectral._period_ranks.cache_info().currsize == size + 2
+
+
+@pytest.mark.parametrize(
+    "delta_fn", [wrapped_delta, zero_delta, moving_delta], ids=["wrapped", "zero", "moving"]
+)
+def test_other_operators_skip_the_rank_table(delta_fn, monkeypatch):
+    cfg, limit = AlgebraConfig(2, BVCase.A_V), 30
+    verify_collapse(cfg, limit)
+    info = spectral._period_ranks.cache_info()
+    calls = []
+    monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, calls))
+    for _ in range(2):
+        for comp in (Component.E, Component.G):
+            calls.clear()
+            e3_page(SSConfig(cfg, comp, limit), delta_fn)
+            assert [q for *_, q, fn in calls] == list(range(-cfg.dim, limit - cfg.dim + 1))
+            assert {fn for *_, fn in calls} == {delta_fn}
+        calls.clear()
+        verify_collapse(cfg, limit, delta_fn)
+        assert len(calls) == 2 * (limit + 1)
+    assert spectral._period_ranks.cache_info() == info
 
 
 @pytest.mark.parametrize("n", range(1, 9))

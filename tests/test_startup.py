@@ -80,6 +80,18 @@ def test_subcommand_loads_only_its_modules(sub, bare_has_dataclasses):
     assert fractions == (sub in LOADS_FRACTIONS)
 
 
+def test_period_tables_fill_on_first_use():
+    """Importing ranks nothing: the spectral period tables stay empty until a
+    page is built (one entry per component), so no cold start pays for a
+    period."""
+    tables = "[t.cache_info().currsize for t in (s._period_dims, s._period_ranks)]"
+    probe("import loopbv.cli\n"
+          "import loopbv.spectral as s\n"
+          f"assert {tables} == [0, 0], {tables}\n"
+          + RUN_MAIN.format(argv=SUBCOMMANDS["pages"][0])
+          + f"assert {tables} == [2, 2], {tables}")
+
+
 def test_import_loopbv_loads_nothing_until_a_name_is_used():
     modules = probe("import loopbv; assert loopbv.__version__")[0]
     assert modules == ["loopbv"]
