@@ -243,6 +243,9 @@ def cmd_resonance(args) -> int:
         raise InputError(
             f"malformed JSON in {args.input}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested past the recursion limit, or an over-long integer
+        raise InputError(f"unreadable JSON in {args.input}: {exc}") from exc
     n, records = resonance.load_problem(obj)
     payload, passed = _resonance_payload(args, n, records)
     if args.format == "json":

@@ -28,7 +28,7 @@ Poly = tuple[int, ...]
 
 
 def _trim(p: tuple[int, ...]) -> Poly:
-    coeffs = list(p)
+    coeffs = list(p) or [0]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -46,12 +46,12 @@ def _pmul(p: Poly, q: Poly) -> Poly:
     return _trim(tuple(out))
 
 
-def _padd(p: Poly, q: Poly, sign: int = 1) -> Poly:
+def _padd(p: Poly, q: Poly) -> Poly:
     out = [0] * max(len(p), len(q))
     for i, a in enumerate(p):
         out[i] += a
     for j, b in enumerate(q):
-        out[j] += sign * b
+        out[j] += b
     return _trim(tuple(out))
 
 
@@ -90,14 +90,23 @@ def one_minus_t_power(e: int) -> Poly:
 
 
 class RationalSeries(Record, eq=False):
-    """num/den with integer coefficients and den(0) != 0; kept unreduced."""
+    """num/den with integer coefficients and den(0) != 0; kept unreduced.
+
+    An empty numerator is the zero polynomial; an empty denominator and any
+    coefficient whose type is not ``int`` (``bool`` included) are refused.
+    """
 
     numerator: Poly
     denominator: Poly = (1,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", _trim(tuple(self.numerator)))
-        object.__setattr__(self, "denominator", _trim(tuple(self.denominator)))
+        num, den = tuple(self.numerator), tuple(self.denominator)
+        if not all(type(c) is int for c in num + den):
+            raise InputError(f"series coefficients must be integers, got {num} / {den}")
+        if not den:
+            raise InputError("denominator must not be empty")
+        object.__setattr__(self, "numerator", _trim(num))
+        object.__setattr__(self, "denominator", _trim(den))
         if self.denominator[0] == 0:
             raise InputError("denominator must have nonzero constant term")
 
@@ -109,12 +118,7 @@ class RationalSeries(Record, eq=False):
         return RationalSeries(num, _pmul(self.denominator, other.denominator))
 
     def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        num = _padd(
-            _pmul(self.numerator, other.denominator),
-            _pmul(other.numerator, self.denominator),
-            sign=-1,
-        )
-        return RationalSeries(num, _pmul(self.denominator, other.denominator))
+        return self + RationalSeries(_pmul(other.numerator, (-1,)), other.denominator)
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         return RationalSeries(

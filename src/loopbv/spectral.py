@@ -22,19 +22,18 @@ and the second-differential matrix at q+4n equals the one at q.  Fiber data
 are therefore computed for the two head degrees q = -(2n+1), -2n (where some
 monomial of degree q+4n would need c < 0 at q) and one period of 4n degrees,
 and tiled beyond: dimensions always, since they do not depend on the
-operator, and ranks whenever the operator is ``bv.delta`` itself.  Any other
-operator, a wrapper of ``bv.delta`` included, is ranked in every fiber
-degree up to the cutoff, on every call.  A ``delta_fn`` of ``None`` stands
-for ``bv.delta`` as it is bound when the function is called, so rebinding
-``bv.delta`` (to count its calls, say) keeps the periodic path.
+operator, and ranks whenever the operator is the built-in one, that is a
+``delta_fn`` of ``None`` or ``bv.delta`` itself.  Any other operator, a
+wrapper of ``bv.delta`` included, is ranked in every fiber degree up to the
+cutoff, on every call.
 
-The head and period are computed once per process: dimensions once per
-(config, component) in ``_period_dims``, ranks once per (config, component,
-operator) in ``_period_ranks``, so a later page or certificate of any
-cutoff costs only the O(D) tiling.  The rank table is keyed on the
-operator's identity, so a rebound ``bv.delta`` gets entries of its own;
-anything that changes what ``bv.delta`` computes without rebinding it must
-call ``_period_ranks.cache_clear()``.
+The head and period are computed once per process and configuration:
+dimensions in ``_period_dims``, ranks of the built-in operator in
+``_period_ranks``, so a later page or certificate of any cutoff costs only
+the O(D) tiling.  The rank table holds the ranks of the ``bv.delta`` that
+first filled it: whoever replaces or changes ``bv.delta`` calls
+``_period_ranks.cache_clear()``.  An operator passed as ``delta_fn`` never
+touches the table.
 
 ``verify_collapse`` turns the same period into a certificate for every
 degree.  It reads the pages themselves: it compares the sum of the series
@@ -176,10 +175,11 @@ def _period_dims(algebra: AlgebraConfig, comp: Component) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _period_ranks(algebra: AlgebraConfig, comp: Component, delta_fn: DeltaFn) -> tuple[int, ...]:
-    """Second-differential ranks over :func:`_period_degrees`, once per
-    process and operator object; only for ``bv.delta`` as bound at the call."""
-    return tuple(d2_rank(algebra, comp, q, delta_fn) for q in _period_degrees(algebra))
+def _period_ranks(algebra: AlgebraConfig, comp: Component) -> tuple[int, ...]:
+    """Ranks of the built-in operator over :func:`_period_degrees`, once per
+    process: those of the ``bv.delta`` that first filled the table, until
+    ``_period_ranks.cache_clear()`` (see the module docstring)."""
+    return tuple(d2_rank(algebra, comp, q) for q in _period_degrees(algebra))
 
 
 def _tile(known: tuple[int, ...], n: int, size: int) -> list[int]:
@@ -205,7 +205,8 @@ def d2_matrix(
     """Matrix of the BV operator from fiber degree q to q+1 as bitmask rows.
 
     Row i holds the coordinates of the image of the i-th degree-q basis
-    monomial in the degree-(q+1) basis.
+    monomial in the degree-(q+1) basis.  A ``delta_fn`` of ``None`` is
+    ``bv.delta`` as it is bound at this call.
     """
     delta_fn = delta_fn or bv.delta
     target = {m: i for i, m in enumerate(basis(cfg, comp, q + 1))}
@@ -240,14 +241,14 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     removed there; columns p >= 1 drop both the rank at q and the incoming
     rank at q-1.  Nothing sits below the bottom fiber degree, so the incoming
     rank there is zero.  Ranks are computed once per fiber degree and reused
-    across columns, and tiled from one period, ranked once per process, for
-    ``bv.delta`` alone (see the module docstring).
+    across columns.  For the built-in operator they are tiled from the period
+    table, which holds the ranks of the ``bv.delta`` that first filled it
+    (see the module docstring).
     """
     algebra, comp, size = cfg.algebra, cfg.comp, cfg.max_top_degree + 1
     dims = _tile(_period_dims(algebra, comp), algebra.n, size)
-    delta_fn = delta_fn or bv.delta
-    if delta_fn is bv.delta:
-        ranks = _tile(_period_ranks(algebra, comp, delta_fn), algebra.n, size)
+    if delta_fn is None or delta_fn is bv.delta:
+        ranks = _tile(_period_ranks(algebra, comp), algebra.n, size)
     else:
         ranks = [d2_rank(algebra, comp, q, delta_fn) for q in _q_range(cfg)]
     first = [d - r for d, r in zip(dims, [0] + ranks)]
@@ -300,10 +301,9 @@ class CollapseReport(Record):
 
 
 def _compare(
-    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn, total: series.RationalSeries
-) -> tuple[bool, tuple, tuple, tuple | None]:
-    """Page comparison through degree ``top``: (e_page_stable, computed,
-    expected, first_mismatch) as :class:`CollapseReport` holds them."""
+    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None, total: series.RationalSeries
+) -> CollapseReport:
+    """Page comparison through degree ``top``, reported at that cutoff."""
     ss_e, ss_g = SSConfig(cfg, Component.E, top), SSConfig(cfg, Component.G, top)
     e2_e, e3_e, e3_g = e2_page(ss_e), e3_page(ss_e, delta_fn), e3_page(ss_g, delta_fn)
     e_stable = (e3_e.first, e3_e.rest) == (e2_e.first, e2_e.rest)
@@ -314,7 +314,7 @@ def _compare(
         ((k, got, want) for k, (got, want) in enumerate(zip(computed, expected)) if got != want),
         None,
     )
-    return e_stable, computed, expected, first_mismatch
+    return CollapseReport(cfg, top, e_stable, computed, expected, first_mismatch)
 
 
 def verify_collapse(
@@ -327,25 +327,23 @@ def verify_collapse(
     The contractible component must keep its second page, and the sum of the
     series of the two third pages that :func:`e3_page` builds must equal the
     closed form for the full loop space.  Matching dimensions leave no room
-    for further differentials, which is the whole certificate.  For
-    ``bv.delta`` the comparison is first run to the degree bound
-    K = max(4n+4 + deg den, deg num + 4n+2) of the closed form num/den; a
-    pass there proves collapse in every degree (see the module docstring),
-    and the tuples are the closed form's expansion.  Otherwise, or if that
-    proof fails, the pages are compared through the cutoff.
+    for further differentials, which is the whole certificate.  For the
+    built-in operator (``None`` or ``bv.delta``) the comparison is first run
+    to the degree bound K = max(4n+4 + deg den, deg num + 4n+2) of the closed
+    form num/den; a pass there proves collapse in every degree (see the
+    module docstring), and the tuples are the closed form's expansion.
+    Otherwise, or if that proof fails, the pages are compared through the
+    cutoff.
     """
-    # built first: a negative cutoff is reported as such before any work
-    SSConfig(cfg, Component.E, max_top_degree)
-    delta_fn = delta_fn or bv.delta
+    check_count(max_top_degree, "max_top_degree")  # before any work
     total = series.total_series(cfg.n)
-    if delta_fn is bv.delta:
+    if delta_fn is None or delta_fn is bv.delta:
         deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1
         bound = max(4 * cfg.n + 4 + deg_den, deg_num + 4 * cfg.n + 2)
-        stable, *_, mismatch = _compare(cfg, bound, delta_fn, total)
-        if stable and mismatch is None:
+        if _compare(cfg, bound, delta_fn, total).passed:
             expected = series.expand(total, max_top_degree).coefficients
             return CollapseReport(cfg, max_top_degree, True, expected, expected, None, True)
-    return CollapseReport(cfg, max_top_degree, *_compare(cfg, max_top_degree, delta_fn, total))
+    return _compare(cfg, max_top_degree, delta_fn, total)
 
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:

@@ -3,6 +3,7 @@ import json
 import pathlib
 import re
 import shlex
+import sys
 
 import pytest
 
@@ -427,6 +428,28 @@ def test_resonance_malformed_json_reports_position(tmp_path, capsys):
     code, _, err = run(capsys, "resonance", "--input", str(bad))
     assert code == 2
     assert "line 2" in err and "column" in err
+
+
+def over_long_integer() -> bytes:
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this interpreter converts integer literals of any length")
+    return b'{"n": ' + b"9" * (limit + 1) + b', "geodesics": []}'
+
+
+@pytest.mark.parametrize(
+    "content",
+    [lambda: b"\xff\xfe{}", lambda: b"[" * 100_000, over_long_integer],
+    ids=["not-utf8", "nested-too-deep", "over-long-integer"],
+)
+def test_resonance_unreadable_json_exits_two(content, tmp_path, capsys):
+    bad = tmp_path / "unreadable.json"
+    bad.write_bytes(content())
+    code, out, err = run(capsys, "resonance", "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: unreadable JSON in {bad}: ")
+    assert "Traceback" not in err
 
 
 def test_resonance_invalid_record_exits_two(tmp_path, capsys):

@@ -40,6 +40,22 @@ def test_expand_rejects_zero_constant_term():
         RationalSeries((1,), (0, 1))
 
 
+@pytest.mark.parametrize(
+    "num, den",
+    [((1,), ()), ((1.5,), (1,)), ((True,), (1,)), (("a",), (1,)), ((1,), (1, 0.0))],
+    ids=["empty-denominator", "float", "bool", "string", "float-denominator"],
+)
+def test_rational_series_refuses_non_integer_polynomials(num, den):
+    with pytest.raises(InputError):
+        RationalSeries(num, den)
+
+
+def test_empty_numerator_is_the_zero_series():
+    assert RationalSeries(()).numerator == (0,)
+    assert eq_exact(RationalSeries(()), RationalSeries((0,)))
+    assert expand(RationalSeries((), (1, -1)), 3).coefficients == (0, 0, 0, 0)
+
+
 def test_expand_window_validation():
     with pytest.raises(InputError):
         expand(lg_series(1), -1)

@@ -343,15 +343,32 @@ def test_cold_and_warm_period_tables_give_the_same_results():
     assert warm == pages_and_reports(items, clear=True)
 
 
-def test_rebound_delta_gets_its_own_table_entry(monkeypatch):
+def test_rebound_delta_shares_the_configuration_table(monkeypatch):
+    """The rank table holds the ranks of the bv.delta that first filled it: a
+    rebound counter on a warm configuration is not called and adds no entry,
+    and after cache_clear() it fills the table."""
     cfg = AlgebraConfig(2, BVCase.B_W)
     original = verify_collapse(cfg, 50)
     size = spectral._period_ranks.cache_info().currsize
     delta_calls = []
     monkeypatch.setattr(bv, "delta", counting(bv.delta, delta_calls))
     assert verify_collapse(cfg, 50) == original
+    assert delta_calls == []
+    assert spectral._period_ranks.cache_info().currsize == size
+    spectral._period_ranks.cache_clear()
+    assert verify_collapse(cfg, 50) == original
     assert delta_calls
-    assert spectral._period_ranks.cache_info().currsize == size + 2
+    assert spectral._period_ranks.cache_info().currsize == 2
+
+
+def test_rebinding_delta_does_not_grow_the_rank_table(monkeypatch):
+    cfg, original = AlgebraConfig(4), bv.delta
+    verify_collapse(cfg, 40)
+    size = spectral._period_ranks.cache_info().currsize
+    for _ in range(200):
+        monkeypatch.setattr(bv, "delta", counting(original, []))
+        verify_collapse(cfg, 40)
+    assert spectral._period_ranks.cache_info().currsize == size
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,21 @@ def test_period_tables_fill_on_first_use():
           + f"assert {tables} == [2, 2], {tables}")
 
 
+def test_delta_rebound_before_the_first_page_fills_the_rank_table():
+    """As the benchmark's tracer does, rebind bv.delta to a counter before the
+    first page: the counter sees one call per basis monomial of the cold
+    period, and a second certificate calls it no more."""
+    probe("import loopbv.bv as bv, loopbv.spectral as s\n"
+          "from loopbv.ring import AlgebraConfig, Component\n"
+          "calls, delta, cfg = [], bv.delta, AlgebraConfig(2)\n"
+          "bv.delta = lambda u, c: calls.append(u) or delta(u, c)\n"
+          "assert s.verify_collapse(cfg, 40, bv.delta).all_degrees\n"
+          "period = sum(sum(s._period_dims(cfg, comp)) for comp in Component)\n"
+          "assert len(calls) == period > 0, (len(calls), period)\n"
+          "assert s.verify_collapse(cfg, 40).all_degrees\n"
+          "assert len(calls) == period, len(calls)")
+
+
 def test_import_loopbv_loads_nothing_until_a_name_is_used():
     modules = probe("import loopbv; assert loopbv.__version__")[0]
     assert modules == ["loopbv"]
