@@ -13,6 +13,11 @@ computes both as one sum:
 with weight e_i e_j for Delta(x^e), and e = e1 + e2 with weight
 e1_i e2_j + e1_j e2_i for {x^e1, x^e2}.  The monomial e may be any
 representative, normal or not: ``multiply`` reduces the result.
+
+For even n the B cases are not graded BV algebras: (x v)(v w) = x v^2 w
+rewrites to x^(2n+1) w^2, whose Delta vanishes while the right side of the
+BV relation does not.  :func:`axiom_failures` checks that pair,
+``OBSTRUCTION_WITNESS``, on every call.
 """
 
 from __future__ import annotations
@@ -157,6 +162,9 @@ def delta_table(cfg: AlgebraConfig, comp: Component, lo: int, hi: int) -> DeltaT
     return DeltaTable(cfg, comp, (lo, hi), rows)
 
 
+OBSTRUCTION_WITNESS = (Monomial(1, 1, 0), Monomial(0, 1, 1))  # (x*v, v*w)
+
+
 def bv_relation_holds(a: AlgebraElement, b: AlgebraElement, cfg: AlgebraConfig) -> bool:
     """Whether Delta(ab) = Delta(a) b + a Delta(b) + {a, b} at the pair (a, b)."""
     lhs = delta(multiply(a, b, cfg), cfg)
@@ -176,15 +184,22 @@ def axiom_failures(
 ) -> list[str]:
     """Spot-check the BV axioms on basis monomials in a loop-degree window.
 
-    Delta^2 = 0 runs over every basis monomial; the BV relation, bracket
-    symmetry, the Jacobi identity and the derivation rule run over ``samples``
-    seeded random pairs/triples.  Returns one message per violation.
+    The BV relation is first checked at ``OBSTRUCTION_WITNESS``, (x*v, v*w),
+    whatever the window, samples and seed: it fails there exactly in the B
+    cases at even n, where v^2 = x^(2n) w breaks it (see the module
+    docstring).  Delta^2 = 0 then runs over every basis monomial; the BV
+    relation, bracket symmetry, the Jacobi identity and the derivation rule
+    run over ``samples`` seeded random pairs/triples.  Returns one message
+    per violation.
     """
     check_count(samples, "samples")
     pool = window_basis(cfg, (None,), lo, hi)
     if samples and not pool:
         raise InputError(f"no basis monomial to sample in degree window [{lo}, {hi}]")
     failures: list[str] = []
+    a, b = (element(m) for m in OBSTRUCTION_WITNESS)
+    if not bv_relation_holds(a, b, cfg):
+        failures.append(f"BV relation fails at ({a}, {b})")
     for m in pool:
         if not delta(delta(element(m), cfg), cfg).is_zero():
             failures.append(f"delta^2 != 0 at {m}")

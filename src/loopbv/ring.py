@@ -54,22 +54,19 @@ class Record:
     Fields are passed by position or keyword; a value in the class body is the
     field's default.  ``__post_init__`` runs next and may still set fields
     with ``object.__setattr__``.  ``==`` and ``hash`` compare the tuple of
-    field values, built and hashed on first use (some records hold dicts);
-    ``class C(Record, eq=False)`` compares by identity instead.  Fields named
-    in ``_hidden`` stay out of ``repr``.  Assignment and deletion raise
-    ``AttributeError``.
+    field values, built and hashed on first use (some records hold dicts).
+    Fields named in ``_hidden`` stay out of ``repr``.  Assignment and
+    deletion raise ``AttributeError``.
     """
 
     _fields = ()
     _defaults = {}
     _hidden = ()
 
-    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs) -> None:
         name, fields = type(self).__name__, self._fields
@@ -130,6 +127,7 @@ class BVCase(Enum):
     side, which is component-consistent only when w sits on the contractible
     side: the B cases are graded algebras exactly for odd n, although their
     operator tables and page computations are well defined for every n.
+    :mod:`loopbv.bv` states the pair at which the BV relation fails.
     """
 
     A_V = "A_v"
@@ -266,10 +264,15 @@ def multiply(u: AlgebraElement, v: AlgebraElement, cfg: AlgebraConfig) -> Algebr
 
 
 def power(u: AlgebraElement, k: int, cfg: AlgebraConfig) -> AlgebraElement:
+    """u^k by square-and-multiply: at most 2 * k.bit_length() products."""
     check_count(k, "exponent")
     result = unit()
-    for _ in range(k):
-        result = multiply(result, u, cfg)
+    while k:
+        if k & 1:
+            result = multiply(result, u, cfg)
+        k >>= 1
+        if k:
+            u = multiply(u, u, cfg)
     return result
 
 

@@ -89,7 +89,7 @@ def one_minus_t_power(e: int) -> Poly:
     return _trim((1,) + (0,) * (e - 1) + (-1,))
 
 
-class RationalSeries(Record, eq=False):
+class RationalSeries(Record):
     """num/den with integer coefficients and den(0) != 0; kept unreduced.
 
     An empty numerator is the zero polynomial; an empty denominator and any
@@ -98,6 +98,10 @@ class RationalSeries(Record, eq=False):
 
     numerator: Poly
     denominator: Poly = (1,)
+
+    # kept unreduced, equal series can differ field by field: compare by
+    # identity, and by value with eq_exact
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self) -> None:
         num, den = tuple(self.numerator), tuple(self.denominator)

@@ -291,6 +291,43 @@ def test_axiom_failures_sample_count_validation():
     assert axiom_failures(cfg, -3, 12, samples=0, seed=0) == []
 
 
+OBSTRUCTION_MESSAGE = "BV relation fails at (x*v, v*w)"
+OBSTRUCTION_RUNS = {
+    # (window, samples, seeds); the window None is verify's [-(2n+1), 12n]
+    "no_samples": (None, 0, [0]),
+    "few_samples": (None, 5, range(20)),
+    # excludes v*w, so no sample can draw the pair
+    "narrow_window": ((-1, 0), 5, [0]),
+}
+
+
+@pytest.mark.parametrize("run", OBSTRUCTION_RUNS)
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("case", [BVCase.B_W, BVCase.B_WXVW])
+def test_axiom_failures_reports_the_even_n_obstruction_first(case, n, run):
+    """The pair (x*v, v*w) is checked on every call, so the broken BV relation
+    leads the list whatever the window, sample count and seed."""
+    cfg = AlgebraConfig(n, case)
+    window, samples, seeds = OBSTRUCTION_RUNS[run]
+    lo, hi = window or (-cfg.dim, 12 * n)
+    for seed in seeds:
+        failures = axiom_failures(cfg, lo, hi, samples=samples, seed=seed)
+        assert failures[:1] == [OBSTRUCTION_MESSAGE], seed
+
+
+@pytest.mark.parametrize(
+    "n,case", [(n, case) for n in range(1, 5) for case in ALL_CASES if case.w_is_contractible or n % 2]
+)
+def test_axiom_failures_pass_on_admissible_cells(n, case):
+    """Where the BV axioms hold the witness pair adds nothing: no failure on
+    either window for any sample count and seed."""
+    cfg = AlgebraConfig(n, case)
+    for lo, hi in ((-cfg.dim, 12 * n), (-1, 0)):
+        for samples in (0, 5, 50):
+            for seed in range(10):
+                assert axiom_failures(cfg, lo, hi, samples=samples, seed=seed) == [], (lo, hi, samples, seed)
+
+
 def test_axiom_failures_empty_window_cannot_be_sampled():
     cfg = AlgebraConfig(1)
     with pytest.raises(InputError, match=r"degree window \[-50, -10\]"):

@@ -293,8 +293,9 @@ def test_verify_even_n_noncontractible_w_exits_one(case, capsys):
 
 @pytest.mark.parametrize("case", ["B_w", "B_wxvw"])
 def test_verify_even_n_obstruction_found_with_few_samples(case, capsys):
-    """The fixed pair (x*v, v*w) is checked on every run, so 25 samples with
-    seed 0, a draw that misses the broken relation, still exit 1."""
+    """bv.axiom_failures checks the fixed pair (x*v, v*w) on every call, so
+    25 samples with seed 0, a draw that misses the broken relation, still
+    exit 1."""
     code, out, _ = run(capsys, "verify", "--n", "2", "--case", case,
                        "--max-degree", "40", "--samples", "25")
     assert code == 1

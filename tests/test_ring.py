@@ -187,6 +187,35 @@ def test_multiply_associative_sampled(n):
         assert multiply(u, v, cfg) == multiply(v, u, cfg)
 
 
+def test_power_squares_and_multiplies(monkeypatch):
+    from loopbv import ring
+
+    calls = []
+
+    def counting_multiply(u, v, cfg):
+        calls.append(None)
+        return multiply(u, v, cfg)
+
+    monkeypatch.setattr(ring, "multiply", counting_multiply)
+    cfg = AlgebraConfig(2)
+    assert power(generator("w"), 1000, cfg) == element(Monomial(0, 0, 1000))
+    assert len(calls) <= 2 * (1000).bit_length()
+    assert power(generator("w"), 10**12, cfg) == element(Monomial(0, 0, 10**12))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_power_matches_repeated_multiplication(n):
+    cfg = AlgebraConfig(n)
+    x, v, w = (generator(g) for g in GENERATOR_NAMES)
+    one_plus_w, x_plus_v = add(unit(), w), add(x, v)
+    bases = [one_plus_w, x_plus_v, add(one_plus_w, x_plus_v), x, add(x, multiply(x, v, cfg)), v]
+    for u in bases:
+        want = unit()
+        for k in range(40):
+            assert power(u, k, cfg) == want
+            want = multiply(want, u, cfg)
+
+
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_degree_additivity_and_component_grading(case):
     cfg = AlgebraConfig(1, case)
