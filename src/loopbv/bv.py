@@ -12,7 +12,9 @@ computes both as one sum:
 
 with weight e_i e_j for Delta(x^e), and e = e1 + e2 with weight
 e1_i e2_j + e1_j e2_i for {x^e1, x^e2}.  The monomial e may be any
-representative, normal or not: ``multiply`` reduces the result.
+representative, normal or not: each term is reduced by
+:func:`~loopbv.ring.normal_monomial`, the ring's one normal-form rule, and
+the terms are summed mod 2 into one element.
 
 For even n the B cases are not graded BV algebras: (x v)(v w) = x v^2 w
 rewrites to x^(2n+1) w^2, whose Delta vanishes while the right side of the
@@ -46,6 +48,7 @@ from .ring import (
     generator,
     loop_degree,
     multiply,
+    normal_monomial,
     normalize,
     unit,
     window_basis,
@@ -79,17 +82,20 @@ def generator_bracket(g1: str, g2: str, cfg: AlgebraConfig) -> AlgebraElement:
     return bracket_table(cfg).get(tuple(sorted(map(GENERATOR_NAMES.index, (g1, g2)))), ZERO)
 
 
-def _contract(e: Monomial, weight, cfg: AlgebraConfig) -> AlgebraElement:
-    """Sum of {g_i, g_j} x^e / (g_i g_j) over the table's pairs with odd
+def _contract(e: Monomial, weight, cfg: AlgebraConfig, terms: set[Monomial]) -> None:
+    """Toggle into ``terms`` the normal-form monomials of the sum of
+    {g_i, g_j} x^e / (g_i g_j) over the table's pairs with odd
     ``weight(i, j)``; ``e`` need not be in normal form."""
-    result = zero()
     for (i, j), gb in bracket_table(cfg).items():
         if weight(i, j) % 2:
             rest = list(e)
             rest[i] -= 1
             rest[j] -= 1
-            result = add(result, multiply(gb, element(Monomial(*rest)), cfg))
-    return result
+            a, b, c = rest
+            for g in gb.terms:
+                m = normal_monomial(g.a + a, g.b + b, g.c + c, cfg)
+                if m is not None:
+                    terms ^= {m}
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
@@ -99,20 +105,20 @@ def bracket(u: AlgebraElement, v: AlgebraElement, cfg: AlgebraConfig) -> Algebra
     same monomial, so each unordered pair enters once with weight
     e1_i e2_j + e1_j e2_i.
     """
-    result = zero()
+    terms: set[Monomial] = set()
     for m1 in u.terms:
         for m2 in v.terms:
             e = Monomial(m1.a + m2.a, m1.b + m2.b, m1.c + m2.c)
-            result = add(result, _contract(e, lambda i, j: m1[i] * m2[j] + m1[j] * m2[i], cfg))
-    return result
+            _contract(e, lambda i, j: m1[i] * m2[j] + m1[j] * m2[i], cfg, terms)
+    return AlgebraElement(frozenset(terms))
 
 
 def delta(u: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
     """BV operator: weight e_i e_j on pair (i, j); raises loop degree by 1."""
-    result = zero()
+    terms: set[Monomial] = set()
     for m in u.terms:
-        result = add(result, _contract(m, lambda i, j: m[i] * m[j], cfg))
-    return result
+        _contract(m, lambda i, j: m[i] * m[j], cfg, terms)
+    return AlgebraElement(frozenset(terms))
 
 
 def delta_oracle(u: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:

@@ -5,7 +5,10 @@ degrees |x| = -1, |v| = 0, |w| = 2n in the loop grading (homology grading
 shifted down by the manifold dimension 2n+1).  Every element is a finite
 F2-sum of normal-form monomials x^a v^b w^c with 0 <= a <= 2n+1, b in {0, 1}
 and c >= 0.  A :class:`Monomial` is the exponent triple (a, b, c) itself:
-entry i is the exponent of ``GENERATOR_NAMES[i]``.
+entry i is the exponent of ``GENERATOR_NAMES[i]``.  :func:`normal_monomial`
+is the one normal-form rule: it takes any exponent triple to its normal-form
+monomial, or to ``None`` when the class is zero, and every product and
+contraction sums its results mod 2 in one set of such monomials.
 
 The free loop space has two connected components, labelled ``e`` (loops that
 contract) and ``g`` (loops that do not).  The component of a monomial depends
@@ -228,24 +231,32 @@ def generator(name: str) -> AlgebraElement:
         raise InputError(f"unknown generator {name!r}; expected one of x, v, w") from None
 
 
-def normalize(a: int, b: int, c: int, cfg: AlgebraConfig) -> AlgebraElement:
-    """Normal form of x^a v^b w^c: rewrite v^2, then annihilate high x powers.
+def normal_monomial(a: int, b: int, c: int, cfg: AlgebraConfig) -> Monomial | None:
+    """Normal form of x^a v^b w^c as one monomial, or ``None`` when it is zero.
 
+    This is the ring's one normal-form rule; :func:`normalize`,
+    :func:`multiply` and the contractions in :mod:`loopbv.bv` all apply it.
     Each v^2 becomes (n+1) x^(2n) w, which is x^(2n) w for even n and 0 for
     odd n.  The rewrite only raises the x exponent, so applying it before the
     x^(2n+2) = 0 rule is confluent.
     """
     if a < 0 or b < 0 or c < 0:
         raise InputError(f"exponents must be nonnegative, got ({a}, {b}, {c})")
-    reductions, b = divmod(b, 2)
-    if reductions:
+    if b > 1:
         if (cfg.n + 1) % 2 == 0:
-            return ZERO
+            return None
+        reductions, b = divmod(b, 2)
         a += 2 * cfg.n * reductions
         c += reductions
     if a >= 2 * cfg.n + 2:
-        return ZERO
-    return element(Monomial(a, b, c))
+        return None
+    return Monomial(a, b, c)
+
+
+def normalize(a: int, b: int, c: int, cfg: AlgebraConfig) -> AlgebraElement:
+    """Normal form of x^a v^b w^c as an element: :func:`normal_monomial`."""
+    m = normal_monomial(a, b, c, cfg)
+    return ZERO if m is None else AlgebraElement(frozenset((m,)))
 
 
 def add(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
@@ -254,12 +265,14 @@ def add(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
 
 
 def multiply(u: AlgebraElement, v: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
-    """F2-bilinear product; monomials multiply by adding exponents, then normalize."""
+    """F2-bilinear product: monomials multiply by adding exponents, and the
+    normal forms (:func:`normal_monomial`) are summed mod 2."""
     terms: set[Monomial] = set()
     for m1 in u.terms:
         for m2 in v.terms:
-            product = normalize(m1.a + m2.a, m1.b + m2.b, m1.c + m2.c, cfg)
-            terms ^= product.terms
+            m = normal_monomial(m1.a + m2.a, m1.b + m2.b, m1.c + m2.c, cfg)
+            if m is not None:
+                terms ^= {m}
     return AlgebraElement(frozenset(terms))
 
 
@@ -305,9 +318,13 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
     """All normal-form monomials of loop degree k in the given component.
 
     ``comp=None`` pools both components.  The list is finite for every k and
-    sorted by (a, b, c).
+    sorted by (a, b, c): a rises along the loop, and c with it.
     """
     _check_component(comp)
+    # the label parity of component(): b, plus c when w is on the
+    # non-contractible side; comp G asks for odd, E for even
+    odd = comp is Component.G
+    c_weight = 0 if cfg.bv_case.w_is_contractible else 1
     out = []
     # k + a must be a nonnegative multiple of 2n, which leaves at most two a
     for a in range(-k % (2 * cfg.n), 2 * cfg.n + 2, 2 * cfg.n):
@@ -316,10 +333,9 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
             continue
         c = numerator // (2 * cfg.n)
         for b in (0, 1):
-            m = Monomial(a, b, c)
-            if comp is None or component(m, cfg) is comp:
-                out.append(m)
-    return tuple(sorted(out))
+            if comp is None or (b + c_weight * c) % 2 == odd:
+                out.append(Monomial(a, b, c))
+    return tuple(out)
 
 
 def window_basis(

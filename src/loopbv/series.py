@@ -11,10 +11,21 @@ den = c (1 - t^e1) ... (1 - t^ek) every pole of g is a root of unity of order
 dividing P = 2 lcm(e_i).  A pole w of order m >= 2 puts a term N^(m-1) / w^N
 into the partial sum S_N, so S_N / N converges iff every pole is simple, that is
 iff g (1 - t^P) is a polynomial h / c; each period then adds h(1) / c to S_N.
+
+Expansion divides by the factors 1 - t^e of the denominator first.  Dividing
+a power series by 1 - t^e is the recurrence a_k = b_k + a_(k-e), a running sum
+along each residue class mod e, so it needs only integer additions.  Series
+division by power series with nonzero constant terms commutes and its first
+N + 1 coefficients depend only on the first N + 1 of the dividend, so dividing
+factor by factor gives the same truncated expansion as one long division by
+den.  Whatever the factoring leaves over is long-divided; it is the constant 1
+for every closed form here.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
 from .ring import InputError, Record, check_count, check_n
@@ -149,29 +160,43 @@ def eq_exact(r1: RationalSeries, r2: RationalSeries) -> bool:
 
 
 def expand(r: RationalSeries, n_terms: int) -> TruncatedSeries:
-    """Power-series long division through degree ``n_terms`` (inclusive).
+    """Power-series expansion through degree ``n_terms`` (inclusive).
 
-    The accumulator stays an ``int`` while the coefficients are integral and
-    turns into a ``Fraction`` only when a division by den(0) is inexact;
-    integral coefficients are returned as ``int`` either way.
+    The numerator is first divided by each factor 1 - t^e that
+    :func:`_cyclic_factors` finds in the denominator, as an integer running
+    sum along each residue class mod e; what is left of the denominator is
+    then long-divided.  Both steps are exact series divisions, so the result
+    does not depend on how much the greedy factoring finds (see the module
+    docstring).  The accumulator of the long division stays an ``int`` while
+    the coefficients are integral and turns into a ``Fraction`` only when a
+    division by den(0) is inexact; integral coefficients are returned as
+    ``int`` either way.
     """
     check_count(n_terms, "expansion degree")
-    den0 = r.denominator[0]
-    den_terms = [(j, d) for j, d in enumerate(r.denominator) if j and d]
-    coeffs: list = []
-    for k in range(n_terms + 1):
-        acc = r.numerator[k] if k < len(r.numerator) else 0
-        for j, d in den_terms:
+    size = n_terms + 1
+    coeffs: list = list(r.numerator[:size])
+    coeffs += [0] * (size - len(coeffs))
+    exponents, rest = _cyclic_factors(r.denominator)
+    for e in exponents:
+        for s in range(min(e, size)):
+            coeffs[s::e] = accumulate(coeffs[s::e])
+    if rest == (1,):
+        return TruncatedSeries(tuple(coeffs))
+    den0 = rest[0]
+    rest_terms = [(j, d) for j, d in enumerate(rest) if j and d]
+    for k in range(size):
+        acc = coeffs[k]
+        for j, d in rest_terms:
             if j > k:
                 break
             acc -= d * coeffs[k - j]
         if isinstance(acc, int) and acc % den0 == 0:
-            coeffs.append(acc // den0)
+            coeffs[k] = acc // den0
         else:
             from fractions import Fraction  # only here: it loads decimal and numbers
 
             value = Fraction(acc) / den0
-            coeffs.append(int(value) if value.denominator == 1 else value)
+            coeffs[k] = int(value) if value.denominator == 1 else value
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -202,20 +227,27 @@ def total_series(n: int) -> RationalSeries:
     return lg_series(n) * bump
 
 
-def _cyclic_factors(den: Poly) -> tuple[list[int], Poly]:
-    """Greedily divide out factors 1 - t^e; returns the exponents and the rest."""
+# bounded: the key is caller input, any RationalSeries's denominator
+@lru_cache(maxsize=256)
+def _cyclic_factors(den: Poly) -> tuple[tuple[int, ...], Poly]:
+    """Greedily divide out factors 1 - t^e, largest e first; returns the
+    exponents and the rest, so that den = rest * prod(1 - t^e).
+
+    Since t^e = 1 modulo 1 - t^e, that factor divides ``rest`` iff the
+    coefficients of each residue class mod e sum to zero, a test that most
+    e fail at the first class.
+    """
     exponents = []
     rest = den
     e = len(rest) - 1
     while e >= 1:
-        quotient = _pdivides(rest, one_minus_t_power(e))
-        if quotient is None:
+        if any(sum(rest[s::e]) for s in range(e)):
             e -= 1
         else:
             exponents.append(e)
-            rest = quotient
+            rest = _pdivides(rest, one_minus_t_power(e))
             e = min(e, len(rest) - 1)
-    return exponents, rest
+    return tuple(exponents), rest
 
 
 def _at_minus_t(p: Poly) -> Poly:

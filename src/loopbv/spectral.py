@@ -57,6 +57,8 @@ emitting one costs its nonzero cells plus D, with no sort.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import add
 from typing import Callable, Iterator
 
 from . import bv, gf2, series
@@ -69,7 +71,6 @@ from .ring import (
     basis,
     check_count,
     dimension,
-    element,
 )
 
 DeltaFn = Callable[[AlgebraElement, AlgebraConfig], AlgebraElement]
@@ -212,7 +213,7 @@ def d2_matrix(
     target = {m: i for i, m in enumerate(basis(cfg, comp, q + 1))}
     rows = []
     for m in basis(cfg, comp, q):
-        image = delta_fn(element(m), cfg)
+        image = delta_fn(AlgebraElement(frozenset((m,))), cfg)
         row = 0
         for t in image.terms:
             if t not in target:
@@ -273,10 +274,8 @@ def page_series(page: Page, cfg: SSConfig) -> series.TruncatedSeries:
     """
     _check_fits(page, cfg)
     coeffs = list(page.first)
-    tails = [0, 0]
-    for k in range(2, len(coeffs)):
-        tails[k % 2] += page.rest[k - 2]
-        coeffs[k] += tails[k % 2]
+    for s in (0, 1):
+        coeffs[s + 2 :: 2] = map(add, coeffs[s + 2 :: 2], accumulate(page.rest[s::2]))
     return series.TruncatedSeries(tuple(coeffs))
 
 

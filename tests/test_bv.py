@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from loopbv import spectral
 from loopbv.bv import (
     axiom_failures,
     bracket,
@@ -370,6 +371,17 @@ REFERENCE_CELLS = [(n, case) for n in range(1, 5) for case in ALL_CASES]
 
 def reference_window(cfg):
     return window_basis(cfg, (None,), -cfg.dim, 4 * cfg.n)
+
+
+def test_reference_window_covers_the_period_window():
+    """The exhaustive references below pin delta and the bracket on every
+    basis monomial that the spectral period tables rank: fiber degrees
+    -(2n+1) .. 2n and their targets one degree up."""
+    for n, case in REFERENCE_CELLS:
+        cfg = AlgebraConfig(n, case)
+        degrees = spectral._period_degrees(cfg)
+        period = window_basis(cfg, (None,), degrees[0], degrees[-1] + 1)
+        assert set(period) <= set(reference_window(cfg)), (n, case)
 
 
 def divide(m, g):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from loopbv.ring import (
     generator,
     loop_degree,
     multiply,
+    normal_monomial,
     normalize,
     power,
     render_element,
@@ -137,6 +139,54 @@ def test_normalize_x_annihilation(n):
 def test_normalize_rejects_negative_exponents():
     with pytest.raises(InputError):
         normalize(-1, 0, 0, AlgebraConfig(1))
+
+
+def reference_normal_form(a, b, c, n):
+    """Rewrite v^2 -> (n+1) x^(2n) w one square at a time, then cut at
+    x^(2n+2); None is zero."""
+    while b >= 2:
+        if (n + 1) % 2 == 0:
+            return None
+        a, b, c = a + 2 * n, b - 2, c + 1
+    return None if a >= 2 * n + 2 else Monomial(a, b, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_normal_form_matches_reference_on_exponent_box(n):
+    """The box holds v^2 and v^3 (zero for odd n, rewritten for even n) and
+    the x exponents on both sides of the x^(2n+2) cut."""
+    cfg = AlgebraConfig(n)
+    for a, b, c in itertools.product(range(2 * n + 4), range(5), range(4)):
+        want = reference_normal_form(a, b, c, n)
+        assert normal_monomial(a, b, c, cfg) == want, (a, b, c)
+        assert normalize(a, b, c, cfg) == (zero() if want is None else element(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multiply_matches_reference_on_sums(n):
+    cfg = AlgebraConfig(n)
+    pool = window_monomials(cfg, -(2 * n + 1), 6 * n)
+    for m1, m2 in itertools.product(pool, repeat=2):
+        want = reference_normal_form(m1.a + m2.a, m1.b + m2.b, m1.c + m2.c, n)
+        assert multiply(element(m1), element(m2), cfg) == (zero() if want is None else element(want))
+    rng = random.Random(n)
+    for _ in range(200):
+        left, right = rng.sample(pool, 4), rng.sample(pool, 4)
+        terms = [
+            reference_normal_form(m1.a + m2.a, m1.b + m2.b, m1.c + m2.c, n)
+            for m1 in left
+            for m2 in right
+        ]
+        want = element(*(m for m in terms if m is not None))
+        assert multiply(element(*left), element(*right), cfg) == want
+
+
+@pytest.mark.parametrize("exponents", [(-1, 0, 0), (0, -2, 1), (3, 1, -1)])
+def test_negative_exponents_keep_their_message(exponents):
+    message = re.escape(f"exponents must be nonnegative, got {exponents}")
+    for fn in (normal_monomial, normalize):
+        with pytest.raises(InputError, match=message):
+            fn(*exponents, AlgebraConfig(2))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -310,6 +360,22 @@ def test_dimension_matches_bruteforce(n, case):
                             continue
                         count += 1
             assert dimension(cfg, comp, k) == count, (n, case, comp, k)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_basis_equals_sorted_enumeration(n, case):
+    cfg = AlgebraConfig(n, case)
+    lo, hi = -(2 * n + 1), 12 * n
+    found = {}
+    for a, b, c in itertools.product(range(2 * n + 2), (0, 1), range(hi // (2 * n) + 3)):
+        m = Monomial(a, b, c)
+        if lo <= loop_degree(m, cfg) <= hi:
+            for comp in (None, component(m, cfg)):
+                found.setdefault((loop_degree(m, cfg), comp), []).append(m)
+    for k in range(lo, hi + 1):
+        for comp in (None, Component.E, Component.G):
+            assert basis(cfg, comp, k) == tuple(sorted(found.get((k, comp), []))), (k, comp)
 
 
 def test_basis_split_by_component_cases():

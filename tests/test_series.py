@@ -9,6 +9,7 @@ from loopbv.series import (
     NonQuasilinearError,
     RationalSeries,
     TruncatedSeries,
+    _cyclic_factors,
     _padd,
     _pdivides,
     _pmul,
@@ -281,6 +282,44 @@ def test_pdivides_sparse_exact_and_inexact():
         assert _pdivides(product, d) == _trim(p)
         if len(d) > 1:
             assert _pdivides(_padd(product, (1,)), d) is None
+
+
+def greedy_by_division(den):
+    """Reference factoring: try each 1 - t^e by exact division, largest e first."""
+    exponents, rest = [], den
+    e = len(rest) - 1
+    while e >= 1:
+        quotient = _pdivides(rest, one_minus_t_power(e))
+        if quotient is None:
+            e -= 1
+        else:
+            exponents.append(e)
+            rest = quotient
+            e = min(e, len(rest) - 1)
+    return tuple(exponents), rest
+
+
+def test_cyclic_factors_match_greedy_division():
+    rng = random.Random(23)
+    for _ in range(400):
+        low = (rng.choice((1, -1, 2, 3)), *(rng.randint(-2, 2) for _ in range(rng.randint(0, 3))))
+        den = cyclic_den(1, [rng.randint(1, 9) for _ in range(rng.randint(0, 4))])
+        den = _pmul(den, low)
+        exponents, rest = _cyclic_factors(den)
+        assert (exponents, rest) == greedy_by_division(den), den
+        assert _pmul(cyclic_den(1, exponents), rest) == den
+
+
+def test_cyclic_factors_cache_stays_at_its_bound():
+    """1,000 distinct denominators through ``expand`` leave the factoring
+    cache at its fixed size; the factors come back as tuples."""
+    bound = _cyclic_factors.cache_info().maxsize
+    assert bound is not None and bound < 1000
+    for k in range(1000):
+        r = RationalSeries((1,), _pmul((1, k + 1), one_minus_t_power(2)))
+        assert expand(r, 3).coefficients == tuple(fraction_expand(r, 3))
+    assert _cyclic_factors.cache_info().currsize == bound
+    assert _cyclic_factors(total_series(2).denominator) == ((4, 2, 2), (1,))
 
 
 @pytest.mark.parametrize("n", [100, 2000])

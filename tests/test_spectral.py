@@ -550,6 +550,28 @@ def test_page_series_match_closed_forms(n, case):
     assert got_g == expand(lg_series(n), limit).coefficients
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("delta_fn", [bv.delta, moving_delta], ids=["delta", "moving"])
+def test_page_series_is_the_sum_over_cells_of_each_degree(n, delta_fn):
+    """Degree k of the series is the sum of dim(p, i - shift) over 2p + i = k,
+    read cell by cell; the moving operator's pages hold negative cells."""
+    negative = False
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        for limit in (0, 1, 2, 3, 4 * n, 97):
+            for comp in (Component.E, Component.G):
+                ss = SSConfig(cfg, comp, limit)
+                for page in (e2_page(ss), e3_page(ss, delta_fn)):
+                    want = tuple(
+                        sum(page.dim(p, k - 2 * p - cfg.dim) for p in range(k // 2 + 1))
+                        for k in range(limit + 1)
+                    )
+                    assert page_series(page, ss).coefficients == want, (case, limit, comp)
+                    assert page_to_json(page, ss)["series"] == list(want)
+                    negative = negative or any(d < 0 for *_, d in page.cells())
+    assert negative is (delta_fn is moving_delta)
+
+
 def test_empty_page_series_is_zero():
     cfg = AlgebraConfig(1)
     ss = SSConfig(cfg, Component.G, 10)
