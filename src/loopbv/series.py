@@ -12,14 +12,17 @@ dividing P = 2 lcm(e_i).  A pole w of order m >= 2 puts a term N^(m-1) / w^N
 into the partial sum S_N, so S_N / N converges iff every pole is simple, that is
 iff g (1 - t^P) is a polynomial h / c; each period then adds h(1) / c to S_N.
 
-Expansion divides by the factors 1 - t^e of the denominator first.  Dividing
-a power series by 1 - t^e is the recurrence a_k = b_k + a_(k-e), a running sum
-along each residue class mod e, so it needs only integer additions.  Series
-division by power series with nonzero constant terms commutes and its first
-N + 1 coefficients depend only on the first N + 1 of the dividend, so dividing
-factor by factor gives the same truncated expansion as one long division by
-den.  Whatever the factoring leaves over is long-divided; it is the constant 1
-for every closed form here.
+Every division by a factor 1 - s t^e (s = +-1) is a running sum: it is the
+recurrence a_k = b_k + s a_(k-e) along each residue class mod e, integer
+additions only.  Series division by power series with nonzero constant terms
+commutes and its first N + 1 coefficients depend only on the first N + 1 of
+the dividend, so dividing factor by factor gives the same truncated expansion
+as one long division; expansion long-divides only what the factoring leaves,
+the constant 1 for every closed form here.  The same sums decide exact
+division: for F = prod(1 - s t^e) of degree E, p is a multiple of F iff
+S = p / F is zero in degrees deg p - E + 1 .. deg p.  Then Q = S cut at degree
+deg p - E gives p = F Q modulo t^(deg p + 1), and both sides have degree at
+most deg p, so p = F Q; conversely, p = F Q makes S = Q.
 """
 
 from __future__ import annotations
@@ -66,38 +69,33 @@ def _padd(p: Poly, q: Poly) -> Poly:
     return _trim(tuple(out))
 
 
-def _pdivides(p: Poly, d: Poly) -> Poly | None:
-    """Quotient p / d when the division is exact, else None; like
-    :func:`_pmul`, each step visits only the nonzero terms of d."""
-    p = _trim(p)
-    d = _trim(d)
-    if d == (0,):
-        return None
-    if len(p) < len(d):
-        return (0,) if p == (0,) else None
-    rem = list(p)
-    quot = [0] * (len(p) - len(d) + 1)
-    lead = d[-1]
-    d_terms = [(j, b) for j, b in enumerate(d) if b]
-    for k in range(len(quot) - 1, -1, -1):
-        top = rem[k + len(d) - 1]
-        if top % lead:
-            return None
-        factor = top // lead
-        quot[k] = factor
-        if factor:
-            for j, b in d_terms:
-                rem[k + j] -= factor * b
-    if any(rem):
-        return None
-    return _trim(tuple(quot))
-
-
 def one_minus_t_power(e: int) -> Poly:
     """The polynomial 1 - t^e."""
     if e < 1:
         raise InputError(f"exponent must be positive, got {e}")
     return _trim((1,) + (0,) * (e - 1) + (-1,))
+
+
+def _divide_out(coeffs: list, factors) -> None:
+    """Divide the truncated series ``coeffs`` in place by each factor
+    1 - s t^e of ``factors``, given as pairs (s, e) with s = +-1, by running
+    sums along the residue classes mod e; s = 1 keeps C-level addition."""
+    size = len(coeffs)
+    for s, e in factors:
+        step = None if s == 1 else (lambda acc, b: b - acc)
+        for r in range(min(e, size)):
+            coeffs[r::e] = accumulate(coeffs[r::e], step)
+
+
+def _exact_quotient(p: Poly, factors) -> Poly | None:
+    """p / prod(1 - s t^e) over the pairs (s, e) of ``factors`` when the
+    division is exact, else None: exact iff the series quotient is zero in the
+    top E degrees through deg p, E the degree of the product (see the module
+    docstring); when deg p < E that is every degree, so only p = 0 divides."""
+    coeffs = list(_trim(p))
+    cut = max(len(coeffs) - sum(e for _, e in factors), 0)
+    _divide_out(coeffs, factors)
+    return None if any(coeffs[cut:]) else _trim(tuple(coeffs[:cut]))
 
 
 class RationalSeries(Record):
@@ -162,10 +160,10 @@ def eq_exact(r1: RationalSeries, r2: RationalSeries) -> bool:
 def expand(r: RationalSeries, n_terms: int) -> TruncatedSeries:
     """Power-series expansion through degree ``n_terms`` (inclusive).
 
-    The numerator is first divided by each factor 1 - t^e that
-    :func:`_cyclic_factors` finds in the denominator, as an integer running
-    sum along each residue class mod e; what is left of the denominator is
-    then long-divided.  Both steps are exact series divisions, so the result
+    The numerator is first divided by the factors 1 - t^e that
+    :func:`_cyclic_factors` finds in the denominator, by the running sums of
+    :func:`_divide_out`; what is left of the denominator is then
+    long-divided.  Both steps are exact series divisions, so the result
     does not depend on how much the greedy factoring finds (see the module
     docstring).  The accumulator of the long division stays an ``int`` while
     the coefficients are integral and turns into a ``Fraction`` only when a
@@ -177,9 +175,7 @@ def expand(r: RationalSeries, n_terms: int) -> TruncatedSeries:
     coeffs: list = list(r.numerator[:size])
     coeffs += [0] * (size - len(coeffs))
     exponents, rest = _cyclic_factors(r.denominator)
-    for e in exponents:
-        for s in range(min(e, size)):
-            coeffs[s::e] = accumulate(coeffs[s::e])
+    _divide_out(coeffs, [(1, e) for e in exponents])
     if rest == (1,):
         return TruncatedSeries(tuple(coeffs))
     den0 = rest[0]
@@ -245,20 +241,18 @@ def _cyclic_factors(den: Poly) -> tuple[tuple[int, ...], Poly]:
             e -= 1
         else:
             exponents.append(e)
-            rest = _pdivides(rest, one_minus_t_power(e))
+            rest = _exact_quotient(rest, [(1, e)])
             e = min(e, len(rest) - 1)
     return tuple(exponents), rest
 
 
-def _at_minus_t(p: Poly) -> Poly:
-    return tuple(-a if k % 2 else a for k, a in enumerate(p))
-
-
 def average_alternating(r: RationalSeries) -> Fraction:
     """Cesàro limit of S_N = sum_{k <= N} (-1)^k a_k, exact and without
-    expansion: h = num(-t) (1 - t^P) / (den(-t) / c) must divide exactly, as
-    the poles of r(-t), all roots of unity of order dividing P = 2 lcm(e_i),
-    must be simple; the limit is then h(1) / (P c) (see the module docstring).
+    expansion: with den(-t) = c prod(1 - (-1)^e t^e), the running sums of
+    :func:`_exact_quotient` must divide num(-t) (1 - t^P) by that product
+    exactly, as the poles of r(-t), all roots of unity of order dividing
+    P = 2 lcm(e_i), must be simple; the quotient h then gives the limit
+    h(1) / (P c) (see the module docstring).
     """
     from fractions import Fraction
 
@@ -268,8 +262,9 @@ def average_alternating(r: RationalSeries) -> Fraction:
                                   f"{list(rest)} is not a product of factors 1 - t^e")
     c = rest[0]
     period = 2 * lcm(*exponents) if exponents else 2
-    lifted = _pmul(_at_minus_t(r.numerator), one_minus_t_power(period))
-    h = _pdivides(lifted, _at_minus_t(tuple(d // c for d in r.denominator)))
+    at_minus_t = tuple(-a if k % 2 else a for k, a in enumerate(r.numerator))
+    lifted = _pmul(at_minus_t, one_minus_t_power(period))
+    h = _exact_quotient(lifted, [((-1) ** e, e) for e in exponents])
     if h is None:
         raise NonQuasilinearError("non-quasilinear series: r(-t) has a multiple pole on "
                                   "the unit circle, so no Cesàro limit exists")

@@ -24,8 +24,8 @@ monomial of degree q+4n would need c < 0 at q) and one period of 4n degrees,
 and tiled beyond: dimensions always, since they do not depend on the
 operator, and ranks whenever the operator is the built-in one, that is a
 ``delta_fn`` of ``None`` or ``bv.delta`` itself.  Any other operator, a
-wrapper of ``bv.delta`` included, is ranked in every fiber degree up to the
-cutoff, on every call.
+wrapper of ``bv.delta`` included, is ranked on every call in each fiber
+degree whose rank the page reads: the D degrees below the top one.
 
 The head and period are computed once per process and configuration:
 dimensions in ``_period_dims``, ranks of the built-in operator in
@@ -155,11 +155,6 @@ class Page(Record):
         return {(p, q): d for p, q, d in self.cells()}
 
 
-def _q_range(cfg: SSConfig) -> range:
-    shift = cfg.algebra.dim
-    return range(-shift, cfg.max_top_degree - shift + 1)
-
-
 # fiber degrees q = -(2n+1), -2n, before the w^2 period starts
 HEAD = 2
 
@@ -244,14 +239,20 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     rank there is zero.  Ranks are computed once per fiber degree and reused
     across columns.  For the built-in operator they are tiled from the period
     table, which holds the ranks of the ``bv.delta`` that first filled it
-    (see the module docstring).
+    (see the module docstring).  Any other operator is applied only in the
+    D fiber degrees whose ranks the page reads, so its images are checked
+    against the basis (``InputError`` on a stray term) only there, not at
+    the top degree q = D - shift.
     """
     algebra, comp, size = cfg.algebra, cfg.comp, cfg.max_top_degree + 1
     dims = _tile(_period_dims(algebra, comp), algebra.n, size)
     if delta_fn is None or delta_fn is bv.delta:
         ranks = _tile(_period_ranks(algebra, comp), algebra.n, size)
     else:
-        ranks = [d2_rank(algebra, comp, q, delta_fn) for q in _q_range(cfg)]
+        # the top fiber degree q = D - shift feeds no cell: its image would
+        # land at index D + 1, and column p >= 1 stops at index D - 2
+        qs = range(-algebra.dim, cfg.max_top_degree - algebra.dim)
+        ranks = [d2_rank(algebra, comp, q, delta_fn) for q in qs]
     first = [d - r for d, r in zip(dims, [0] + ranks)]
     rest = [d - r for d, r in zip(first, ranks)]
     return Page(3, algebra.dim, cfg.max_top_degree, first, rest)

@@ -387,6 +387,18 @@ def test_basis_split_by_component_cases():
     assert basis(cfg_b, Component.G, 0) == (Monomial(0, 1, 0), Monomial(2, 0, 1))
 
 
+def test_basis_cache_stays_at_its_bound_over_a_long_ring_window(capsys):
+    """``ring --n 1 --max-degree 20000`` lists 40,008 (degree, component)
+    keys; the cache keeps at most its fixed bound of them."""
+    from loopbv.cli import main
+
+    bound = basis.cache_info().maxsize
+    assert bound is not None
+    assert main(["ring", "--n", "1", "--max-degree", "20000", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > bound
+    assert basis.cache_info().currsize <= bound
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_window_basis_orders_by_degree_then_component(n):
     cfg = AlgebraConfig(n, BVCase.B_W)

@@ -11,7 +11,6 @@ from loopbv.series import (
     TruncatedSeries,
     _cyclic_factors,
     _padd,
-    _pdivides,
     _pmul,
     _trim,
     average_alternating,
@@ -268,6 +267,32 @@ def test_average_alternating_matches_partial_sum_oracle():
     assert min(outcomes.values()) >= 100, outcomes
 
 
+def _pdivides(p, d):
+    """Oracle: sparse long division, the quotient p / d when exact, else None."""
+    p = _trim(p)
+    d = _trim(d)
+    if d == (0,):
+        return None
+    if len(p) < len(d):
+        return (0,) if p == (0,) else None
+    rem = list(p)
+    quot = [0] * (len(p) - len(d) + 1)
+    lead = d[-1]
+    d_terms = [(j, b) for j, b in enumerate(d) if b]
+    for k in range(len(quot) - 1, -1, -1):
+        top = rem[k + len(d) - 1]
+        if top % lead:
+            return None
+        factor = top // lead
+        quot[k] = factor
+        if factor:
+            for j, b in d_terms:
+                rem[k + j] -= factor * b
+    if any(rem):
+        return None
+    return _trim(tuple(quot))
+
+
 def test_pdivides_sparse_exact_and_inexact():
     rng = random.Random(7)
     for _ in range(300):
@@ -299,15 +324,40 @@ def greedy_by_division(den):
     return tuple(exponents), rest
 
 
-def test_cyclic_factors_match_greedy_division():
-    rng = random.Random(23)
+def sparse_denominators(rng):
+    """400 denominators prod(1 - t^e) * L, e up to 9, with a short leftover L."""
     for _ in range(400):
         low = (rng.choice((1, -1, 2, 3)), *(rng.randint(-2, 2) for _ in range(rng.randint(0, 3))))
-        den = cyclic_den(1, [rng.randint(1, 9) for _ in range(rng.randint(0, 4))])
-        den = _pmul(den, low)
-        exponents, rest = _cyclic_factors(den)
-        assert (exponents, rest) == greedy_by_division(den), den
-        assert _pmul(cyclic_den(1, exponents), rest) == den
+        yield _pmul(cyclic_den(1, [rng.randint(1, 9) for _ in range(rng.randint(0, 4))]), low)
+
+
+def dense_denominators(rng):
+    """1,000 denominators c * prod(1 -+ t^e) * L: dense products, factors
+    1 + t^e that are no 1 - t^e, and leftovers L that may complete one."""
+    for _ in range(1000):
+        den = (rng.choice((1, -1, 2, -3)),)
+        for _ in range(rng.randint(0, 6)):
+            e = rng.randint(1, 12)
+            den = _pmul(den, (1,) + (0,) * (e - 1) + (rng.choice((1, -1)),))
+        yield _pmul(den, (1, *(rng.randint(-2, 2) for _ in range(rng.randint(0, 3)))))
+
+
+def test_cyclic_factors_match_greedy_division():
+    for dens in (sparse_denominators(random.Random(23)), dense_denominators(random.Random(20261019))):
+        for den in dens:
+            exponents, rest = _cyclic_factors(den)
+            assert (exponents, rest) == greedy_by_division(den), den
+            assert _pmul(cyclic_den(1, exponents), rest) == den
+
+
+@pytest.mark.parametrize("exponents", [(11, 13, 17), (11, 13, 17, 19)])
+def test_average_alternating_of_coprime_exponents(exponents):
+    """num = (1 - t)^(k-1) over k factors with pairwise coprime e: the
+    poles of r(-t) stay simple, and the alternating sums average to 0."""
+    num = (1,)
+    for _ in exponents[1:]:
+        num = _pmul(num, (1, -1))
+    assert average_alternating(RationalSeries(num, cyclic_den(1, exponents))) == 0
 
 
 def test_cyclic_factors_cache_stays_at_its_bound():

@@ -1,16 +1,26 @@
-"""Property test of ``series.expand`` against the Fraction long division.
+"""Property tests of the running-sum divisions in ``series``.
 
-Denominators are drawn as c * prod(1 - t^e_i) * L(t), so that the factors
-1 - t^e are divided out by running sums and whatever the greedy factoring
-leaves, L and any factor it misses, is long-divided.
+``expand`` is checked against the Fraction long division, on denominators
+drawn as c * prod(1 - t^e_i) * L(t), so that the factors 1 - t^e are divided
+out by running sums and whatever the greedy factoring leaves, L and any
+factor it misses, is long-divided.  ``_exact_quotient`` is checked against
+sparse long division on products p * prod(1 - s t^e) and perturbations.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from loopbv.series import RationalSeries, _pmul, expand, one_minus_t_power
-from test_series import fraction_expand
+from loopbv.series import (
+    RationalSeries,
+    _exact_quotient,
+    _padd,
+    _pmul,
+    _trim,
+    expand,
+    one_minus_t_power,
+)
+from test_series import _pdivides, fraction_expand
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -51,3 +61,38 @@ def test_expand_matches_fraction_long_division(drawn):
     want = fraction_expand(r, n_terms)
     assert got == tuple(want)
     assert [type(x) for x in got] == [int if w.denominator == 1 else Fraction for w in want]
+
+
+def factor_product(factors):
+    """prod(1 - s t^e) over the pairs (s, e)."""
+    product = (1,)
+    for s, e in factors:
+        product = _pmul(product, (1,) + (0,) * (e - 1) + (-s,))
+    return product
+
+
+@st.composite
+def quotient_cases(draw):
+    """(p, factors, perturbation): up to four factors 1 - s t^e, s = +-1 and
+    e in 1..12; p may be zero or of degree below that of the product."""
+    p = tuple(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=10)))
+    factors = draw(st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 12)), max_size=4))
+    perturbation = tuple(draw(st.lists(st.integers(-2, 2), max_size=30)))
+    return p, factors, perturbation
+
+
+@PROPERTY
+@given(quotient_cases())
+@example(((3,), [(1, 1)], ()))  # 3 / (1 - t): degree 0 below 1, not exact
+@example(((0,), [(1, 3), (-1, 2)], ()))  # zero divides into zero
+@example(((1, 2), [(-1, 5)], (0, 0, 1)))  # a perturbation inside the top degrees
+@example(((2, -1), [], (1,)))  # the empty product divides everything
+def test_exact_quotient_matches_long_division(drawn):
+    p, factors, perturbation = drawn
+    den = factor_product(factors)
+    product = _pmul(p, den)
+    assert _exact_quotient(product, factors) == _pdivides(product, den) == _trim(p)
+    perturbed = _padd(product, perturbation)
+    assert _exact_quotient(perturbed, factors) == _pdivides(perturbed, den)
+    if len(_trim(p)) < len(den):  # below the degree of the product only 0 divides
+        assert _exact_quotient(p, factors) == ((0,) if _trim(p) == (0,) else None)

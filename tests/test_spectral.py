@@ -361,6 +361,18 @@ def test_rebound_delta_shares_the_configuration_table(monkeypatch):
     assert spectral._period_ranks.cache_info().currsize == 2
 
 
+def test_cold_certificates_of_every_configuration_fit_the_basis_cache():
+    """Filling the period tables of all 32 configurations evicts nothing
+    from the bounded ``ring.basis`` cache: every miss is still held."""
+    basis.cache_clear()
+    clear_period_tables()
+    for n in range(1, 9):
+        for case in ALL_CASES:
+            assert verify_collapse(AlgebraConfig(n, case), 600).passed
+    info = basis.cache_info()
+    assert info.misses > 0 and info.currsize == info.misses
+
+
 def test_rebinding_delta_does_not_grow_the_rank_table(monkeypatch):
     cfg, original = AlgebraConfig(4), bv.delta
     verify_collapse(cfg, 40)
@@ -375,20 +387,23 @@ def test_rebinding_delta_does_not_grow_the_rank_table(monkeypatch):
     "delta_fn", [wrapped_delta, zero_delta, moving_delta], ids=["wrapped", "zero", "moving"]
 )
 def test_other_operators_skip_the_rank_table(delta_fn, monkeypatch):
-    cfg, limit = AlgebraConfig(2, BVCase.A_V), 30
-    verify_collapse(cfg, limit)
+    """A page of cutoff D reads ranks at fiber indices 0..D-1 only: D calls
+    per ``e3_page``, none at D = 0, and 2D per ``verify_collapse``."""
+    cfg = AlgebraConfig(2, BVCase.A_V)
+    verify_collapse(cfg, 30)
     info = spectral._period_ranks.cache_info()
     calls = []
     monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, calls))
-    for _ in range(2):
+    # 30 twice: a repeated call ranks again
+    for limit in (0, 1, 2, 10, 30, 30):
         for comp in (Component.E, Component.G):
             calls.clear()
             e3_page(SSConfig(cfg, comp, limit), delta_fn)
-            assert [q for *_, q, fn in calls] == list(range(-cfg.dim, limit - cfg.dim + 1))
-            assert {fn for *_, fn in calls} == {delta_fn}
+            assert [q for *_, q, fn in calls] == list(range(-cfg.dim, limit - cfg.dim))
+            assert {fn for *_, fn in calls} == ({delta_fn} if limit else set())
         calls.clear()
         verify_collapse(cfg, limit, delta_fn)
-        assert len(calls) == 2 * (limit + 1)
+        assert len(calls) == 2 * limit
     assert spectral._period_ranks.cache_info() == info
 
 
