@@ -1,5 +1,11 @@
 """Command-line frontend: ring tables, BV tables, pages, series, checks.
 
+Each subcommand computes first and returns ``(payload, exit_code, lines)``:
+the JSON-ready payload and the ``table``/``csv`` text lines, an iterable
+that is consumed as it prints.  ``main`` prints one of them, the payload
+whole or the lines one at a time, inside the handler that maps input and
+output errors (a closed output pipe included) to exit code 2.
+
 Exit codes: 0 on success and passing verifications, 1 on a failed
 verification, 2 on input errors.  All numeric output is exact; rationals
 print as p/q.
@@ -36,32 +42,26 @@ def _algebra(args) -> AlgebraConfig:
     return AlgebraConfig(args.n, BVCase(args.case))
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
 def _components(arg: str) -> tuple[Component, ...]:
     if arg == "both":
         return (Component.E, Component.G)
     return (Component(arg),)
 
 
-def _print_rows(rows, columns, fmt: str) -> None:
-    if fmt == "json":
-        print(_emit_json({"rows": rows}))
-        return
+def _row_lines(rows, columns, fmt: str):
+    """Header and rows as csv, or as a table padded to each column's widest
+    cell; a table iterates ``rows`` once per column first, csv only once."""
     if fmt == "csv":
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(str(row[c]) for c in columns))
-        return
-    widths = [max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c) for c in columns]
-    print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
+        sep, widths = ",", [0] * len(columns)
+    else:
+        sep = "  "
+        widths = [max([len(c), *(len(str(row[c])) for row in rows)]) for c in columns]
+    yield sep.join(c.ljust(w) for c, w in zip(columns, widths))
     for row in rows:
-        print("  ".join(str(row[c]).ljust(w) for c, w in zip(columns, widths)))
+        yield sep.join(str(row[c]).ljust(w) for c, w in zip(columns, widths))
 
 
-def cmd_rows(args) -> int:
+def cmd_rows(args) -> tuple:
     """ring and bv: one row per basis monomial of the loop-degree window; the
     last column is the top degree for ring and Delta for bv."""
     cfg = _algebra(args)
@@ -82,11 +82,20 @@ def cmd_rows(args) -> int:
         }
         for m in window_basis(cfg, _components(args.component), lo, hi)
     ]
-    _print_rows(rows, ["monomial", "component", "loop_degree", last], args.format)
-    return 0
+    columns = ["monomial", "component", "loop_degree", last]
+    return {"rows": rows}, 0, _row_lines(rows, columns, args.format)
 
 
-def cmd_pages(args) -> int:
+def _page_lines(payload: dict, quiet: bool):
+    for comp_name, obj in payload.items():
+        if not quiet:
+            yield f"# component {comp_name}, page {obj['page']}"
+        for entry in obj["entries"]:
+            yield f"{entry['p']:>4} {entry['q']:>5} {entry['dim']:>4}"
+        yield "series " + " ".join(str(c) for c in obj["series"])
+
+
+def cmd_pages(args) -> tuple:
     from . import spectral
 
     cfg = _algebra(args)
@@ -95,28 +104,16 @@ def cmd_pages(args) -> int:
         ss = spectral.SSConfig(cfg, comp, args.max_degree)
         page = spectral.e2_page(ss) if args.page == 2 else spectral.e3_page(ss)
         payload[comp.value] = spectral.page_to_json(page, ss)
-    if args.format == "json":
-        out = payload if args.component == "both" else payload[args.component]
-        print(_emit_json(out))
-        return 0
     if args.format == "csv":
-        rows = [
-            {"component": comp_name, **entry}
-            for comp_name, obj in payload.items()
-            for entry in obj["entries"]
-        ]
-        _print_rows(rows, ["component", "p", "q", "dim"], "csv")
-        return 0
-    for comp_name, obj in payload.items():
-        if not args.quiet:
-            print(f"# component {comp_name}, page {obj['page']}")
-        for entry in obj["entries"]:
-            print(f"{entry['p']:>4} {entry['q']:>5} {entry['dim']:>4}")
-        print("series " + " ".join(str(c) for c in obj["series"]))
-    return 0
+        rows = ({"component": comp_name, **entry}
+                for comp_name, obj in payload.items() for entry in obj["entries"])
+        lines = _row_lines(rows, ["component", "p", "q", "dim"], "csv")
+    else:
+        lines = _page_lines(payload, args.quiet)
+    return payload if args.component == "both" else payload[args.component], 0, lines
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> tuple:
     from . import series
 
     builders = {
@@ -133,19 +130,13 @@ def cmd_series(args) -> int:
         ]
     if args.average:
         payload["average"] = _frac(series.average_alternating(r))
-    if args.format == "json":
-        print(_emit_json(payload))
-        return 0
-    print(f"num: {payload['num']}")
-    print(f"den: {payload['den']}")
-    if "expansion" in payload:
-        print("expansion: " + " ".join(str(c) for c in payload["expansion"]))
-    if "average" in payload:
-        print(f"average: {payload['average']}")
-    return 0
+    # num, den, expansion, average: in the order they were added
+    lines = (f"{key}: {' '.join(map(str, value)) if key == 'expansion' else value}"
+             for key, value in payload.items())
+    return payload, 0, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     from . import bv, spectral
 
     cfg = _algebra(args)
@@ -153,49 +144,56 @@ def cmd_verify(args) -> int:
     lo, hi = -cfg.dim, 12 * cfg.n
     failures = bv.axiom_failures(cfg, lo, hi, samples=args.samples, seed=args.seed)
     passed = report.passed and not failures
-    if args.format == "json":
-        print(_emit_json({
-            "collapse": {
-                "passed": report.passed,
-                "e_page_stable": report.e_page_stable,
-                "first_mismatch": report.first_mismatch,
-                "max_degree": args.max_degree,
-            },
-            "axioms": {
-                "failures": failures,
-                "window": [lo, hi],
-                "samples": args.samples,
-                "seed": args.seed,
-            },
-            "passed": passed,
-        }))
-        return 0 if passed else 1
-    if report.passed:
-        if not args.quiet:
-            print(f"collapse n={cfg.n} case={cfg.bv_case.value} "
-                  f"through degree {args.max_degree}: PASS")
-    else:
-        print(f"collapse n={cfg.n} case={cfg.bv_case.value}: FAIL")
+    payload = {
+        "collapse": {
+            "passed": report.passed,
+            "e_page_stable": report.e_page_stable,
+            "first_mismatch": report.first_mismatch,
+            "max_degree": args.max_degree,
+        },
+        "axioms": {
+            "failures": failures,
+            "window": [lo, hi],
+            "samples": args.samples,
+            "seed": args.seed,
+        },
+        "passed": passed,
+    }
+    where = f"n={cfg.n} case={cfg.bv_case.value}"
+    lines = []
+    if not report.passed:
+        lines.append(f"collapse {where}: FAIL")
         if not report.e_page_stable:
-            print("  contractible component moved between pages two and three")
+            lines.append("  contractible component moved between pages two and three")
         if report.first_mismatch:
             k, got, want = report.first_mismatch
-            print(f"  first mismatch at degree {k}: computed {got}, expected {want}")
-            print(f"  computed series: {list(report.computed)}")
-            print(f"  expected series: {list(report.expected)}")
-    if failures:
-        print(f"axioms n={cfg.n} case={cfg.bv_case.value}: FAIL")
-        for message in failures[:10]:
-            print(f"  {message}")
+            lines += [f"  first mismatch at degree {k}: computed {got}, expected {want}",
+                      f"  computed series: {list(report.computed)}",
+                      f"  expected series: {list(report.expected)}"]
     elif not args.quiet:
-        print(f"axioms n={cfg.n} case={cfg.bv_case.value} on degrees "
-              f"[{lo}, {hi}] with {args.samples} samples (seed {args.seed}): PASS")
-    return 0 if passed else 1
+        lines.append(f"collapse {where} through degree {args.max_degree}: PASS")
+    if failures:
+        lines += [f"axioms {where}: FAIL", *(f"  {message}" for message in failures[:10])]
+    elif not args.quiet:
+        lines.append(f"axioms {where} on degrees [{lo}, {hi}] with {args.samples} samples "
+                     f"(seed {args.seed}): PASS")
+    return payload, 0 if passed else 1, lines
 
 
-def _resonance_payload(args, n: int, records) -> tuple[dict, bool]:
+def cmd_resonance(args) -> tuple:
     from . import resonance
 
+    try:
+        with open(args.input, encoding="utf-8") as handle:
+            obj = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"malformed JSON in {args.input}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested past the recursion limit, or an over-long integer
+        raise InputError(f"unreadable JSON in {args.input}: {exc}") from exc
+    n, records = resonance.load_problem(obj)
     if args.check == "nondegenerate":
         rep = resonance.nondegenerate_check(records, n)
         payload: dict = {"consistent_with_full": rep.consistent_with_full}
@@ -219,33 +217,9 @@ def _resonance_payload(args, n: int, records) -> tuple[dict, bool]:
             "alternating_sum": trunc.alternating_sum,
             "average": _frac(trunc.average) if trunc.average is not None else None,
         }
-    return payload, rep.passed
-
-
-def cmd_resonance(args) -> int:
-    from . import resonance
-
-    try:
-        with open(args.input, encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"malformed JSON in {args.input}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except (ValueError, RecursionError) as exc:
-        # not UTF-8, nested past the recursion limit, or an over-long integer
-        raise InputError(f"unreadable JSON in {args.input}: {exc}") from exc
-    n, records = resonance.load_problem(obj)
-    payload, passed = _resonance_payload(args, n, records)
-    if args.format == "json":
-        print(_emit_json(payload))
-    else:
-        for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, dict):
-                value = json.dumps(value, sort_keys=True)
-            print(f"{key}: {value}")
-    return 0 if passed else 1
+    lines = (f"{key}: {json.dumps(value, sort_keys=True) if isinstance(value, dict) else value}"
+             for key, value in sorted(payload.items()))
+    return payload, 0 if rep.passed else 1, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +282,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, code, lines = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,19 @@
 import hashlib
+import itertools
 import json
+import os
 import pathlib
 import re
 import shlex
+import shutil
+import subprocess
 import sys
 
 import pytest
 
 import loopbv
-from loopbv import series
-from loopbv.cli import main
+from loopbv import series, spectral
+from loopbv.cli import CASE_CHOICES, main
 from loopbv.ring import AlgebraConfig, BVCase, Component, basis
 from loopbv.spectral import SSConfig, e3_page, page_from_json
 
@@ -417,6 +421,15 @@ def test_resonance_with_morse_summary(capsys):
     assert payload["morse"]["average"] == "501/500"
 
 
+def test_resonance_without_geodesics_sums_to_zero_and_fails(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"n": 1, "geodesics": []}')
+    code, out, _ = run(capsys, "resonance", "--input", str(empty), "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["sum"], payload["vacuous"], payload["verdict"]) == ("0/1", True, "fail")
+
+
 def test_resonance_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "resonance", "--input", "missing.json")
     assert code == 2
@@ -582,3 +595,129 @@ def test_identical_invocations_are_byte_stable(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+# One SHA-256 over (argv, exit code, stdout, stderr) of every call that
+# surface_grid makes: the bytes of the whole command-line surface.  Only a
+# change to that surface re-records it, such as ROADMAP items 3 (CLI surface
+# v2) and 5 (streamed output), and CHANGES says which.
+SURFACE_DIGEST = "ff733aefda85814d33f0426e19a5af9532641f1b385667e1c5ce344982cd2d1a"
+
+FIXTURE_NAMES = ("resonance_n1_mixed.json", "resonance_n1_negative.json",
+                 "resonance_n1_nondegenerate.json", "resonance_n2.json")
+# inputs for resonance written next to the fixtures; "missing.json" is not
+BAD_INPUTS = {
+    "vacuous.json": b'{"n": 1, "geodesics": []}',
+    "malformed.json": b'{"n": 1,\n  "geodesics": [}\n',
+    "not_utf8.json": b"\xff\xfe{}",
+    "period_zero.json": (b'{"n": 1, "geodesics": [{"label": "c", "initial_index": 0, '
+                         b'"mean_index": "1", "period": 0}]}'),
+    "fast.json": (b'{"n": 1, "geodesics": [{"label": "fast", "initial_index": 0, '
+                  b'"mean_index": "1000000", "period": 2, '
+                  b'"type_numbers": [{"m": 1, "l": 0, "k": 1}]}]}'),
+}
+# collapse reports verify cannot produce with the built-in operator: the
+# contractible component moving, and a closed form that disagrees at degree 3
+FAKE_COLLAPSE = {
+    "moved": dict(e_page_stable=False, first_mismatch=None),
+    "mismatch": dict(e_page_stable=True, first_mismatch=(3, 4, 5)),
+}
+
+
+def surface_grid():
+    """(argv, FAKE_COLLAPSE key or None) of about 600 calls covering every
+    subcommand, format and --quiet, n in 1..3, the four cases and small
+    cutoffs, the fixtures with and without --morse, and exit-2 inputs."""
+    tabular = ("table", "json", "csv")
+    comps = ("e", "g", "both")
+    quiet = ([], ["--quiet"])
+    windows = ([], ["--min-degree", "-2", "--max-degree", "3"],
+               ["--min-degree", "-100", "--max-degree", "-50"])
+    for n, comp, fmt, window in itertools.product((1, 2, 3), comps, tabular, windows):
+        yield ["ring", "--n", str(n), "--component", comp, "--format", fmt, *window], None
+    for n, case, comp, fmt in itertools.product((1, 2, 3), CASE_CHOICES, comps, tabular):
+        yield ["bv", "--n", str(n), "--case", case, "--component", comp, "--format", fmt], None
+    for fmt in tabular:
+        yield ["bv", "table", "--n", "2", "--max-degree", "5", "--format", fmt], None
+    for n, page, comp, fmt, cutoff, q in itertools.product(
+            (1, 2), ("2", "3"), comps, tabular, ("0", "7"), quiet):
+        yield ["pages", "--n", str(n), "--page", page, "--component", comp,
+               "--format", fmt, "--max-degree", cutoff, *q], None
+    for n, case, fmt in itertools.product((1, 2, 3), CASE_CHOICES, tabular):
+        yield ["pages", "--n", str(n), "--case", case, "--max-degree", "30",
+               "--format", fmt], None
+    for n, case, fmt, cutoff, q in itertools.product(
+            (1, 2, 3), CASE_CHOICES, ("table", "json"), ("0", "12"), quiet):
+        yield ["verify", "--n", str(n), "--case", case, "--max-degree", cutoff,
+               "--samples", "3", "--seed", "5", "--format", fmt, *q], None
+    for case, fmt, q, (samples, seed) in itertools.product(
+            ("A_v", "B_w"), ("table", "json"), quiet, (("0", "0"), ("12", "1"))):
+        yield ["verify", "--n", "2", "--case", case, "--max-degree", "40",
+               "--samples", samples, "--seed", seed, "--format", fmt, *q], None
+    for fake, case, fmt, q in itertools.product(
+            FAKE_COLLAPSE, ("A_v", "B_w"), ("table", "json"), quiet):
+        yield ["verify", "--n", "2", "--case", case, "--max-degree", "6",
+               "--samples", "2", "--format", fmt, *q], fake
+    extras = ([], ["--expand", "6"], ["--average"], ["--expand", "6", "--average"])
+    for n, which, extra, fmt in itertools.product(
+            (1, 2, 3), ("lg", "le", "total"), extras, ("table", "json")):
+        yield ["series", "--n", str(n), "--which", which, *extra, "--format", fmt], None
+    for name, check, fmt, morse in itertools.product(
+            FIXTURE_NAMES, ("full", "nondegenerate"), ("table", "json"), ([], ["--morse", "30"])):
+        yield ["resonance", "--input", name, "--check", check, "--format", fmt, *morse], None
+    for name, fmt in itertools.product([*BAD_INPUTS, "missing.json"], ("table", "json")):
+        yield ["resonance", "--input", name, "--format", fmt], None
+    yield ["resonance", "--input", "fast.json", "--morse", "1000000000"], None
+    yield ["resonance", "--input", FIXTURE_NAMES[0], "--morse", "-1"], None
+    for argv in ("ring --n 0", "ring --n -1 --format csv", "ring --min-degree 4 --max-degree 1",
+                 "bv --n 0 --format json", "pages --max-degree -1", "pages --n 0 --format csv",
+                 "verify --max-degree -1", "verify --samples -1 --format json",
+                 "verify --n 0", "series --n 0", "series --expand -1",
+                 "series --n 2 --which le --average --format json"):
+        yield argv.split(), None
+
+
+def test_command_line_surface_is_pinned(tmp_path, monkeypatch, capsys):
+    for name in FIXTURE_NAMES:
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    for name, content in BAD_INPUTS.items():
+        (tmp_path / name).write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    real_collapse = spectral.verify_collapse
+
+    def fake_collapse(fake):
+        def verify_collapse(algebra, max_top_degree):
+            report = real_collapse(algebra, max_top_degree)
+            if not fake:
+                return report
+            fields = {f: getattr(report, f) for f in report._fields}
+            return spectral.CollapseReport(**{**fields, **FAKE_COLLAPSE[fake]})
+        return verify_collapse
+
+    digest = hashlib.sha256()
+    calls = 0
+    for argv, fake in surface_grid():
+        monkeypatch.setattr(spectral, "verify_collapse", fake_collapse(fake))
+        code, out, err = run(capsys, *argv)
+        assert "Traceback" not in err, argv
+        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        calls += 1
+    assert calls > 550
+    assert digest.hexdigest() == SURFACE_DIGEST
+
+
+def test_closed_output_pipe_exits_two():
+    """A reader that stops after one line, as `| head -1` does: the next write
+    fails with EPIPE, which is an input/output error like any other."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loopbv.cli", "ring", "--n", "1", "--max-degree", "20000",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT,
+    )
+    assert proc.stdout.readline() == b"monomial,component,loop_degree,top_degree\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"

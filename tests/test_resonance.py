@@ -28,6 +28,8 @@ def test_record_validation():
         GeodesicRecord("bad", 0, Fraction(0), 2, {(1, 0): 1})
     with pytest.raises(InputError):
         GeodesicRecord("bad", 0, Fraction(1), 3, {(1, 0): 1})  # odd period
+    with pytest.raises(InputError, match="period must be a positive even integer"):
+        GeodesicRecord("a", 0, 1, 0)  # period 0: mean_euler would divide by it
     with pytest.raises(InputError):
         GeodesicRecord("bad", -1, Fraction(1), 2, {(1, 0): 1})
     with pytest.raises(InputError):
@@ -88,6 +90,7 @@ def test_resonance_check_empty_is_vacuous_fail():
     report = resonance_check([], 1)
     assert not report.passed
     assert report.vacuous
+    assert report.total == 0
 
 
 def test_resonance_check_rejects_duplicate_labels():
@@ -248,6 +251,15 @@ def test_morse_truncation_with_explicit_sequences():
     direct = morse_truncation(records, 1, 100, model=explicit)
     modelled = morse_truncation(records, 1, 100)
     assert direct == modelled
+
+
+def test_morse_truncation_reaches_the_last_iterates_at_n_3():
+    """Iterate 7 of a mean-index-4 geodesic has index 22 = 4 * 7 - 2n at n = 3,
+    so q = 22 counts it only through the full slack 2n in the last iterate."""
+    rec = GeodesicRecord("c", 4, 4, 2, {(1, 0): 1})
+    result = morse_truncation([rec], 3, 22, model=[4, 12, 20, 22, 36])
+    assert result.counts[22] == 1
+    assert result.alternating_sum == 4
 
 
 def test_morse_truncation_over_iterate_budget_names_the_count():
