@@ -56,7 +56,9 @@ from .ring import (
 )
 
 
-@lru_cache(maxsize=None)
+# bounded: the key is caller input; 64 holds the 32 configurations of
+# n <= 8 twice over
+@lru_cache(maxsize=64)
 def bracket_table(cfg: AlgebraConfig) -> dict[tuple[int, int], AlgebraElement]:
     """Nonzero brackets {g_i, g_j} of one case configuration, keyed by the
     index pair (i, j), i < j, with 0, 1, 2 standing for x, v, w.  Pairs that

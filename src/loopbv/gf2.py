@@ -4,13 +4,16 @@ from __future__ import annotations
 
 
 def rank(rows: list[int]) -> int:
-    """Rank of the span of bitmask rows via Gaussian elimination."""
-    work = [r for r in rows if r]
-    rk = 0
-    while work:
-        pivot_row = work.pop()
-        rk += 1
-        pivot_bit = pivot_row & -pivot_row
-        work = [r ^ pivot_row if r & pivot_bit else r for r in work]
-        work = [r for r in work if r]
-    return rk
+    """Rank of the span of bitmask rows by Gaussian elimination: each row is
+    reduced by the pivots found so far, keyed by their leading bit, until it
+    is zero or leads with a new bit and becomes a pivot."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)

@@ -138,9 +138,13 @@ class BVCase(Enum):
     B_W = "B_w"
     B_WXVW = "B_wxvw"
 
-    @property
-    def w_is_contractible(self) -> bool:
-        return self in (BVCase.A_V, BVCase.A_VXW)
+    # members are singletons and equality is identity: hash in C, not
+    # through the Python-level Enum.__hash__ of every cache lookup
+    __hash__ = object.__hash__
+
+    def __init__(self, value: str) -> None:
+        # the letter A: a plain attribute, read once per monomial by component()
+        self.w_is_contractible = value[0] == "A"
 
 
 class Component(Enum):
@@ -148,6 +152,8 @@ class Component(Enum):
 
     E = "e"
     G = "g"
+
+    __hash__ = object.__hash__  # as for BVCase
 
     def __add__(self, other: "Component") -> "Component":
         # composition of loops multiplies the labels in Z2
@@ -250,7 +256,8 @@ def normal_monomial(a: int, b: int, c: int, cfg: AlgebraConfig) -> Monomial | No
         c += reductions
     if a >= 2 * cfg.n + 2:
         return None
-    return Monomial(a, b, c)
+    # tuple.__new__ skips the Python-level Monomial.__new__ frame
+    return tuple.__new__(Monomial, (a, b, c))
 
 
 def normalize(a: int, b: int, c: int, cfg: AlgebraConfig) -> AlgebraElement:
@@ -313,7 +320,7 @@ def _check_component(comp) -> None:
         raise InputError(f"unknown component {comp!r}; expected a Component or None")
 
 
-# bounded: the key is caller input; 4096 is about three times what the
+# bounded: the key is caller input; 4096 is about six times what the
 # period tables of all 32 configurations fill
 @lru_cache(maxsize=4096)
 def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial, ...]:
@@ -336,7 +343,7 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
         c = numerator // (2 * cfg.n)
         for b in (0, 1):
             if comp is None or (b + c_weight * c) % 2 == odd:
-                out.append(Monomial(a, b, c))
+                out.append(tuple.__new__(Monomial, (a, b, c)))
     return tuple(out)
 
 

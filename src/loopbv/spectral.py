@@ -27,13 +27,17 @@ operator, and ranks whenever the operator is the built-in one, that is a
 wrapper of ``bv.delta`` included, is ranked on every call in each fiber
 degree whose rank the page reads: the D degrees below the top one.
 
-The head and period are computed once per process and configuration:
-dimensions in ``_period_dims``, ranks of the built-in operator in
-``_period_ranks``, so a later page or certificate of any cutoff costs only
-the O(D) tiling.  The rank table holds the ranks of the ``bv.delta`` that
-first filled it: whoever replaces or changes ``bv.delta`` calls
-``_period_ranks.cache_clear()``.  An operator passed as ``delta_fn`` never
-touches the table.
+The configuration is the unit of that work.  ``_period_table`` holds one
+entry per configuration, filled by its first page or certificate in one
+sweep over the head and the period: the pooled basis of each degree is
+split by component, the ``bv.delta`` bound at that moment is applied once
+per basis monomial, and each component's matrix is ranked, 2 (4n+2) ranks
+in all.  The entry holds, for both components, the fiber dimensions and the
+ranks of that ``bv.delta``, and the certificate sums proved from them (see
+below), so a later page or certificate of any cutoff costs only O(D).  One
+rule governs the table: whoever replaces or changes ``bv.delta`` calls
+``_period_table.cache_clear()``.  An operator passed as ``delta_fn`` never
+enters it: its pages read only the dimensions there.
 
 ``verify_collapse`` turns the same period into a certificate for every
 degree.  It reads the pages themselves: it compares the sum of the series
@@ -46,12 +50,14 @@ deg N <= 4n+4.  It equals the closed form num/den in every degree iff
 N den - num (1 - t^(4n)) (1 - t^2) = 0, a polynomial of degree at most
 K = max(4n+4 + deg den, deg num + 4n+2), so agreement of the coefficients
 0..K proves it.  K >= 4n+4, so the E-stability check through K also
-covers the head and a whole period.  The one truncated comparison is
-therefore run to K, which costs O(n) rank computations whatever the cutoff,
-and none once the configuration has been ranked; only the returned
-expansion is O(D).  Any other operator, or a failed proof, gets the same
-comparison through the cutoff D.  A page is held as its two columns, and
-emitting one costs its nonzero cells plus D, with no sort.
+covers the head and a whole period.  That flag and the page-series sum
+through K depend only on the configuration, K and the table, so they are
+computed once, from the pages at cutoff K, and kept in the table entry
+under K.  The closed form is read on every call and expanded once, through
+max(K, D): a warm certificate costs that one O(D) expansion.  Any other
+operator, or a failed proof, gets the same comparison through the cutoff D.
+A page is held as its two columns, and emitting one costs its nonzero cells
+plus D, with no sort.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import add
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bv, gf2, series
 from .ring import (
@@ -67,10 +73,11 @@ from .ring import (
     AlgebraElement,
     Component,
     InputError,
+    Monomial,
     Record,
     basis,
     check_count,
-    dimension,
+    component,
 )
 
 DeltaFn = Callable[[AlgebraElement, AlgebraConfig], AlgebraElement]
@@ -164,18 +171,49 @@ def _period_degrees(algebra: AlgebraConfig) -> range:
     return range(-algebra.dim, -algebra.dim + HEAD + 4 * algebra.n)
 
 
-@lru_cache(maxsize=None)
-def _period_dims(algebra: AlgebraConfig, comp: Component) -> tuple[int, ...]:
-    """Fiber dimensions over :func:`_period_degrees`, once per process."""
-    return tuple(dimension(algebra, comp, q) for q in _period_degrees(algebra))
+class _Table(NamedTuple):
+    """One configuration's entry of :func:`_period_table`."""
+
+    # component -> (dimensions, ranks of the built-in operator) over
+    # _period_degrees
+    fibers: dict
+    # cutoff K -> (E-stability, sum of the two page series through K)
+    proofs: dict
 
 
-@lru_cache(maxsize=None)
-def _period_ranks(algebra: AlgebraConfig, comp: Component) -> tuple[int, ...]:
-    """Ranks of the built-in operator over :func:`_period_degrees`, once per
-    process: those of the ``bv.delta`` that first filled the table, until
-    ``_period_ranks.cache_clear()`` (see the module docstring)."""
-    return tuple(d2_rank(algebra, comp, q) for q in _period_degrees(algebra))
+# bounded: the key is caller input; 64 holds the 32 configurations of
+# n <= 8 twice over
+@lru_cache(maxsize=64)
+def _period_table(algebra: AlgebraConfig) -> _Table:
+    """The period table of one configuration, filled in one sweep for both
+    components (see the module docstring)."""
+    delta, fibers = bv.delta, {comp: ([], []) for comp in Component}
+    source = _split(algebra, -algebra.dim)
+    for q in _period_degrees(algebra):
+        target = _split(algebra, q + 1)
+        for comp, (dims, ranks) in fibers.items():
+            rows = _rows(algebra, comp, q, source[comp], target[comp], delta)
+            dims.append(len(rows))
+            ranks.append(gf2.rank(rows))
+        source = target
+    return _Table({comp: (tuple(d), tuple(r)) for comp, (d, r) in fibers.items()}, {})
+
+
+def _split(algebra: AlgebraConfig, q: int) -> dict[Component, dict[Monomial, int]]:
+    """The pooled degree-q basis split by component: each part maps its
+    monomials, in basis order, to their positions in that component's basis."""
+    parts = {Component.E: {}, Component.G: {}}
+    for m in basis(algebra, None, q):
+        part = parts[component(m, algebra)]
+        part[m] = len(part)
+    return parts
+
+
+def _fiber(algebra: AlgebraConfig, comp: Component) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Dimensions and built-in ranks of ``comp`` over :func:`_period_degrees`."""
+    if not isinstance(comp, Component):
+        raise InputError(f"unknown component {comp!r}; expected a Component")
+    return _period_table(algebra).fibers[comp]
 
 
 def _tile(known: tuple[int, ...], n: int, size: int) -> list[int]:
@@ -188,8 +226,32 @@ def e2_page(cfg: SSConfig) -> Page:
     """Second page: every column repeats the fiber dimensions, tiled from one
     period (see the module docstring)."""
     top = cfg.max_top_degree
-    dims = _tile(_period_dims(cfg.algebra, cfg.comp), cfg.algebra.n, top + 1)
+    dims = _tile(_fiber(cfg.algebra, cfg.comp)[0], cfg.algebra.n, top + 1)
     return Page(2, cfg.algebra.dim, top, dims, dims)
+
+
+def _rows(
+    cfg: AlgebraConfig,
+    comp: Component,
+    q: int,
+    source: Iterable[Monomial],
+    index: dict[Monomial, int],
+    delta_fn: DeltaFn,
+) -> list[int]:
+    """Bitmask rows of ``delta_fn`` on the degree-q monomials ``source`` of
+    ``comp``; ``index`` maps its degree-(q+1) basis to coordinates."""
+    rows = []
+    for m in source:
+        row = 0
+        for t in delta_fn(AlgebraElement(frozenset((m,))), cfg).terms:
+            if t not in index:
+                raise InputError(
+                    f"image term {t} of degree-{q} monomial {m} is not a "
+                    f"degree-{q + 1} basis monomial of component {comp.value}"
+                )
+            row |= 1 << index[t]
+        rows.append(row)
+    return rows
 
 
 def d2_matrix(
@@ -204,21 +266,8 @@ def d2_matrix(
     monomial in the degree-(q+1) basis.  A ``delta_fn`` of ``None`` is
     ``bv.delta`` as it is bound at this call.
     """
-    delta_fn = delta_fn or bv.delta
-    target = {m: i for i, m in enumerate(basis(cfg, comp, q + 1))}
-    rows = []
-    for m in basis(cfg, comp, q):
-        image = delta_fn(AlgebraElement(frozenset((m,))), cfg)
-        row = 0
-        for t in image.terms:
-            if t not in target:
-                raise InputError(
-                    f"image term {t} of degree-{q} monomial {m} is not a "
-                    f"degree-{q + 1} basis monomial of component {comp.value}"
-                )
-            row |= 1 << target[t]
-        rows.append(row)
-    return rows
+    index = {m: i for i, m in enumerate(basis(cfg, comp, q + 1))}
+    return _rows(cfg, comp, q, basis(cfg, comp, q), index, delta_fn or bv.delta)
 
 
 def d2_rank(
@@ -238,16 +287,17 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     rank at q-1.  Nothing sits below the bottom fiber degree, so the incoming
     rank there is zero.  Ranks are computed once per fiber degree and reused
     across columns.  For the built-in operator they are tiled from the period
-    table, which holds the ranks of the ``bv.delta`` that first filled it
-    (see the module docstring).  Any other operator is applied only in the
-    D fiber degrees whose ranks the page reads, so its images are checked
-    against the basis (``InputError`` on a stray term) only there, not at
-    the top degree q = D - shift.
+    table, which holds the ranks of the ``bv.delta`` that filled it (see the
+    module docstring).  Any other operator is applied only in the D fiber
+    degrees whose ranks the page reads, so its images are checked against
+    the basis (``InputError`` on a stray term) only there, not at the top
+    degree q = D - shift.
     """
     algebra, comp, size = cfg.algebra, cfg.comp, cfg.max_top_degree + 1
-    dims = _tile(_period_dims(algebra, comp), algebra.n, size)
+    period_dims, period_ranks = _fiber(algebra, comp)
+    dims = _tile(period_dims, algebra.n, size)
     if delta_fn is None or delta_fn is bv.delta:
-        ranks = _tile(_period_ranks(algebra, comp), algebra.n, size)
+        ranks = _tile(period_ranks, algebra.n, size)
     else:
         # the top fiber degree q = D - shift feeds no cell: its image would
         # land at index D + 1, and column p >= 1 stops at index D - 2
@@ -300,15 +350,31 @@ class CollapseReport(Record):
         return self.e_page_stable and self.first_mismatch is None
 
 
-def _compare(
-    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None, total: series.RationalSeries
-) -> CollapseReport:
-    """Page comparison through degree ``top``, reported at that cutoff."""
+def _page_sums(
+    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None
+) -> tuple[bool, tuple[int, ...]]:
+    """E-stability and the sum of the two third-page series through ``top``."""
     ss_e, ss_g = SSConfig(cfg, Component.E, top), SSConfig(cfg, Component.G, top)
     e2_e, e3_e, e3_g = e2_page(ss_e), e3_page(ss_e, delta_fn), e3_page(ss_g, delta_fn)
     e_stable = (e3_e.first, e3_e.rest) == (e2_e.first, e2_e.rest)
     series_e, series_g = page_series(e3_e, ss_e), page_series(e3_g, ss_g)
-    computed = tuple(a + b for a, b in zip(series_e.coefficients, series_g.coefficients))
+    return e_stable, tuple(map(add, series_e.coefficients, series_g.coefficients))
+
+
+def _proof(cfg: AlgebraConfig, top: int) -> tuple[bool, tuple[int, ...]]:
+    """:func:`_page_sums` of the built-in operator, kept in the configuration's
+    period table under ``top``."""
+    proofs = _period_table(cfg).proofs
+    if top not in proofs:
+        proofs[top] = _page_sums(cfg, top, None)
+    return proofs[top]
+
+
+def _compare(
+    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None, total: series.RationalSeries
+) -> CollapseReport:
+    """Page comparison through degree ``top``, reported at that cutoff."""
+    e_stable, computed = _page_sums(cfg, top, delta_fn)
     expected = series.expand(total, top).coefficients
     first_mismatch = next(
         ((k, got, want) for k, (got, want) in enumerate(zip(computed, expected)) if got != want),
@@ -328,20 +394,23 @@ def verify_collapse(
     series of the two third pages that :func:`e3_page` builds must equal the
     closed form for the full loop space.  Matching dimensions leave no room
     for further differentials, which is the whole certificate.  For the
-    built-in operator (``None`` or ``bv.delta``) the comparison is first run
-    to the degree bound K = max(4n+4 + deg den, deg num + 4n+2) of the closed
-    form num/den; a pass there proves collapse in every degree (see the
-    module docstring), and the tuples are the closed form's expansion.
-    Otherwise, or if that proof fails, the pages are compared through the
-    cutoff.
+    built-in operator (``None`` or ``bv.delta``) the page sums through the
+    degree bound K = max(4n+4 + deg den, deg num + 4n+2) of the closed form
+    num/den, computed once per configuration, are compared with the closed
+    form's expansion through max(K, D); a pass there proves collapse in every
+    degree (see the module docstring), and the tuples are the closed form's
+    expansion.  Otherwise, or if that proof fails, the pages are compared
+    through the cutoff.
     """
     check_count(max_top_degree, "max_top_degree")  # before any work
     total = series.total_series(cfg.n)
     if delta_fn is None or delta_fn is bv.delta:
         deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1
         bound = max(4 * cfg.n + 4 + deg_den, deg_num + 4 * cfg.n + 2)
-        if _compare(cfg, bound, delta_fn, total).passed:
-            expected = series.expand(total, max_top_degree).coefficients
+        e_stable, sums = _proof(cfg, bound)
+        expected = series.expand(total, max(bound, max_top_degree)).coefficients
+        if e_stable and sums == expected[: bound + 1]:
+            expected = expected[: max_top_degree + 1]
             return CollapseReport(cfg, max_top_degree, True, expected, expected, None, True)
     return _compare(cfg, max_top_degree, delta_fn, total)
 

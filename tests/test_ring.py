@@ -387,6 +387,17 @@ def test_basis_split_by_component_cases():
     assert basis(cfg_b, Component.G, 0) == (Monomial(0, 1, 0), Monomial(2, 0, 1))
 
 
+def test_enum_keys_hash_by_identity():
+    """Members are singletons, so value-built ones hit the same cache entries,
+    and they hash in C rather than through ``Enum.__hash__``."""
+    assert Component.__hash__ is BVCase.__hash__ is object.__hash__
+    cfg = AlgebraConfig(2, BVCase.B_W)
+    for q in (-5, 0, 7):
+        assert basis(cfg, Component("g"), q) is basis(cfg, Component.G, q)
+    assert AlgebraConfig(1, BVCase("A_v")) == AlgebraConfig(1)
+    assert hash(AlgebraConfig(1, BVCase("A_v"))) == hash(AlgebraConfig(1))
+
+
 def test_basis_cache_stays_at_its_bound_over_a_long_ring_window(capsys):
     """``ring --n 1 --max-degree 20000`` lists 40,008 (degree, component)
     keys; the cache keeps at most its fixed bound of them."""

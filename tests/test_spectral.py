@@ -21,7 +21,7 @@ from loopbv.ring import (
     zero,
 )
 from loopbv.series import expand, le_series, lg_series, total_series
-from loopbv import series, spectral
+from loopbv import gf2, series, spectral
 from loopbv.spectral import (
     CollapseReport,
     Page,
@@ -234,8 +234,7 @@ def test_tiled_columns_match_per_degree_columns(n):
 
 
 def clear_period_tables():
-    spectral._period_dims.cache_clear()
-    spectral._period_ranks.cache_clear()
+    spectral._period_table.cache_clear()
 
 
 def counting(fn, calls):
@@ -246,10 +245,15 @@ def counting(fn, calls):
     return counted
 
 
+def period_monomials(cfg):
+    """Basis monomials of both components over the head and one period."""
+    return sum(sum(dims) for dims, _ in spectral._period_table(cfg).fibers.values())
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_verify_collapse_rank_calls_do_not_grow_with_cutoff(n, monkeypatch):
     calls = []
-    monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, calls))
+    monkeypatch.setattr(gf2, "rank", counting(gf2.rank, calls))
     for limit in (40, 4000):
         calls.clear()
         clear_period_tables()  # the bound is per cold configuration
@@ -274,7 +278,7 @@ def test_rebound_delta_keeps_the_periodic_path(n, monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(bv, "delta", counting_delta)
-    monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, rank_calls))
+    monkeypatch.setattr(gf2, "rank", counting(gf2.rank, rank_calls))
     monkeypatch.setattr(spectral, "verify_collapse", recording_collapse)
     argv = ["verify", "--n", str(n), "--max-degree", "400", "--samples", "0", "--format", "json"]
     for run in (lambda: recording_collapse(AlgebraConfig(n), 400), lambda: main(argv)):
@@ -289,7 +293,7 @@ def test_rebound_delta_keeps_the_periodic_path(n, monkeypatch):
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_warm_configuration_makes_no_rank_calls(n, monkeypatch):
     calls = []
-    monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, calls))
+    monkeypatch.setattr(gf2, "rank", counting(gf2.rank, calls))
     cfg = AlgebraConfig(n, BVCase.A_VXW)
     clear_period_tables()
     cold = verify_collapse(cfg, 60)
@@ -301,64 +305,112 @@ def test_warm_configuration_makes_no_rank_calls(n, monkeypatch):
             e3_page(SSConfig(cfg, comp, limit))
     assert calls == []
     assert verify_collapse(cfg, 60) == cold
-    info = spectral._period_ranks.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
+    info = spectral._period_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+@pytest.mark.parametrize("comp", [Component.E, Component.G])
+def test_one_cold_page_fills_both_components(comp, monkeypatch):
+    """The first page of a configuration sweeps its period once for both
+    components: the certificate and the other component's page then apply
+    no operator and rank nothing."""
+    cfg = AlgebraConfig(3, BVCase.B_W)
+    other = Component.G if comp is Component.E else Component.E
+    rank_calls, delta_calls = [], []
+    monkeypatch.setattr(gf2, "rank", counting(gf2.rank, rank_calls))
+    monkeypatch.setattr(bv, "delta", counting(bv.delta, delta_calls))
+    clear_period_tables()
+    e3_page(SSConfig(cfg, comp, 80))
+    assert len(rank_calls) == 2 * (4 * 3 + 2)
+    assert len(delta_calls) == period_monomials(cfg) > 0
+    rank_calls.clear()
+    delta_calls.clear()
+    assert verify_collapse(cfg, 80).all_degrees
+    e3_page(SSConfig(cfg, other, 80))
+    assert rank_calls == delta_calls == []
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_warm_certificate_reads_the_closed_form_on_every_call(n, monkeypatch):
+    """Only the page sums are kept: on a warm configuration a closed form
+    bumped by t^j fails at degree j inside the cutoff and, beyond it, passes
+    without the all-degree claim."""
+    limit, true_total = 60, total_series(n)
+    truth = expand(true_total, limit).coefficients
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        assert verify_collapse(cfg, limit).all_degrees  # warm
+        for j in (0, 1, 6 * n + 8, limit, limit + 1, 10 * n + 50):
+            bumped = true_total + series.RationalSeries((0,) * j + (1,))
+            monkeypatch.setattr(series, "total_series", lambda _n, r=bumped: r)
+            report = verify_collapse(cfg, limit)
+            assert not report.all_degrees and report.e_page_stable, (case, j)
+            if j <= limit:
+                assert report.first_mismatch == (j, truth[j], truth[j] + 1), (case, j)
+            else:
+                assert report.passed and report.computed == truth, (case, j)
+            monkeypatch.setattr(series, "total_series", total_series)
+            assert verify_collapse(cfg, limit).all_degrees, (case, j)
+
+
+def report_fields(ss):
+    report = verify_collapse(ss.algebra, ss.max_top_degree)
+    return [getattr(report, f) for f in CollapseReport._fields]
+
+
+BUILDS = {
+    "e2": lambda ss: page_to_json(e2_page(ss), ss),
+    "e3": lambda ss: page_to_json(e3_page(ss), ss),
+    "collapse": report_fields,
+}
 
 
 def pages_and_reports(items, clear):
-    """``page_to_json`` of both pages and the collapse report fields for every
-    (n, case, comp, cutoff) item, in the given order, clearing the period
-    tables before every call if ``clear``."""
-    def report_fields(ss):
-        report = verify_collapse(ss.algebra, ss.max_top_degree)
-        return [getattr(report, f) for f in CollapseReport._fields]
-
-    builds = {
-        "e2": lambda ss: page_to_json(e2_page(ss), ss),
-        "e3": lambda ss: page_to_json(e3_page(ss), ss),
-        "collapse": report_fields,
-    }
+    """The ``BUILDS`` result of every (n, case, comp, cutoff, build) item, in
+    the given order, clearing the period table before every call if
+    ``clear``."""
     out = {}
-    for n, case, comp, limit in items:
-        ss = SSConfig(AlgebraConfig(n, case), comp, limit)
-        for name, build in builds.items():
-            if clear:
-                clear_period_tables()
-            out[n, case, comp, limit, name] = build(ss)
+    for n, case, comp, limit, name in items:
+        if clear:
+            clear_period_tables()
+        out[n, case, comp, limit, name] = BUILDS[name](SSConfig(AlgebraConfig(n, case), comp, limit))
     return out
 
 
 def test_cold_and_warm_period_tables_give_the_same_results():
+    """Single calls shuffled across all 32 configurations, so the first call
+    on a configuration may be a page of either component or a certificate."""
     items = [
-        (n, case, comp, limit)
+        (n, case, comp, limit, name)
         for n in range(1, 9)
         for case in ALL_CASES
         for comp in (Component.E, Component.G)
         for limit in oracle_degrees(n)
+        for name in BUILDS
     ]
     random.Random(20).shuffle(items)
     clear_period_tables()
     warm = pages_and_reports(items, clear=False)
-    assert spectral._period_ranks.cache_info().hits > 0
+    assert spectral._period_table.cache_info().hits > 0
     assert warm == pages_and_reports(items, clear=True)
 
 
 def test_rebound_delta_shares_the_configuration_table(monkeypatch):
-    """The rank table holds the ranks of the bv.delta that first filled it: a
+    """The period table holds the ranks of the bv.delta that filled it: a
     rebound counter on a warm configuration is not called and adds no entry,
-    and after cache_clear() it fills the table."""
+    and after cache_clear() it fills the table, once per period monomial."""
     cfg = AlgebraConfig(2, BVCase.B_W)
     original = verify_collapse(cfg, 50)
-    size = spectral._period_ranks.cache_info().currsize
+    size = spectral._period_table.cache_info().currsize
     delta_calls = []
     monkeypatch.setattr(bv, "delta", counting(bv.delta, delta_calls))
     assert verify_collapse(cfg, 50) == original
     assert delta_calls == []
-    assert spectral._period_ranks.cache_info().currsize == size
-    spectral._period_ranks.cache_clear()
+    assert spectral._period_table.cache_info().currsize == size
+    spectral._period_table.cache_clear()
     assert verify_collapse(cfg, 50) == original
-    assert delta_calls
-    assert spectral._period_ranks.cache_info().currsize == 2
+    assert len(delta_calls) == period_monomials(cfg) > 0
+    assert spectral._period_table.cache_info().currsize == 1
 
 
 def test_cold_certificates_of_every_configuration_fit_the_basis_cache():
@@ -376,11 +428,32 @@ def test_cold_certificates_of_every_configuration_fit_the_basis_cache():
 def test_rebinding_delta_does_not_grow_the_rank_table(monkeypatch):
     cfg, original = AlgebraConfig(4), bv.delta
     verify_collapse(cfg, 40)
-    size = spectral._period_ranks.cache_info().currsize
+    size = spectral._period_table.cache_info().currsize
     for _ in range(200):
         monkeypatch.setattr(bv, "delta", counting(original, []))
         verify_collapse(cfg, 40)
-    assert spectral._period_ranks.cache_info().currsize == size
+    assert spectral._period_table.cache_info().currsize == size
+
+
+def test_configuration_caches_stay_at_their_bound():
+    """The period table and ``bv.bracket_table`` are keyed by caller input:
+    filling twice their bound keeps them at it, and an evicted configuration
+    certifies and pages again exactly as before."""
+    bound = spectral._period_table.cache_info().maxsize
+    assert 32 < bound and bv.bracket_table.cache_info().maxsize == bound
+    first = AlgebraConfig(1, BVCase.B_WXVW)
+    clear_period_tables()
+    before = verify_collapse(first, 40), e3_page(SSConfig(first, Component.G, 40))
+    configs = [AlgebraConfig(n, case) for n in range(2, 2 + bound // 2) for case in ALL_CASES]
+    assert len(configs) == 2 * bound
+    for cfg in configs:
+        assert verify_collapse(cfg, 20).all_degrees
+    for table in (spectral._period_table, bv.bracket_table):
+        assert table.cache_info().currsize <= bound
+    misses = spectral._period_table.cache_info().misses
+    after = verify_collapse(first, 40), e3_page(SSConfig(first, Component.G, 40))
+    assert spectral._period_table.cache_info().misses == misses + 1  # it was evicted
+    assert after == before
 
 
 @pytest.mark.parametrize(
@@ -391,7 +464,9 @@ def test_other_operators_skip_the_rank_table(delta_fn, monkeypatch):
     per ``e3_page``, none at D = 0, and 2D per ``verify_collapse``."""
     cfg = AlgebraConfig(2, BVCase.A_V)
     verify_collapse(cfg, 30)
-    info = spectral._period_ranks.cache_info()
+    table = spectral._period_table(cfg)
+    fibers, proofs = dict(table.fibers), dict(table.proofs)
+    info = spectral._period_table.cache_info()
     calls = []
     monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, calls))
     # 30 twice: a repeated call ranks again
@@ -404,7 +479,11 @@ def test_other_operators_skip_the_rank_table(delta_fn, monkeypatch):
         calls.clear()
         verify_collapse(cfg, limit, delta_fn)
         assert len(calls) == 2 * limit
-    assert spectral._period_ranks.cache_info() == info
+    # pages read the dimensions; nothing fills, replaces or changes the entry
+    after = spectral._period_table.cache_info()
+    assert (after.misses, after.currsize) == (info.misses, info.currsize)
+    assert spectral._period_table(cfg) is table
+    assert (table.fibers, table.proofs) == (fibers, proofs)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -81,15 +81,15 @@ def test_subcommand_loads_only_its_modules(sub, bare_has_dataclasses):
 
 
 def test_period_tables_fill_on_first_use():
-    """Importing ranks nothing: the spectral period tables stay empty until a
-    page is built (one entry per component), so no cold start pays for a
-    period."""
-    tables = "[t.cache_info().currsize for t in (s._period_dims, s._period_ranks)]"
+    """Importing ranks nothing: the spectral period table stays empty until a
+    page is built (one entry per configuration, for both components), so no
+    cold start pays for a period."""
+    tables = "s._period_table.cache_info().currsize"
     probe("import loopbv.cli\n"
           "import loopbv.spectral as s\n"
-          f"assert {tables} == [0, 0], {tables}\n"
+          f"assert {tables} == 0, {tables}\n"
           + RUN_MAIN.format(argv=SUBCOMMANDS["pages"][0])
-          + f"assert {tables} == [2, 2], {tables}")
+          + f"assert {tables} == 1, {tables}")
 
 
 def test_delta_rebound_before_the_first_page_fills_the_rank_table():
@@ -97,11 +97,11 @@ def test_delta_rebound_before_the_first_page_fills_the_rank_table():
     first page: the counter sees one call per basis monomial of the cold
     period, and a second certificate calls it no more."""
     probe("import loopbv.bv as bv, loopbv.spectral as s\n"
-          "from loopbv.ring import AlgebraConfig, Component\n"
+          "from loopbv.ring import AlgebraConfig\n"
           "calls, delta, cfg = [], bv.delta, AlgebraConfig(2)\n"
           "bv.delta = lambda u, c: calls.append(u) or delta(u, c)\n"
           "assert s.verify_collapse(cfg, 40, bv.delta).all_degrees\n"
-          "period = sum(sum(s._period_dims(cfg, comp)) for comp in Component)\n"
+          "period = sum(sum(dims) for dims, _ in s._period_table(cfg).fibers.values())\n"
           "assert len(calls) == period > 0, (len(calls), period)\n"
           "assert s.verify_collapse(cfg, 40).all_degrees\n"
           "assert len(calls) == period, len(calls)")
