@@ -13,12 +13,17 @@ into the partial sum S_N, so S_N / N converges iff every pole is simple, that is
 iff g (1 - t^P) is a polynomial h / c; each period then adds h(1) / c to S_N.
 
 Every division by a factor 1 - s t^e (s = +-1) is a running sum: it is the
-recurrence a_k = b_k + s a_(k-e) along each residue class mod e, integer
-additions only.  Series division by power series with nonzero constant terms
-commutes and its first N + 1 coefficients depend only on the first N + 1 of
-the dividend, so dividing factor by factor gives the same truncated expansion
-as one long division; expansion long-divides only what the factoring leaves,
-the constant 1 for every closed form here.  The same sums decide exact
+recurrence a_k = b_k + s a_(k-e), integer additions only.  It runs along the
+residue classes mod e when e^2 <= N, and block by block, each block of e
+terms plus s times the block before it, when e^2 > N, N the number of terms;
+either way it takes at most sqrt(N) slices, so a factor 1 - t^(2n) at large
+n costs a few C-level passes, not 2n.  Products are taken over nonzero terms
+only, so the closed forms, whose factors 1 - t^e have two terms each, are
+built without a pass over their zeros.  Series division by power series
+with nonzero constant terms commutes and its first N + 1 coefficients depend
+only on the first N + 1 of the dividend, so dividing factor by factor gives
+the same truncated expansion as one long division; expansion long-divides
+only what the factoring leaves, the constant 1 for every closed form here.  The same sums decide exact
 division: for F = prod(1 - s t^e) of degree E, p is a multiple of F iff
 S = p / F is zero in degrees deg p - E + 1 .. deg p.  Then Q = S cut at degree
 deg p - E gives p = F Q modulo t^(deg p + 1), and both sides have degree at
@@ -28,8 +33,9 @@ most deg p, so p = F Q; conversely, p = F Q makes S = Q.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import lcm
+from operator import add, sub
 
 from .ring import InputError, Record, check_count, check_n
 
@@ -42,22 +48,40 @@ Poly = tuple[int, ...]
 
 
 def _trim(p: tuple[int, ...]) -> Poly:
-    coeffs = list(p) or [0]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    end = len(p)
+    while end > 1 and p[end - 1] == 0:
+        end -= 1
+    return tuple(p[:end]) or (0,)
+
+
+Terms = tuple[tuple[int, int], ...]
+
+
+def _terms(p: Poly) -> Terms:
+    """The nonzero (exponent, coefficient) terms of p, found at C level."""
+    return tuple(compress(enumerate(p), p))
+
+
+def _product(*factors: Terms) -> Poly:
+    """The product of factors given by their nonzero (exponent, coefficient)
+    terms, written out densely once: the work is per pair of nonzero terms,
+    and a factor 1 - t^e has two however large e is."""
+    terms = {0: 1}
+    for factor in factors:
+        product: dict[int, int] = {}
+        for i, a in terms.items():
+            for j, b in factor:
+                product[i + j] = product.get(i + j, 0) + a * b
+        terms = product
+    dense = [0] * (max(terms, default=0) + 1)
+    for i, a in terms.items():
+        dense[i] = a
+    return _trim(tuple(dense))
 
 
 def _pmul(p: Poly, q: Poly) -> Poly:
-    """Product over the nonzero terms of both factors: denominators built
-    from factors 1 - t^e are sparse however long they are."""
-    out = [0] * (len(p) + len(q) - 1)
-    q_terms = [(j, b) for j, b in enumerate(q) if b]
-    for i, a in enumerate(p):
-        if a:
-            for j, b in q_terms:
-                out[i + j] += a * b
-    return _trim(tuple(out))
+    """Product over the nonzero terms of both factors."""
+    return _product(_terms(p), _terms(q))
 
 
 def _padd(p: Poly, q: Poly) -> Poly:
@@ -69,22 +93,36 @@ def _padd(p: Poly, q: Poly) -> Poly:
     return _trim(tuple(out))
 
 
-def one_minus_t_power(e: int) -> Poly:
-    """The polynomial 1 - t^e."""
-    if e < 1:
-        raise InputError(f"exponent must be positive, got {e}")
-    return _trim((1,) + (0,) * (e - 1) + (-1,))
+def _one_minus(e: int) -> Terms:
+    """The terms of 1 - t^e."""
+    return ((0, 1), (e, -1))
 
 
 def _divide_out(coeffs: list, factors) -> None:
     """Divide the truncated series ``coeffs`` in place by each factor
-    1 - s t^e of ``factors``, given as pairs (s, e) with s = +-1, by running
-    sums along the residue classes mod e; s = 1 keeps C-level addition."""
+    1 - s t^e of ``factors``, given as pairs (s, e) with s = +-1: by
+    :func:`_residue_sums` when e^2 <= len(coeffs), else by
+    :func:`_block_sums`, so that either loop has at most sqrt(len) steps."""
     size = len(coeffs)
     for s, e in factors:
-        step = None if s == 1 else (lambda acc, b: b - acc)
-        for r in range(min(e, size)):
-            coeffs[r::e] = accumulate(coeffs[r::e], step)
+        (_residue_sums if e * e <= size else _block_sums)(coeffs, s, e)
+
+
+def _residue_sums(coeffs: list, s: int, e: int) -> None:
+    """a_k = b_k + s a_(k-e) in place, one running sum per residue class mod
+    e; s = 1 keeps C-level addition."""
+    step = None if s == 1 else (lambda acc, b: b - acc)
+    for r in range(min(e, len(coeffs))):
+        coeffs[r::e] = accumulate(coeffs[r::e], step)
+
+
+def _block_sums(coeffs: list, s: int, e: int) -> None:
+    """a_k = b_k + s a_(k-e) in place, one block of e terms at a time: each
+    block adds or subtracts the finished block before it, at C level."""
+    combine, block = (add if s == 1 else sub), coeffs[:e]
+    for start in range(e, len(coeffs), e):
+        block = list(map(combine, coeffs[start : start + e], block))
+        coeffs[start : start + e] = block
 
 
 def _exact_quotient(p: Poly, factors) -> Poly | None:
@@ -114,7 +152,7 @@ class RationalSeries(Record):
 
     def __post_init__(self) -> None:
         num, den = tuple(self.numerator), tuple(self.denominator)
-        if not all(type(c) is int for c in num + den):
+        if not set(map(type, num + den)) <= {int}:
             raise InputError(f"series coefficients must be integers, got {num} / {den}")
         if not den:
             raise InputError("denominator must not be empty")
@@ -206,21 +244,26 @@ def lg_series(n: int) -> RationalSeries:
     """Equivariant series of the non-contractible component:
     (1 - t^(2n+2)) / ((1 - t^(2n)) (1 - t^2))."""
     check_n(n)
-    den = _pmul(one_minus_t_power(2 * n), one_minus_t_power(2))
-    return RationalSeries(one_minus_t_power(2 * n + 2), den)
+    den = _product(_one_minus(2 * n), _one_minus(2))
+    return RationalSeries(_product(_one_minus(2 * n + 2)), den)
 
 
 def le_series(n: int) -> RationalSeries:
     """Second-page (= limit) series of the contractible component:
     (1 - t^(2n+2)) (1 + t) / ((1 - t^(2n)) (1 - t^2)^2)."""
-    return lg_series(n) * RationalSeries((1, 1), one_minus_t_power(2))
+    check_n(n)
+    den = _product(_one_minus(2 * n), _one_minus(2), _one_minus(2))
+    return RationalSeries(_product(_one_minus(2 * n + 2), ((0, 1), (1, 1))), den)
 
 
 def total_series(n: int) -> RationalSeries:
-    """Equivariant series of the whole free loop space:
-    the non-contractible closed form times (1 + (1 + t)/(1 - t^2))."""
-    bump = RationalSeries((1,)) + RationalSeries((1, 1), one_minus_t_power(2))
-    return lg_series(n) * bump
+    """Equivariant series of the whole free loop space: the non-contractible
+    closed form times 1 + (1 + t)/(1 - t^2) = (2 + t - t^2)/(1 - t^2), that
+    is (1 - t^(2n+2)) (2 + t - t^2) / ((1 - t^(2n)) (1 - t^2)^2)."""
+    check_n(n)
+    den = _product(_one_minus(2 * n), _one_minus(2), _one_minus(2))
+    bump = ((0, 2), (1, 1), (2, -1))
+    return RationalSeries(_product(_one_minus(2 * n + 2), bump), den)
 
 
 # bounded: the key is caller input, any RationalSeries's denominator
@@ -263,7 +306,7 @@ def average_alternating(r: RationalSeries) -> Fraction:
     c = rest[0]
     period = 2 * lcm(*exponents) if exponents else 2
     at_minus_t = tuple(-a if k % 2 else a for k, a in enumerate(r.numerator))
-    lifted = _pmul(at_minus_t, one_minus_t_power(period))
+    lifted = _product(_terms(at_minus_t), _one_minus(period))
     h = _exact_quotient(lifted, [((-1) ** e, e) for e in exponents])
     if h is None:
         raise NonQuasilinearError("non-quasilinear series: r(-t) has a multiple pole on "

@@ -33,9 +33,14 @@ sweep over the head and the period: the pooled basis of each degree is
 split by component, the ``bv.delta`` bound at that moment is applied once
 per basis monomial, and each component's matrix is ranked, 2 (4n+2) ranks
 in all.  The entry holds, for both components, the fiber dimensions and the
-ranks of that ``bv.delta``, and the certificate sums proved from them (see
-below), so a later page or certificate of any cutoff costs only O(D).  One
-rule governs the table: whoever replaces or changes ``bv.delta`` calls
+ranks of that ``bv.delta``, the third-page columns built from them, and the
+certificates proved from them (see below).  Column 0 of the third page at
+index i subtracts the rank at i - 1 from the dimension at i, so both
+third-page columns repeat with period 4n after a head of three indices, not
+two; the entry holds that head and one period of each.  A later page is
+then the entry's columns tiled by list repetition, and a later certificate
+one expansion: no Python-level work per degree.  One rule governs the
+table: whoever replaces or changes ``bv.delta`` calls
 ``_period_table.cache_clear()``.  An operator passed as ``delta_fn`` never
 enters it: its pages read only the dimensions there.
 
@@ -50,22 +55,23 @@ deg N <= 4n+4.  It equals the closed form num/den in every degree iff
 N den - num (1 - t^(4n)) (1 - t^2) = 0, a polynomial of degree at most
 K = max(4n+4 + deg den, deg num + 4n+2), so agreement of the coefficients
 0..K proves it.  K >= 4n+4, so the E-stability check through K also
-covers the head and a whole period.  That flag and the page-series sum
-through K depend only on the configuration, K and the table, so they are
-computed once, from the pages at cutoff K, and kept in the table entry
-under K.  The closed form is read on every call and expanded once, through
-max(K, D): a warm certificate costs that one O(D) expansion.  Any other
-operator, or a failed proof, gets the same comparison through the cutoff D.
-A page is held as its two columns, and emitting one costs its nonzero cells
-plus D, with no sort.
+covers the head and a whole period.  The outcome depends only on the
+configuration, the table and the pair (num, den), so it is decided once,
+from the pages at cutoff K, and kept in the table entry under that pair.
+The closed form is read on every call and looked up by its two tuples; a
+warm certificate then costs that lookup and the expansion through D that
+its report holds.  Any other operator, or a failed proof, gets the same
+comparison through the cutoff D.  A page is held as its two columns, and
+emitting one costs its nonzero cells plus C-level scans over D, with no
+sort.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import bv, gf2, series
 from .ring import (
@@ -138,10 +144,10 @@ class Page(Record):
         index D - 2p, which shrinks by two indices per column.
         """
         shift, top = self.shift, self.max_top_degree
-        first = [(i - shift, d) for i, d in enumerate(self.first) if d]
+        first = list(compress(zip(count(-shift), self.first), self.first))
         if first:
             yield 0, first
-        nonzero = [(i - shift, d) for i, d in enumerate(self.rest) if d]
+        nonzero = list(compress(zip(count(-shift), self.rest), self.rest))
         end = len(nonzero)
         for p in range(1, top // 2 + 1):
             while end and nonzero[end - 1][0] + shift > top - 2 * p:
@@ -177,7 +183,11 @@ class _Table(NamedTuple):
     # component -> (dimensions, ranks of the built-in operator) over
     # _period_degrees
     fibers: dict
-    # cutoff K -> (E-stability, sum of the two page series through K)
+    # component -> third-page columns (first, rest) of that operator over a
+    # head of HEAD + 1 indices and one period
+    columns: dict
+    # (numerator, denominator) of a closed form -> whether the pages of that
+    # operator equal it in every degree; one pair at a time
     proofs: dict
 
 
@@ -196,7 +206,13 @@ def _period_table(algebra: AlgebraConfig) -> _Table:
             dims.append(len(rows))
             ranks.append(gf2.rank(rows))
         source = target
-    return _Table({comp: (tuple(d), tuple(r)) for comp, (d, r) in fibers.items()}, {})
+    fibers = {comp: (tuple(d), tuple(r)) for comp, (d, r) in fibers.items()}
+    size = HEAD + 1 + 4 * algebra.n
+    columns = {
+        comp: _homology(_tile(dims, algebra.n, size), _tile(ranks, algebra.n, size))
+        for comp, (dims, ranks) in fibers.items()
+    }
+    return _Table(fibers, columns, {})
 
 
 def _split(algebra: AlgebraConfig, q: int) -> dict[Component, dict[Monomial, int]]:
@@ -209,24 +225,36 @@ def _split(algebra: AlgebraConfig, q: int) -> dict[Component, dict[Monomial, int
     return parts
 
 
-def _fiber(algebra: AlgebraConfig, comp: Component) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Dimensions and built-in ranks of ``comp`` over :func:`_period_degrees`."""
+def _entry(algebra: AlgebraConfig, comp: Component) -> _Table:
+    """The period table of ``algebra``, once ``comp`` is known to be a
+    component."""
     if not isinstance(comp, Component):
         raise InputError(f"unknown component {comp!r}; expected a Component")
-    return _period_table(algebra).fibers[comp]
+    return _period_table(algebra)
 
 
-def _tile(known: tuple[int, ...], n: int, size: int) -> list[int]:
-    """The head of ``known`` and its period of 4n repeated, cut to ``size``."""
+def _tile(known: tuple[int, ...], n: int, size: int) -> tuple[int, ...]:
+    """``known``, a head and one period of 4n, with the period repeated,
+    cut to ``size``."""
     period = 4 * n
-    return (list(known[:HEAD]) + list(known[HEAD:]) * ((size - HEAD) // period + 1))[:size]
+    return (known + known[len(known) - period :] * ((size - len(known)) // period + 1))[:size]
+
+
+def _homology(
+    dims: Iterable[int], ranks: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Third-page columns (first, rest) from the fiber dimensions and the
+    ranks of the second differential, both from the bottom fiber degree:
+    column 0 loses the incoming rank, columns p >= 1 the outgoing one too."""
+    first = tuple(d - r for d, r in zip(dims, [0, *ranks]))
+    return first, tuple(d - r for d, r in zip(first, ranks))
 
 
 def e2_page(cfg: SSConfig) -> Page:
     """Second page: every column repeats the fiber dimensions, tiled from one
     period (see the module docstring)."""
     top = cfg.max_top_degree
-    dims = _tile(_fiber(cfg.algebra, cfg.comp)[0], cfg.algebra.n, top + 1)
+    dims = _tile(_entry(cfg.algebra, cfg.comp).fibers[cfg.comp][0], cfg.algebra.n, top + 1)
     return Page(2, cfg.algebra.dim, top, dims, dims)
 
 
@@ -286,26 +314,24 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     removed there; columns p >= 1 drop both the rank at q and the incoming
     rank at q-1.  Nothing sits below the bottom fiber degree, so the incoming
     rank there is zero.  Ranks are computed once per fiber degree and reused
-    across columns.  For the built-in operator they are tiled from the period
-    table, which holds the ranks of the ``bv.delta`` that filled it (see the
-    module docstring).  Any other operator is applied only in the D fiber
-    degrees whose ranks the page reads, so its images are checked against
-    the basis (``InputError`` on a stray term) only there, not at the top
-    degree q = D - shift.
+    across columns.  For the built-in operator both columns are tiled from
+    the period table, which holds them for the ``bv.delta`` that filled it
+    (see the module docstring).  Any other operator is applied only in the D
+    fiber degrees whose ranks the page reads, so its images are checked
+    against the basis (``InputError`` on a stray term) only there, not at
+    the top degree q = D - shift.
     """
-    algebra, comp, size = cfg.algebra, cfg.comp, cfg.max_top_degree + 1
-    period_dims, period_ranks = _fiber(algebra, comp)
-    dims = _tile(period_dims, algebra.n, size)
+    algebra, comp, top = cfg.algebra, cfg.comp, cfg.max_top_degree
+    entry, n = _entry(algebra, comp), algebra.n
     if delta_fn is None or delta_fn is bv.delta:
-        ranks = _tile(period_ranks, algebra.n, size)
-    else:
-        # the top fiber degree q = D - shift feeds no cell: its image would
-        # land at index D + 1, and column p >= 1 stops at index D - 2
-        qs = range(-algebra.dim, cfg.max_top_degree - algebra.dim)
-        ranks = [d2_rank(algebra, comp, q, delta_fn) for q in qs]
-    first = [d - r for d, r in zip(dims, [0] + ranks)]
-    rest = [d - r for d, r in zip(first, ranks)]
-    return Page(3, algebra.dim, cfg.max_top_degree, first, rest)
+        first, rest = entry.columns[comp]
+        return Page(3, algebra.dim, top, _tile(first, n, top + 1), _tile(rest, n, top + 1))
+    # the top fiber degree q = D - shift feeds no cell: its image would land
+    # at index D + 1, and column p >= 1 stops at index D - 2
+    qs = range(-algebra.dim, top - algebra.dim)
+    ranks = [d2_rank(algebra, comp, q, delta_fn) for q in qs]
+    dims = _tile(entry.fibers[comp][0], n, top + 1)
+    return Page(3, algebra.dim, top, *_homology(dims, ranks))
 
 
 def _check_fits(page: Page, cfg: SSConfig) -> None:
@@ -361,13 +387,20 @@ def _page_sums(
     return e_stable, tuple(map(add, series_e.coefficients, series_g.coefficients))
 
 
-def _proof(cfg: AlgebraConfig, top: int) -> tuple[bool, tuple[int, ...]]:
-    """:func:`_page_sums` of the built-in operator, kept in the configuration's
-    period table under ``top``."""
-    proofs = _period_table(cfg).proofs
-    if top not in proofs:
-        proofs[top] = _page_sums(cfg, top, None)
-    return proofs[top]
+def _certified(cfg: AlgebraConfig, total: series.RationalSeries) -> bool:
+    """Whether the built-in operator's third pages equal the closed form
+    ``total`` = num/den in every degree: E-stability, and the page sums
+    through K = max(4n+4 + deg den, deg num + 4n+2) equal to its expansion
+    (see the module docstring).  Decided once per configuration and closed
+    form, and kept in the period table under the pair (num, den)."""
+    proofs, key = _period_table(cfg).proofs, (total.numerator, total.denominator)
+    if key not in proofs:
+        deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1
+        bound = max(4 * cfg.n + 4 + deg_den, deg_num + 4 * cfg.n + 2)
+        e_stable, sums = _page_sums(cfg, bound, None)
+        proofs.clear()  # a rebound series.total_series must not grow the entry
+        proofs[key] = e_stable and sums == series.expand(total, bound).coefficients
+    return proofs[key]
 
 
 def _compare(
@@ -394,24 +427,17 @@ def verify_collapse(
     series of the two third pages that :func:`e3_page` builds must equal the
     closed form for the full loop space.  Matching dimensions leave no room
     for further differentials, which is the whole certificate.  For the
-    built-in operator (``None`` or ``bv.delta``) the page sums through the
-    degree bound K = max(4n+4 + deg den, deg num + 4n+2) of the closed form
-    num/den, computed once per configuration, are compared with the closed
-    form's expansion through max(K, D); a pass there proves collapse in every
-    degree (see the module docstring), and the tuples are the closed form's
-    expansion.  Otherwise, or if that proof fails, the pages are compared
-    through the cutoff.
+    built-in operator (``None`` or ``bv.delta``) the closed form is read on
+    every call, and a proof in every degree kept for it (:func:`_certified`)
+    gives a pass whose tuples are its expansion through the cutoff.
+    Otherwise, or if that proof fails, the pages are compared through the
+    cutoff.
     """
     check_count(max_top_degree, "max_top_degree")  # before any work
     total = series.total_series(cfg.n)
-    if delta_fn is None or delta_fn is bv.delta:
-        deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1
-        bound = max(4 * cfg.n + 4 + deg_den, deg_num + 4 * cfg.n + 2)
-        e_stable, sums = _proof(cfg, bound)
-        expected = series.expand(total, max(bound, max_top_degree)).coefficients
-        if e_stable and sums == expected[: bound + 1]:
-            expected = expected[: max_top_degree + 1]
-            return CollapseReport(cfg, max_top_degree, True, expected, expected, None, True)
+    if (delta_fn is None or delta_fn is bv.delta) and _certified(cfg, total):
+        expected = series.expand(total, max_top_degree).coefficients
+        return CollapseReport(cfg, max_top_degree, True, expected, expected, None, True)
     return _compare(cfg, max_top_degree, delta_fn, total)
 
 

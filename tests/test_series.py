@@ -19,9 +19,13 @@ from loopbv.series import (
     expand,
     le_series,
     lg_series,
-    one_minus_t_power,
     total_series,
 )
+
+
+def one_minus_t_power(e):
+    """The dense polynomial 1 - t^e."""
+    return (1,) + (0,) * (e - 1) + (-1,)
 
 
 def test_expand_hand_checked_quotient():
@@ -120,6 +124,44 @@ def test_lg_closed_form_polynomials():
     assert r.numerator == one_minus_t_power(2 * n + 2)
     # denominator is (1 - t^(2n)) (1 - t^2)
     assert r.denominator == (1, 0, -1, 0, 0, 0, -1, 0, 1)
+
+
+def schoolbook(*factors):
+    """Dense product of polynomials, every pair of coefficients, trimmed."""
+    out = (1,)
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        while len(prod) > 1 and prod[-1] == 0:
+            prod.pop()
+        out = tuple(prod)
+    return out
+
+
+def test_closed_forms_keep_their_unreduced_fields():
+    """``loopbv series`` prints num/den as they are held, so the closed forms
+    keep the unreduced products of their factors, whatever builds them."""
+    assert total_series(1).numerator == (2, 1, -1, 0, -2, -1, 1)
+    assert total_series(1).denominator == (1, 0, -3, 0, 3, 0, -1)
+    assert le_series(2).denominator == (1, 0, -2, 0, 0, 0, 2, 0, -1)
+    for n in range(1, 65):
+        power = [one_minus_t_power(e) for e in (2 * n + 2, 2 * n, 2)]
+        den = schoolbook(power[1], power[2], power[2])
+        fields = {
+            lg_series: (power[0], schoolbook(power[1], power[2])),
+            le_series: (schoolbook(power[0], (1, 1)), den),
+            total_series: (schoolbook(power[0], (2, 1, -1)), den),
+        }
+        for form, want in fields.items():
+            r = form(n)
+            assert (r.numerator, r.denominator) == want, (form.__name__, n)
+        # the sums that built them before: lg times 1 + (1 + t)/(1 - t^2)
+        bump = RationalSeries((1, 1), power[2])
+        for r, built in ((le_series(n), lg_series(n) * bump),
+                         (total_series(n), lg_series(n) * (RationalSeries((1,)) + bump))):
+            assert (r.numerator, r.denominator) == (built.numerator, built.denominator), n
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -5,22 +5,38 @@ drawn as c * prod(1 - t^e_i) * L(t), so that the factors 1 - t^e are divided
 out by running sums and whatever the greedy factoring leaves, L and any
 factor it misses, is long-divided.  ``_exact_quotient`` is checked against
 sparse long division on products p * prod(1 - s t^e) and perturbations.
+The two loop shapes of one running sum, along residue classes and block by
+block, are checked against the plain recurrence and against each other.
 """
 
+import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
+from loopbv import series
 from loopbv.series import (
     RationalSeries,
+    _block_sums,
+    _cyclic_factors,
+    _divide_out,
     _exact_quotient,
     _padd,
     _pmul,
+    _residue_sums,
     _trim,
+    average_alternating,
     expand,
-    one_minus_t_power,
 )
-from test_series import _pdivides, fraction_expand
+from test_series import (
+    _pdivides,
+    cyclic_den,
+    dense_denominators,
+    fraction_expand,
+    one_minus_t_power,
+    sparse_denominators,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -96,3 +112,72 @@ def test_exact_quotient_matches_long_division(drawn):
     assert _exact_quotient(perturbed, factors) == _pdivides(perturbed, den)
     if len(_trim(p)) < len(den):  # below the degree of the product only 0 divides
         assert _exact_quotient(p, factors) == ((0,) if _trim(p) == (0,) else None)
+
+
+def plain_recurrence(coeffs, s, e):
+    """a_k = b_k + s a_(k-e), one term at a time."""
+    out = list(coeffs)
+    for k in range(e, len(out)):
+        out[k] += s * out[k - e]
+    return out
+
+
+@st.composite
+def recurrence_cases(draw):
+    """(coeffs, s, e): e anywhere from 1 to past the size, or at the boundary
+    e^2 = size between the two shapes and one past it."""
+    coeffs = draw(st.lists(st.integers(-5, 5), max_size=70))
+    root = max(isqrt(len(coeffs)), 1)
+    e = draw(st.one_of(st.integers(1, len(coeffs) + 3), st.sampled_from((root, root + 1))))
+    return coeffs, draw(st.sampled_from((1, -1))), e
+
+
+@PROPERTY
+@given(recurrence_cases())
+@example(([1] * 16, 1, 4))  # e^2 = size: still along residue classes
+@example(([1] * 16, -1, 5))  # e^2 > size: block by block, a short last block
+@example(([2, -1, 3], 1, 3))  # e = size: one full block, nothing to add
+@example(([], -1, 1))  # nothing to divide
+def test_both_running_sum_shapes_follow_the_recurrence(drawn):
+    coeffs, s, e = drawn
+    want = plain_recurrence(coeffs, s, e)
+    for shape in (_residue_sums, _block_sums, lambda c, s, e: _divide_out(c, [(s, e)])):
+        got = list(coeffs)
+        shape(got, s, e)
+        assert got == want, shape
+
+
+def seeded_results():
+    """``_exact_quotient``, the factoring and ``average_alternating`` over the
+    seeded sets of ``test_series``: its 600 series and its sparse and dense
+    denominators."""
+    results = []
+    for den in [*sparse_denominators(random.Random(23)), *dense_denominators(random.Random(20261019))]:
+        results.append(_cyclic_factors.__wrapped__(den))
+        for e in range(1, len(den) + 2):
+            results.append((_exact_quotient(den, [(1, e)]), _exact_quotient(den, [(-1, e)])))
+    rng = random.Random(20261018)
+    for _ in range(600):
+        num = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 8)))
+        exponents = [rng.randint(1, 6) for _ in range(rng.randint(0, 3))]
+        r = RationalSeries(num, cyclic_den(rng.choice((1, -1, 2, 3)), exponents))
+        try:
+            results.append(average_alternating(r))
+        except series.NonQuasilinearError:
+            results.append(None)
+    return results
+
+
+@pytest.mark.parametrize("shape", [_residue_sums, _block_sums], ids=["residue", "block"])
+def test_either_shape_alone_gives_the_same_quotients_and_limits(shape, monkeypatch):
+    """Forcing one shape for every factor changes no exact quotient, factoring
+    or Cesàro limit of the seeded sets; the unforced run mixes both."""
+    want = seeded_results()
+    assert None in want and any(isinstance(x, Fraction) for x in want)
+
+    def forced(coeffs, factors):
+        for s, e in factors:
+            shape(coeffs, s, e)
+
+    monkeypatch.setattr(series, "_divide_out", forced)
+    assert seeded_results() == want

@@ -233,6 +233,52 @@ def test_tiled_columns_match_per_degree_columns(n):
                 )
 
 
+def per_degree_columns(cfg, comp, limit):
+    """The third-page columns at cutoff ``limit`` by the per-degree formula,
+    over the entry's dimensions and ranks tiled index by index: the head of
+    two fiber degrees, then the period 4n."""
+    dims, ranks = spectral._period_table(cfg).fibers[comp]
+    period = 4 * cfg.n
+    at = [i if i < 2 else 2 + (i - 2) % period for i in range(limit + 1)]
+    dims, ranks = [dims[i] for i in at], [ranks[i] for i in at]
+    first = [d - r for d, r in zip(dims, [0] + ranks)]
+    rest = [d - r for d, r in zip(first, ranks)]
+    return tuple(first), tuple(rest[: max(limit - 1, 0)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tiled_third_page_columns_match_the_per_degree_formula(n):
+    """Every cutoff through three periods, D < 3 inside the head included,
+    for all four cases and both components."""
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        for comp in (Component.E, Component.G):
+            for limit in range(3 * (4 * n + 3) + 1):
+                page = e3_page(SSConfig(cfg, comp, limit))
+                want = per_degree_columns(cfg, comp, limit)
+                assert (page.first, page.rest) == want, (case, comp, limit)
+
+
+def test_third_page_columns_follow_a_rebound_delta(monkeypatch):
+    """The columns live in the period table: after bv.delta is rebound and the
+    table cleared, the default page is that operator's page."""
+    cfg, limit = AlgebraConfig(2, BVCase.A_VXW), 3 * (4 * 2 + 3)
+    ss = SSConfig(cfg, Component.G, limit)
+    clear_period_tables()
+    before = e3_page(ss)
+    try:
+        monkeypatch.setattr(bv, "delta", zero_delta)
+        clear_period_tables()
+        after = e3_page(ss)
+        assert after != before
+        assert (after.first, after.rest) == (e2_page(ss).first, e2_page(ss).rest)
+        assert (after.first, after.rest) == per_degree_columns(cfg, Component.G, limit)
+    finally:
+        monkeypatch.undo()
+        clear_period_tables()
+    assert e3_page(ss) == before
+
+
 def clear_period_tables():
     spectral._period_table.cache_clear()
 
@@ -332,9 +378,9 @@ def test_one_cold_page_fills_both_components(comp, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_warm_certificate_reads_the_closed_form_on_every_call(n, monkeypatch):
-    """Only the page sums are kept: on a warm configuration a closed form
-    bumped by t^j fails at degree j inside the cutoff and, beyond it, passes
-    without the all-degree claim."""
+    """A proof is kept only for the closed form it was made for: on a warm
+    configuration a closed form bumped by t^j fails at degree j inside the
+    cutoff and, beyond it, passes without the all-degree claim."""
     limit, true_total = 60, total_series(n)
     truth = expand(true_total, limit).coefficients
     for case in ALL_CASES:
