@@ -320,7 +320,7 @@ def _check_component(comp) -> None:
         raise InputError(f"unknown component {comp!r}; expected a Component or None")
 
 
-# bounded: the key is caller input; 4096 is about six times what the
+# bounded: the key is caller input; 4096 is about three times what the
 # period tables of all 32 configurations fill
 @lru_cache(maxsize=4096)
 def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial, ...]:

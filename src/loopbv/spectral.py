@@ -28,19 +28,18 @@ wrapper of ``bv.delta`` included, is ranked on every call in each fiber
 degree whose rank the page reads: the D degrees below the top one.
 
 The configuration is the unit of that work.  ``_period_table`` holds one
-entry per configuration, filled by its first page or certificate in one
-sweep over the head and the period: the pooled basis of each degree is
-split by component, the ``bv.delta`` bound at that moment is applied once
-per basis monomial, and each component's matrix is ranked, 2 (4n+2) ranks
-in all.  The entry holds, for both components, the fiber dimensions and the
-ranks of that ``bv.delta``, the third-page columns built from them, and the
-certificates proved from them (see below).  Column 0 of the third page at
-index i subtracts the rank at i - 1 from the dimension at i, so both
-third-page columns repeat with period 4n after a head of three indices, not
-two; the entry holds that head and one period of each.  A later page is
-then the entry's columns tiled by list repetition, and a later certificate
-one expansion: no Python-level work per degree.  One rule governs the
-table: whoever replaces or changes ``bv.delta`` calls
+entry per configuration, filled by its first page or certificate over the
+head and the period for both components, through ``ring.dimension`` and
+``d2_rank`` as any caller would call them: 2 (4n+2) ranks in all, and one
+call of the ``bv.delta`` bound at that moment per basis monomial.  The entry
+holds, for both components, the fiber dimensions and the third-page columns
+of that ``bv.delta``, and one certificate proved from them (see below).
+Column 0 of the third page at index i subtracts the rank at i - 1 from the
+dimension at i, so both third-page columns repeat with period 4n after a
+head of three indices, not two; the entry holds that head and one period of
+each.  A later page is then the entry's columns tiled by list repetition,
+and a later certificate one expansion: no Python-level work per degree.
+One rule governs the table: whoever replaces or changes ``bv.delta`` calls
 ``_period_table.cache_clear()``.  An operator passed as ``delta_fn`` never
 enters it: its pages read only the dimensions there.
 
@@ -79,11 +78,10 @@ from .ring import (
     AlgebraElement,
     Component,
     InputError,
-    Monomial,
     Record,
     basis,
     check_count,
-    component,
+    dimension,
 )
 
 DeltaFn = Callable[[AlgebraElement, AlgebraConfig], AlgebraElement]
@@ -97,6 +95,8 @@ class SSConfig(Record):
     max_top_degree: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.comp, Component):
+            raise InputError(f"unknown component {self.comp!r}; expected a Component")
         check_count(self.max_top_degree, "max_top_degree")
 
 
@@ -177,14 +177,49 @@ def _period_degrees(algebra: AlgebraConfig) -> range:
     return range(-algebra.dim, -algebra.dim + HEAD + 4 * algebra.n)
 
 
+def d2_matrix(
+    cfg: AlgebraConfig,
+    comp: Component,
+    q: int,
+    delta_fn: DeltaFn | None = None,
+) -> list[int]:
+    """Matrix of the BV operator from fiber degree q to q+1 as bitmask rows.
+
+    Row i holds the coordinates of the image of the i-th degree-q basis
+    monomial in the degree-(q+1) basis.  A ``delta_fn`` of ``None`` is
+    ``bv.delta`` as it is bound at this call.
+    """
+    index = {m: i for i, m in enumerate(basis(cfg, comp, q + 1))}
+    delta_fn, rows = delta_fn or bv.delta, []
+    for m in basis(cfg, comp, q):
+        row = 0
+        for t in delta_fn(AlgebraElement(frozenset((m,))), cfg).terms:
+            if t not in index:
+                raise InputError(
+                    f"image term {t} of degree-{q} monomial {m} is not a "
+                    f"degree-{q + 1} basis monomial of component {comp.value}"
+                )
+            row |= 1 << index[t]
+        rows.append(row)
+    return rows
+
+
+def d2_rank(
+    cfg: AlgebraConfig,
+    comp: Component,
+    q: int,
+    delta_fn: DeltaFn | None = None,
+) -> int:
+    return gf2.rank(d2_matrix(cfg, comp, q, delta_fn))
+
+
 class _Table(NamedTuple):
     """One configuration's entry of :func:`_period_table`."""
 
-    # component -> (dimensions, ranks of the built-in operator) over
-    # _period_degrees
-    fibers: dict
-    # component -> third-page columns (first, rest) of that operator over a
-    # head of HEAD + 1 indices and one period
+    # component -> fiber dimensions over _period_degrees
+    dims: dict
+    # component -> third-page columns (first, rest) of the built-in operator
+    # over a head of HEAD + 1 indices and one period
     columns: dict
     # (numerator, denominator) of a closed form -> whether the pages of that
     # operator equal it in every degree; one pair at a time
@@ -195,42 +230,16 @@ class _Table(NamedTuple):
 # n <= 8 twice over
 @lru_cache(maxsize=64)
 def _period_table(algebra: AlgebraConfig) -> _Table:
-    """The period table of one configuration, filled in one sweep for both
-    components (see the module docstring)."""
-    delta, fibers = bv.delta, {comp: ([], []) for comp in Component}
-    source = _split(algebra, -algebra.dim)
-    for q in _period_degrees(algebra):
-        target = _split(algebra, q + 1)
-        for comp, (dims, ranks) in fibers.items():
-            rows = _rows(algebra, comp, q, source[comp], target[comp], delta)
-            dims.append(len(rows))
-            ranks.append(gf2.rank(rows))
-        source = target
-    fibers = {comp: (tuple(d), tuple(r)) for comp, (d, r) in fibers.items()}
-    size = HEAD + 1 + 4 * algebra.n
-    columns = {
-        comp: _homology(_tile(dims, algebra.n, size), _tile(ranks, algebra.n, size))
-        for comp, (dims, ranks) in fibers.items()
-    }
-    return _Table(fibers, columns, {})
-
-
-def _split(algebra: AlgebraConfig, q: int) -> dict[Component, dict[Monomial, int]]:
-    """The pooled degree-q basis split by component: each part maps its
-    monomials, in basis order, to their positions in that component's basis."""
-    parts = {Component.E: {}, Component.G: {}}
-    for m in basis(algebra, None, q):
-        part = parts[component(m, algebra)]
-        part[m] = len(part)
-    return parts
-
-
-def _entry(algebra: AlgebraConfig, comp: Component) -> _Table:
-    """The period table of ``algebra``, once ``comp`` is known to be a
-    component."""
-    if not isinstance(comp, Component):
-        raise InputError(f"unknown component {comp!r}; expected a Component")
-    return _period_table(algebra)
+    """The period table of one configuration, filled for both components
+    (see the module docstring)."""
+    qs, size, dims, columns = _period_degrees(algebra), HEAD + 1 + 4 * algebra.n, {}, {}
+    for comp in Component:
+        dims[comp] = tuple(dimension(algebra, comp, q) for q in qs)
+        ranks = tuple(d2_rank(algebra, comp, q) for q in qs)
+        columns[comp] = _homology(
+            _tile(dims[comp], algebra.n, size), _tile(ranks, algebra.n, size)
+        )
+    return _Table(dims, columns, {})
 
 
 def _tile(known: tuple[int, ...], n: int, size: int) -> tuple[int, ...]:
@@ -254,57 +263,8 @@ def e2_page(cfg: SSConfig) -> Page:
     """Second page: every column repeats the fiber dimensions, tiled from one
     period (see the module docstring)."""
     top = cfg.max_top_degree
-    dims = _tile(_entry(cfg.algebra, cfg.comp).fibers[cfg.comp][0], cfg.algebra.n, top + 1)
+    dims = _tile(_period_table(cfg.algebra).dims[cfg.comp], cfg.algebra.n, top + 1)
     return Page(2, cfg.algebra.dim, top, dims, dims)
-
-
-def _rows(
-    cfg: AlgebraConfig,
-    comp: Component,
-    q: int,
-    source: Iterable[Monomial],
-    index: dict[Monomial, int],
-    delta_fn: DeltaFn,
-) -> list[int]:
-    """Bitmask rows of ``delta_fn`` on the degree-q monomials ``source`` of
-    ``comp``; ``index`` maps its degree-(q+1) basis to coordinates."""
-    rows = []
-    for m in source:
-        row = 0
-        for t in delta_fn(AlgebraElement(frozenset((m,))), cfg).terms:
-            if t not in index:
-                raise InputError(
-                    f"image term {t} of degree-{q} monomial {m} is not a "
-                    f"degree-{q + 1} basis monomial of component {comp.value}"
-                )
-            row |= 1 << index[t]
-        rows.append(row)
-    return rows
-
-
-def d2_matrix(
-    cfg: AlgebraConfig,
-    comp: Component,
-    q: int,
-    delta_fn: DeltaFn | None = None,
-) -> list[int]:
-    """Matrix of the BV operator from fiber degree q to q+1 as bitmask rows.
-
-    Row i holds the coordinates of the image of the i-th degree-q basis
-    monomial in the degree-(q+1) basis.  A ``delta_fn`` of ``None`` is
-    ``bv.delta`` as it is bound at this call.
-    """
-    index = {m: i for i, m in enumerate(basis(cfg, comp, q + 1))}
-    return _rows(cfg, comp, q, basis(cfg, comp, q), index, delta_fn or bv.delta)
-
-
-def d2_rank(
-    cfg: AlgebraConfig,
-    comp: Component,
-    q: int,
-    delta_fn: DeltaFn | None = None,
-) -> int:
-    return gf2.rank(d2_matrix(cfg, comp, q, delta_fn))
 
 
 def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
@@ -322,7 +282,7 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     the top degree q = D - shift.
     """
     algebra, comp, top = cfg.algebra, cfg.comp, cfg.max_top_degree
-    entry, n = _entry(algebra, comp), algebra.n
+    entry, n = _period_table(algebra), algebra.n
     if delta_fn is None or delta_fn is bv.delta:
         first, rest = entry.columns[comp]
         return Page(3, algebra.dim, top, _tile(first, n, top + 1), _tile(rest, n, top + 1))
@@ -330,8 +290,7 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     # at index D + 1, and column p >= 1 stops at index D - 2
     qs = range(-algebra.dim, top - algebra.dim)
     ranks = [d2_rank(algebra, comp, q, delta_fn) for q in qs]
-    dims = _tile(entry.fibers[comp][0], n, top + 1)
-    return Page(3, algebra.dim, top, *_homology(dims, ranks))
+    return Page(3, algebra.dim, top, *_homology(_tile(entry.dims[comp], n, top + 1), ranks))
 
 
 def _check_fits(page: Page, cfg: SSConfig) -> None:
@@ -376,38 +335,32 @@ class CollapseReport(Record):
         return self.e_page_stable and self.first_mismatch is None
 
 
-def _page_sums(
-    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None
-) -> tuple[bool, tuple[int, ...]]:
-    """E-stability and the sum of the two third-page series through ``top``."""
-    ss_e, ss_g = SSConfig(cfg, Component.E, top), SSConfig(cfg, Component.G, top)
-    e2_e, e3_e, e3_g = e2_page(ss_e), e3_page(ss_e, delta_fn), e3_page(ss_g, delta_fn)
-    e_stable = (e3_e.first, e3_e.rest) == (e2_e.first, e2_e.rest)
-    series_e, series_g = page_series(e3_e, ss_e), page_series(e3_g, ss_g)
-    return e_stable, tuple(map(add, series_e.coefficients, series_g.coefficients))
-
-
 def _certified(cfg: AlgebraConfig, total: series.RationalSeries) -> bool:
     """Whether the built-in operator's third pages equal the closed form
-    ``total`` = num/den in every degree: E-stability, and the page sums
-    through K = max(4n+4 + deg den, deg num + 4n+2) equal to its expansion
-    (see the module docstring).  Decided once per configuration and closed
-    form, and kept in the period table under the pair (num, den)."""
+    ``total`` = num/den in every degree: their comparison through
+    K = max(4n+4 + deg den, deg num + 4n+2) (see the module docstring).
+    Decided once per configuration and closed form, and kept in the period
+    table under the pair (num, den)."""
     proofs, key = _period_table(cfg).proofs, (total.numerator, total.denominator)
     if key not in proofs:
         deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1
         bound = max(4 * cfg.n + 4 + deg_den, deg_num + 4 * cfg.n + 2)
-        e_stable, sums = _page_sums(cfg, bound, None)
         proofs.clear()  # a rebound series.total_series must not grow the entry
-        proofs[key] = e_stable and sums == series.expand(total, bound).coefficients
+        proofs[key] = _compare(cfg, bound, None, total).passed
     return proofs[key]
 
 
 def _compare(
     cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None, total: series.RationalSeries
 ) -> CollapseReport:
-    """Page comparison through degree ``top``, reported at that cutoff."""
-    e_stable, computed = _page_sums(cfg, top, delta_fn)
+    """E-stability, and the sum of the two third-page series against the
+    expansion of ``total``, through degree ``top`` and reported at that
+    cutoff."""
+    ss_e, ss_g = SSConfig(cfg, Component.E, top), SSConfig(cfg, Component.G, top)
+    e2_e, e3_e, e3_g = e2_page(ss_e), e3_page(ss_e, delta_fn), e3_page(ss_g, delta_fn)
+    e_stable = (e3_e.first, e3_e.rest) == (e2_e.first, e2_e.rest)
+    series_e, series_g = page_series(e3_e, ss_e), page_series(e3_g, ss_g)
+    computed = tuple(map(add, series_e.coefficients, series_g.coefficients))
     expected = series.expand(total, top).coefficients
     first_mismatch = next(
         ((k, got, want) for k, (got, want) in enumerate(zip(computed, expected)) if got != want),

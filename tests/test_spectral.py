@@ -235,12 +235,10 @@ def test_tiled_columns_match_per_degree_columns(n):
 
 def per_degree_columns(cfg, comp, limit):
     """The third-page columns at cutoff ``limit`` by the per-degree formula,
-    over the entry's dimensions and ranks tiled index by index: the head of
-    two fiber degrees, then the period 4n."""
-    dims, ranks = spectral._period_table(cfg).fibers[comp]
-    period = 4 * cfg.n
-    at = [i if i < 2 else 2 + (i - 2) % period for i in range(limit + 1)]
-    dims, ranks = [dims[i] for i in at], [ranks[i] for i in at]
+    over ``dimension`` and ``d2_rank`` in every fiber degree through it, the
+    period table unread."""
+    qs = range(-cfg.dim, limit - cfg.dim + 1)
+    dims, ranks = [dimension(cfg, comp, q) for q in qs], [d2_rank(cfg, comp, q) for q in qs]
     first = [d - r for d, r in zip(dims, [0] + ranks)]
     rest = [d - r for d, r in zip(first, ranks)]
     return tuple(first), tuple(rest[: max(limit - 1, 0)])
@@ -249,13 +247,16 @@ def per_degree_columns(cfg, comp, limit):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_tiled_third_page_columns_match_the_per_degree_formula(n):
     """Every cutoff through three periods, D < 3 inside the head included,
-    for all four cases and both components."""
+    for all four cases and both components: the columns at a cutoff are a
+    prefix of those at the largest one."""
+    top = 3 * (4 * n + 3)
     for case in ALL_CASES:
         cfg = AlgebraConfig(n, case)
         for comp in (Component.E, Component.G):
-            for limit in range(3 * (4 * n + 3) + 1):
+            first, rest = per_degree_columns(cfg, comp, top)
+            for limit in range(top + 1):
                 page = e3_page(SSConfig(cfg, comp, limit))
-                want = per_degree_columns(cfg, comp, limit)
+                want = first[: limit + 1], rest[: max(limit - 1, 0)]
                 assert (page.first, page.rest) == want, (case, comp, limit)
 
 
@@ -293,7 +294,7 @@ def counting(fn, calls):
 
 def period_monomials(cfg):
     """Basis monomials of both components over the head and one period."""
-    return sum(sum(dims) for dims, _ in spectral._period_table(cfg).fibers.values())
+    return sum(sum(dims) for dims in spectral._period_table(cfg).dims.values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -442,7 +443,7 @@ def test_cold_and_warm_period_tables_give_the_same_results():
 
 
 def test_rebound_delta_shares_the_configuration_table(monkeypatch):
-    """The period table holds the ranks of the bv.delta that filled it: a
+    """The period table holds the pages of the bv.delta that filled it: a
     rebound counter on a warm configuration is not called and adds no entry,
     and after cache_clear() it fills the table, once per period monomial."""
     cfg = AlgebraConfig(2, BVCase.B_W)
@@ -511,7 +512,7 @@ def test_other_operators_skip_the_rank_table(delta_fn, monkeypatch):
     cfg = AlgebraConfig(2, BVCase.A_V)
     verify_collapse(cfg, 30)
     table = spectral._period_table(cfg)
-    fibers, proofs = dict(table.fibers), dict(table.proofs)
+    dims, columns, proofs = dict(table.dims), dict(table.columns), dict(table.proofs)
     info = spectral._period_table.cache_info()
     calls = []
     monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, calls))
@@ -529,7 +530,7 @@ def test_other_operators_skip_the_rank_table(delta_fn, monkeypatch):
     after = spectral._period_table.cache_info()
     assert (after.misses, after.currsize) == (info.misses, info.currsize)
     assert spectral._period_table(cfg) is table
-    assert (table.fibers, table.proofs) == (fibers, proofs)
+    assert (table.dims, table.columns, table.proofs) == (dims, columns, proofs)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -864,7 +865,20 @@ def test_pages_stay_column_backed_at_large_cutoff(monkeypatch):
 
 
 def test_page_of_a_non_component_is_refused():
-    cfg = SSConfig(AlgebraConfig(1), "e", 10)
     for build in (e2_page, e3_page):
         with pytest.raises(InputError, match="unknown component 'e'"):
-            build(cfg)
+            build(SSConfig(AlgebraConfig(1), "e", 10))
+
+
+@pytest.mark.parametrize("comp", ["e", None, "E"])
+def test_a_non_component_is_refused_when_the_configuration_is_built(comp):
+    """Reading a page back or summing its series takes the component from
+    the configuration, so a configuration must not hold anything else."""
+    cfg = AlgebraConfig(1)
+    good = SSConfig(cfg, Component.E, 10)
+    page = e3_page(good)
+    obj = page_to_json(page, good)
+    with pytest.raises(InputError, match="unknown component"):
+        page_from_json(obj, SSConfig(cfg, comp, 10))
+    with pytest.raises(InputError, match="unknown component"):
+        page_series(page, SSConfig(cfg, comp, 10))

@@ -101,7 +101,7 @@ def test_delta_rebound_before_the_first_page_fills_the_rank_table():
           "calls, delta, cfg = [], bv.delta, AlgebraConfig(2)\n"
           "bv.delta = lambda u, c: calls.append(u) or delta(u, c)\n"
           "assert s.verify_collapse(cfg, 40, bv.delta).all_degrees\n"
-          "period = sum(sum(dims) for dims, _ in s._period_table(cfg).fibers.values())\n"
+          "period = sum(sum(dims) for dims in s._period_table(cfg).dims.values())\n"
           "assert len(calls) == period > 0, (len(calls), period)\n"
           "assert s.verify_collapse(cfg, 40).all_degrees\n"
           "assert len(calls) == period, len(calls)")
