@@ -44,6 +44,7 @@ from .ring import (
     add,
     basis,
     check_count,
+    check_int,
     element,
     generator,
     loop_degree,
@@ -201,6 +202,7 @@ def axiom_failures(
     per violation.
     """
     check_count(samples, "samples")
+    check_int(seed, "seed")
     pool = window_basis(cfg, (None,), lo, hi)
     if samples and not pool:
         raise InputError(f"no basis monomial to sample in degree window [{lo}, {hi}]")
@@ -257,10 +259,11 @@ def morphism_from_switches(
     Even powers of the x image equal plain powers of x, so the v image can be
     written directly in the plain generators.
     """
+    a, b, c = (tuple(bits) for bits in (a, b, c))
     for name, bits, length in (("a", a, 3), ("b", b, 3), ("c", c, 4)):
         if len(bits) != length:
             raise InputError(f"switches {name} must be {length} bits, got {bits}")
-        if any(bit not in (0, 1) for bit in bits):
+        if not set(map(type, bits)) <= {int} or not set(bits) <= {0, 1}:
             raise InputError(f"switches must be 0 or 1, got {bits}")
     two_n = 2 * cfg.n
     x_shapes = (Monomial(1, 1, 0), Monomial(two_n + 1, 0, 1), Monomial(two_n + 1, 1, 1))

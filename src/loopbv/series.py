@@ -6,28 +6,29 @@ performed; equality is decided by cross multiplication.  The closed forms for
 the equivariant Betti series of the two loop-space components and of the full
 loop space are built here, together with the Cesàro limit of alternating
 partial sums (the average Betti number), read off num/den by a pole argument:
-the coefficients of g(t) = r(-t) are (-1)^k a_k, and for
-den = c (1 - t^e1) ... (1 - t^ek) every pole of g is a root of unity of order
-dividing P = 2 lcm(e_i).  A pole w of order m >= 2 puts a term N^(m-1) / w^N
-into the partial sum S_N, so S_N / N converges iff every pole is simple, that is
-iff g (1 - t^P) is a polynomial h / c; each period then adds h(1) / c to S_N.
+the coefficients of g(t) = r(-t) are (-1)^k a_k, and for den = c prod(1 - t^e)
+every pole of g is a root of unity of order dividing P = lcm(e'), e' = e for
+even e and 2e for odd e, as 1 + t^e = (1 - t^(2e)) / (1 - t^e).  A pole w of
+order m >= 2 puts a term N^(m-1) / w^N into the partial sum S_N, so S_N / N
+converges iff every pole is simple, that is iff g (1 - t^P) is a polynomial
+h / c; each period then adds h(1) / c to S_N.
 
-Every division by a factor 1 - s t^e (s = +-1) is a running sum: it is the
-recurrence a_k = b_k + s a_(k-e), integer additions only.  It runs along the
-residue classes mod e when e^2 <= N, and block by block, each block of e
-terms plus s times the block before it, when e^2 > N, N the number of terms;
-either way it takes at most sqrt(N) slices, so a factor 1 - t^(2n) at large
-n costs a few C-level passes, not 2n.  Products are taken over nonzero terms
-only, so the closed forms, whose factors 1 - t^e have two terms each, are
-built without a pass over their zeros.  Series division by power series
-with nonzero constant terms commutes and its first N + 1 coefficients depend
-only on the first N + 1 of the dividend, so dividing factor by factor gives
-the same truncated expansion as one long division; expansion long-divides
-only what the factoring leaves, the constant 1 for every closed form here.  The same sums decide exact
-division: for F = prod(1 - s t^e) of degree E, p is a multiple of F iff
-S = p / F is zero in degrees deg p - E + 1 .. deg p.  Then Q = S cut at degree
-deg p - E gives p = F Q modulo t^(deg p + 1), and both sides have degree at
-most deg p, so p = F Q; conversely, p = F Q makes S = Q.
+Every division by a factor 1 - t^e is a running sum: it is the recurrence
+a_k = b_k + a_(k-e), integer additions only.  It runs along the residue
+classes mod e when e^2 <= N, and block by block, each block of e terms plus
+the block before it, when e^2 > N, N the number of terms; either way it takes
+at most sqrt(N) C-level slices, so a factor 1 - t^(2n) at large n costs a few
+passes, not 2n.  Products are taken over nonzero terms only, so the closed
+forms, whose factors 1 - t^e have two terms each, are built without a pass
+over their zeros.  Series division by power series with nonzero constant
+terms commutes and its first N + 1 coefficients depend only on the first
+N + 1 of the dividend, so dividing factor by factor gives the same truncated
+expansion as one long division; expansion long-divides only what the
+factoring leaves, the constant 1 for every closed form here.  The same sums
+decide exact division: for F = prod(1 - t^e) of degree E, p is a multiple of
+F iff S = p / F is zero in degrees deg p - E + 1 .. deg p.  Then Q = S cut at
+degree deg p - E gives p = F Q modulo t^(deg p + 1), and both sides have
+degree at most deg p, so p = F Q; conversely, p = F Q makes S = Q.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import lcm
-from operator import add, sub
+from operator import add
 
 from .ring import InputError, Record, check_count, check_n
 
@@ -98,41 +99,37 @@ def _one_minus(e: int) -> Terms:
     return ((0, 1), (e, -1))
 
 
-def _divide_out(coeffs: list, factors) -> None:
-    """Divide the truncated series ``coeffs`` in place by each factor
-    1 - s t^e of ``factors``, given as pairs (s, e) with s = +-1: by
-    :func:`_residue_sums` when e^2 <= len(coeffs), else by
-    :func:`_block_sums`, so that either loop has at most sqrt(len) steps."""
+def _divide_out(coeffs: list, exponents) -> None:
+    """Divide the truncated series ``coeffs`` in place by 1 - t^e for each e
+    of ``exponents``: by :func:`_residue_sums` when e^2 <= len(coeffs), else
+    by :func:`_block_sums`, so that either loop has at most sqrt(len) steps."""
     size = len(coeffs)
-    for s, e in factors:
-        (_residue_sums if e * e <= size else _block_sums)(coeffs, s, e)
+    for e in exponents:
+        (_residue_sums if e * e <= size else _block_sums)(coeffs, e)
 
 
-def _residue_sums(coeffs: list, s: int, e: int) -> None:
-    """a_k = b_k + s a_(k-e) in place, one running sum per residue class mod
-    e; s = 1 keeps C-level addition."""
-    step = None if s == 1 else (lambda acc, b: b - acc)
+def _residue_sums(coeffs: list, e: int) -> None:
+    """a_k = b_k + a_(k-e) in place, one C-level running sum per residue
+    class mod e."""
     for r in range(min(e, len(coeffs))):
-        coeffs[r::e] = accumulate(coeffs[r::e], step)
+        coeffs[r::e] = accumulate(coeffs[r::e])
 
 
-def _block_sums(coeffs: list, s: int, e: int) -> None:
-    """a_k = b_k + s a_(k-e) in place, one block of e terms at a time: each
-    block adds or subtracts the finished block before it, at C level."""
-    combine, block = (add if s == 1 else sub), coeffs[:e]
+def _block_sums(coeffs: list, e: int) -> None:
+    """a_k = b_k + a_(k-e) in place, one block of e terms at a time: each
+    block adds the finished block before it, at C level."""
     for start in range(e, len(coeffs), e):
-        block = list(map(combine, coeffs[start : start + e], block))
-        coeffs[start : start + e] = block
+        coeffs[start : start + e] = map(add, coeffs[start : start + e], coeffs[start - e : start])
 
 
-def _exact_quotient(p: Poly, factors) -> Poly | None:
-    """p / prod(1 - s t^e) over the pairs (s, e) of ``factors`` when the
-    division is exact, else None: exact iff the series quotient is zero in the
-    top E degrees through deg p, E the degree of the product (see the module
-    docstring); when deg p < E that is every degree, so only p = 0 divides."""
+def _exact_quotient(p: Poly, exponents) -> Poly | None:
+    """p / prod(1 - t^e) over ``exponents`` when the division is exact, else
+    None: exact iff the series quotient is zero in the top E = sum(e)
+    degrees through deg p (see the module docstring); when deg p < E that is
+    every degree, so only p = 0 divides."""
     coeffs = list(_trim(p))
-    cut = max(len(coeffs) - sum(e for _, e in factors), 0)
-    _divide_out(coeffs, factors)
+    cut = max(len(coeffs) - sum(exponents), 0)
+    _divide_out(coeffs, exponents)
     return None if any(coeffs[cut:]) else _trim(tuple(coeffs[:cut]))
 
 
@@ -213,7 +210,7 @@ def expand(r: RationalSeries, n_terms: int) -> TruncatedSeries:
     coeffs: list = list(r.numerator[:size])
     coeffs += [0] * (size - len(coeffs))
     exponents, rest = _cyclic_factors(r.denominator)
-    _divide_out(coeffs, [(1, e) for e in exponents])
+    _divide_out(coeffs, exponents)
     if rest == (1,):
         return TruncatedSeries(tuple(coeffs))
     den0 = rest[0]
@@ -284,18 +281,19 @@ def _cyclic_factors(den: Poly) -> tuple[tuple[int, ...], Poly]:
             e -= 1
         else:
             exponents.append(e)
-            rest = _exact_quotient(rest, [(1, e)])
+            rest = _exact_quotient(rest, [e])
             e = min(e, len(rest) - 1)
     return tuple(exponents), rest
 
 
 def average_alternating(r: RationalSeries) -> Fraction:
     """Cesàro limit of S_N = sum_{k <= N} (-1)^k a_k, exact and without
-    expansion: with den(-t) = c prod(1 - (-1)^e t^e), the running sums of
-    :func:`_exact_quotient` must divide num(-t) (1 - t^P) by that product
-    exactly, as the poles of r(-t), all roots of unity of order dividing
-    P = 2 lcm(e_i), must be simple; the quotient h then gives the limit
-    h(1) / (P c) (see the module docstring).
+    expansion: den(-t) prod_{odd e}(1 - t^e) = c prod(1 - t^e'), e' = e for
+    even e and 2e for odd e, since 1 + t^e = (1 - t^(2e)) / (1 - t^e).  The
+    poles of r(-t), all roots of unity of order dividing P = lcm(e'), must be
+    simple, so the running sums of :func:`_exact_quotient` must divide
+    num(-t) prod_{odd e}(1 - t^e) (1 - t^P) by prod(1 - t^e') exactly; the
+    quotient h then gives the limit h(1) / (P c) (see the module docstring).
     """
     from fractions import Fraction
 
@@ -304,10 +302,12 @@ def average_alternating(r: RationalSeries) -> Fraction:
         raise NonQuasilinearError(f"non-quasilinear series: denominator factor "
                                   f"{list(rest)} is not a product of factors 1 - t^e")
     c = rest[0]
-    period = 2 * lcm(*exponents) if exponents else 2
+    orders = [2 * e if e % 2 else e for e in exponents]
+    period = lcm(*orders)
     at_minus_t = tuple(-a if k % 2 else a for k, a in enumerate(r.numerator))
-    lifted = _product(_terms(at_minus_t), _one_minus(period))
-    h = _exact_quotient(lifted, [((-1) ** e, e) for e in exponents])
+    odd = [_one_minus(e) for e in exponents if e % 2]
+    lifted = _product(_terms(at_minus_t), _one_minus(period), *odd)
+    h = _exact_quotient(lifted, orders)
     if h is None:
         raise NonQuasilinearError("non-quasilinear series: r(-t) has a multiple pole on "
                                   "the unit circle, so no Cesàro limit exists")

@@ -292,6 +292,12 @@ def test_axiom_failures_sample_count_validation():
     assert axiom_failures(cfg, -3, 12, samples=0, seed=0) == []
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "7", [1], True])
+def test_axiom_failures_seed_must_be_an_integer(seed):
+    with pytest.raises(InputError, match="seed must be an integer"):
+        axiom_failures(AlgebraConfig(1), -3, 12, samples=3, seed=seed)
+
+
 OBSTRUCTION_MESSAGE = "BV relation fails at (x*v, v*w)"
 OBSTRUCTION_RUNS = {
     # (window, samples, seeds); the window None is verify's [-(2n+1), 12n]

@@ -110,6 +110,17 @@ def test_switch_validation():
         morphism_from_switches(AlgebraConfig(1), a=(2, 0, 0))
 
 
+def test_switches_are_stored_as_tuples_of_int_bits():
+    cfg = AlgebraConfig(1)
+    from_list = morphism_from_switches(cfg, a=[1, 0, 0], b=[0, 1, 0], c=[1, 0, 1, 0])
+    from_tuple = morphism_from_switches(cfg, a=(1, 0, 0), b=(0, 1, 0), c=(1, 0, 1, 0))
+    assert (from_list.a, from_list.b, from_list.c) == ((1, 0, 0), (0, 1, 0), (1, 0, 1, 0))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    for bad in [(True, 0, 0), (1.0, 0, 0), (0, False, 0)]:
+        with pytest.raises(InputError, match="switches must be 0 or 1"):
+            morphism_from_switches(cfg, a=bad)
+
+
 @pytest.mark.parametrize("switches", [
     {"a": (1, 0)}, {"a": (1, 0, 0, 0)}, {"b": ()}, {"b": (0, 1)}, {"c": (1, 0, 0)}, {"c": (1, 0, 0, 0, 0)},
 ])

@@ -210,7 +210,7 @@ def test_expansion_coefficients_bounded_and_nonnegative(n):
     assert all(c >= 0 for c in total)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), 40, 1000])
 def test_average_alternating_closed_form(n):
     avg = average_alternating(lg_series(n))
     assert avg == Fraction(n + 1, 2 * n)

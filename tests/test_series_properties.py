@@ -4,7 +4,9 @@
 drawn as c * prod(1 - t^e_i) * L(t), so that the factors 1 - t^e are divided
 out by running sums and whatever the greedy factoring leaves, L and any
 factor it misses, is long-divided.  ``_exact_quotient`` is checked against
-sparse long division on products p * prod(1 - s t^e) and perturbations.
+sparse long division on products p * prod(1 - s t^e) and perturbations; it
+divides by factors 1 - t^e only, so a factor 1 + t^e goes through it as
+(1 - t^(2e)) / (1 - t^e).
 The two loop shapes of one running sum, along residue classes and block by
 block, are checked against the plain recurrence and against each other.
 """
@@ -87,6 +89,14 @@ def factor_product(factors):
     return product
 
 
+def signed_quotient(p, factors):
+    """p / prod(1 - s t^e) over the pairs (s, e) by ``_exact_quotient``: each
+    1 + t^e is (1 - t^(2e)) / (1 - t^e), so p is lifted by 1 - t^e and
+    divided by 1 - t^(2e) instead; p divides exactly iff its lift does."""
+    lift = factor_product([(1, e) for s, e in factors if s == -1])
+    return _exact_quotient(_pmul(p, lift), [e if s == 1 else 2 * e for s, e in factors])
+
+
 @st.composite
 def quotient_cases(draw):
     """(p, factors, perturbation): up to four factors 1 - s t^e, s = +-1 and
@@ -107,43 +117,43 @@ def test_exact_quotient_matches_long_division(drawn):
     p, factors, perturbation = drawn
     den = factor_product(factors)
     product = _pmul(p, den)
-    assert _exact_quotient(product, factors) == _pdivides(product, den) == _trim(p)
+    assert signed_quotient(product, factors) == _pdivides(product, den) == _trim(p)
     perturbed = _padd(product, perturbation)
-    assert _exact_quotient(perturbed, factors) == _pdivides(perturbed, den)
+    assert signed_quotient(perturbed, factors) == _pdivides(perturbed, den)
     if len(_trim(p)) < len(den):  # below the degree of the product only 0 divides
-        assert _exact_quotient(p, factors) == ((0,) if _trim(p) == (0,) else None)
+        assert signed_quotient(p, factors) == ((0,) if _trim(p) == (0,) else None)
 
 
-def plain_recurrence(coeffs, s, e):
-    """a_k = b_k + s a_(k-e), one term at a time."""
+def plain_recurrence(coeffs, e):
+    """a_k = b_k + a_(k-e), one term at a time."""
     out = list(coeffs)
     for k in range(e, len(out)):
-        out[k] += s * out[k - e]
+        out[k] += out[k - e]
     return out
 
 
 @st.composite
 def recurrence_cases(draw):
-    """(coeffs, s, e): e anywhere from 1 to past the size, or at the boundary
+    """(coeffs, e): e anywhere from 1 to past the size, or at the boundary
     e^2 = size between the two shapes and one past it."""
     coeffs = draw(st.lists(st.integers(-5, 5), max_size=70))
     root = max(isqrt(len(coeffs)), 1)
     e = draw(st.one_of(st.integers(1, len(coeffs) + 3), st.sampled_from((root, root + 1))))
-    return coeffs, draw(st.sampled_from((1, -1))), e
+    return coeffs, e
 
 
 @PROPERTY
 @given(recurrence_cases())
-@example(([1] * 16, 1, 4))  # e^2 = size: still along residue classes
-@example(([1] * 16, -1, 5))  # e^2 > size: block by block, a short last block
-@example(([2, -1, 3], 1, 3))  # e = size: one full block, nothing to add
-@example(([], -1, 1))  # nothing to divide
+@example(([1] * 16, 4))  # e^2 = size: still along residue classes
+@example(([1] * 16, 5))  # e^2 > size: block by block, a short last block
+@example(([2, -1, 3], 3))  # e = size: one full block, nothing to add
+@example(([], 1))  # nothing to divide
 def test_both_running_sum_shapes_follow_the_recurrence(drawn):
-    coeffs, s, e = drawn
-    want = plain_recurrence(coeffs, s, e)
-    for shape in (_residue_sums, _block_sums, lambda c, s, e: _divide_out(c, [(s, e)])):
+    coeffs, e = drawn
+    want = plain_recurrence(coeffs, e)
+    for shape in (_residue_sums, _block_sums, lambda c, e: _divide_out(c, [e])):
         got = list(coeffs)
-        shape(got, s, e)
+        shape(got, e)
         assert got == want, shape
 
 
@@ -155,7 +165,7 @@ def seeded_results():
     for den in [*sparse_denominators(random.Random(23)), *dense_denominators(random.Random(20261019))]:
         results.append(_cyclic_factors.__wrapped__(den))
         for e in range(1, len(den) + 2):
-            results.append((_exact_quotient(den, [(1, e)]), _exact_quotient(den, [(-1, e)])))
+            results.append((_exact_quotient(den, [e]), signed_quotient(den, [(-1, e)])))
     rng = random.Random(20261018)
     for _ in range(600):
         num = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 8)))
@@ -175,9 +185,9 @@ def test_either_shape_alone_gives_the_same_quotients_and_limits(shape, monkeypat
     want = seeded_results()
     assert None in want and any(isinstance(x, Fraction) for x in want)
 
-    def forced(coeffs, factors):
-        for s, e in factors:
-            shape(coeffs, s, e)
+    def forced(coeffs, exponents):
+        for e in exponents:
+            shape(coeffs, e)
 
     monkeypatch.setattr(series, "_divide_out", forced)
     assert seeded_results() == want
