@@ -25,6 +25,7 @@ BV relation does not.  :func:`axiom_failures` checks that pair,
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from functools import lru_cache, reduce
 from itertools import compress
 
@@ -259,12 +260,12 @@ def morphism_from_switches(
     Even powers of the x image equal plain powers of x, so the v image can be
     written directly in the plain generators.
     """
-    a, b, c = (tuple(bits) for bits in (a, b, c))
     for name, bits, length in (("a", a, 3), ("b", b, 3), ("c", c, 4)):
-        if len(bits) != length:
-            raise InputError(f"switches {name} must be {length} bits, got {bits}")
+        if not isinstance(bits, Sequence) or len(bits) != length:
+            raise InputError(f"switches {name} must be {length} bits, got {bits!r}")
         if not set(map(type, bits)) <= {int} or not set(bits) <= {0, 1}:
-            raise InputError(f"switches must be 0 or 1, got {bits}")
+            raise InputError(f"switches must be 0 or 1, got {tuple(bits)}")
+    a, b, c = tuple(a), tuple(b), tuple(c)
     two_n = 2 * cfg.n
     x_shapes = (Monomial(1, 1, 0), Monomial(two_n + 1, 0, 1), Monomial(two_n + 1, 1, 1))
     v_shapes = (UNIT_MONOMIAL, Monomial(two_n, 0, 1), Monomial(two_n, 1, 1))
@@ -333,17 +334,24 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
     b1 and c1, the power law for the x image, and (by F2 rank, degree by
     degree in a small window) that substitution maps basis monomials to
     linearly independent elements.
+
+    Homogeneity settles most of the x image.  :func:`_power_tables` accepts
+    only an x image of loop degree -1, whose normal form lies in the span of
+    x, x v, x^(2n+1) w and x^(2n+1) v w.  Every term carries a power of x, so
+    the (2n+2)-th power is 0 and ``x_image_nilpotent`` holds without a
+    product.  For k >= 2 every product with an x^(2n+1) term is 0, and so is
+    x^2 v^2; hence (alpha x + beta x v)^k = alpha x^k (1 + beta v)^(k odd).
+    The power law x^k (1 + a1 v)^(k odd) thus fails first at k = 2 (alpha =
+    0) or k = 3 (beta != a1), or not at all, and only those two are tested.
     """
     n = cfg.n
-    # the power law reads x-image powers up to 2n+3; the basis monomials of
-    # loop degree <= 2n that the rank check maps have b <= 1 and c <= 2
-    tables = xs, vs, ws = _power_tables(phi, (2 * n + 3, 2, 2), cfg)
-    checks: list[tuple[str, bool, str]] = []
-
-    nilpotent = xs[2 * n + 2]
-    checks.append(
-        ("x_image_nilpotent", nilpotent.is_zero(), f"(image of x)^{2 * n + 2} = {nilpotent}")
-    )
+    # the v relation reads x-image power 2n, the power law powers 2 and 3;
+    # the basis monomials of loop degree <= 2n that the rank check maps have
+    # a <= 2n+1, b <= 1 and c <= 2
+    tables = xs, vs, ws = _power_tables(phi, (2 * n + 1, 2, 2), cfg)
+    checks: list[tuple[str, bool, str]] = [
+        ("x_image_nilpotent", True, f"(image of x)^{2 * n + 2} = 0")
+    ]
 
     b1, c1 = phi.b[0], phi.c[1]
     sigma = 0 if (b1, c1) == (0, 1) else 1
@@ -359,7 +367,7 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
     one_plus_v = add(unit(), generator("v"))
     power_law_ok = True
     detail = "all powers match"
-    for k in range(2, 2 * n + 4):
+    for k in (2, 3):
         want = normalize(k, 0, 0, cfg)
         if k % 2 and a1:
             want = multiply(want, one_plus_v, cfg)

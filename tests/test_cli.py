@@ -18,6 +18,8 @@ from loopbv.ring import AlgebraConfig, BVCase, Component, basis
 from loopbv.spectral import SSConfig, e3_page, page_from_json
 
 ROOT = pathlib.Path(__file__).parent.parent
+# the directory the imported package sits in: src, or site-packages when installed
+PACKAGE_PARENT = pathlib.Path(loopbv.__file__).parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 
 
@@ -121,6 +123,63 @@ def test_series_average_of_divergent_series_exits_two(capsys):
     code, _, err = run(capsys, "series", "--n", "2", "--which", "total", "--average")
     assert code == 2
     assert "non-quasilinear" in err
+
+
+@pytest.mark.parametrize("n, average", [(1, "1/1"), (2, "3/4"), (4, "5/8"), (7, "4/7"), (1000, "1001/2000")])
+def test_series_average_is_the_resonance_target(n, average, capsys):
+    """(n+1)/(2n); at n = 1000 the factor 1 - t^2000 is divided block by
+    block on the period P = 2000."""
+    code, out, _ = run(capsys, "series", "--n", str(n), "--which", "lg", "--average")
+    assert code == 0
+    assert out.splitlines()[-1] == f"average: {average}"
+
+
+def test_series_average_of_the_contractible_series_exits_two(capsys):
+    """le has a double pole at t = -1: no Cesàro limit."""
+    code, out, err = run(capsys, "series", "--n", "2", "--which", "le", "--average")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: non-quasilinear series")
+    assert "Traceback" not in err
+
+
+def test_series_expansions_known_values(capsys):
+    code, out, _ = run(capsys, "series", "--n", "2", "--which", "total", "--expand", "8",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["expansion"] == [2, 1, 3, 2, 6, 4, 6, 5, 9]
+    code, out, _ = run(capsys, "series", "--n", "3", "--which", "le", "--expand", "12")
+    assert code == 0
+    assert "expansion: 1 1 2 2 3 3 5 5 6 6 7 7 9" in out.splitlines()
+
+
+def test_series_expansion_follows_the_recurrence_of_num_and_den(capsys):
+    """The factor 1 - t^80 over 101 terms is divided block by block
+    (80^2 > 101): each term is fixed by den * expansion = num."""
+    code, out, _ = run(capsys, "series", "--n", "40", "--which", "total", "--expand", "100",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    num, den, got = payload["num"], payload["den"], payload["expansion"]
+    want = []
+    for k in range(101):
+        acc = num[k] if k < len(num) else 0
+        acc -= sum(den[j] * want[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+        want.append(acc // den[0])
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("comp, which", [("g", "lg"), ("e", "le")])
+def test_third_page_series_equals_the_closed_form_expansion(n, comp, which, capsys):
+    """The paper's theorem as the command line states it, through degree 200."""
+    code, pages, _ = run(capsys, "pages", "--n", str(n), "--component", comp,
+                         "--max-degree", "200", "--format", "json")
+    assert code == 0
+    code, closed, _ = run(capsys, "series", "--n", str(n), "--which", which,
+                          "--expand", "200", "--format", "json")
+    assert code == 0
+    assert json.loads(pages)["series"] == json.loads(closed)["expansion"]
 
 
 def test_ring_csv_header(capsys):
@@ -282,6 +341,21 @@ def test_verify_pass(capsys):
                        "--max-degree", "40", "--samples", "25")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    # the certificate is proved once at K = 6n+8 and the report expands the
+    # closed form through D, far above K here and far below it at n = 1000
+    ("--n 8 --case A_vxw --max-degree 4000 --samples 0", 0,
+     "collapse n=8 case=A_vxw through degree 4000: PASS"),
+    ("--n 1000 --max-degree 40 --samples 0", 0, "collapse n=1000 case=A_v through degree 40: PASS"),
+    # with no samples drawn, the fixed even-n pair alone fails B_wxvw
+    ("--n 2 --case B_wxvw --max-degree 30 --samples 0", 1, "axioms n=2 case=B_wxvw: FAIL"),
+], ids=["n8-D4000", "n1000-D40", "n2-B_wxvw-no-samples"])
+def test_verify_prints_its_verdict_line(argv, code, line, capsys):
+    got, out, _ = run(capsys, "verify", *argv.split())
+    assert got == code
+    assert line in out.splitlines()
 
 
 @pytest.mark.parametrize("case", ["B_w", "B_wxvw"])
@@ -710,7 +784,7 @@ def test_closed_output_pipe_exits_two():
     """A reader that stops after one line, as `| head -1` does: the next write
     fails with EPIPE, which is an input/output error like any other."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE_PARENT), env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "loopbv.cli", "ring", "--n", "1", "--max-degree", "20000",
          "--format", "csv"],

@@ -7,14 +7,18 @@ import sys
 
 import pytest
 
+import loopbv
+
 ROOT = pathlib.Path(__file__).parent.parent
+# the directory the imported package sits in: src, or site-packages when installed
+PACKAGE_PARENT = pathlib.Path(loopbv.__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_demo(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        p for p in (str(PACKAGE_PARENT), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 

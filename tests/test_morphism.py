@@ -121,6 +121,17 @@ def test_switches_are_stored_as_tuples_of_int_bits():
             morphism_from_switches(cfg, a=bad)
 
 
+@pytest.mark.parametrize("switches, name", [({"a": 1}, "a"), ({"a": None}, "a"), ({"c": 5}, "c")])
+def test_switches_that_are_not_sequences_are_refused(switches, name):
+    with pytest.raises(InputError, match=f"switches {name} must be"):
+        morphism_from_switches(AlgebraConfig(1), **switches)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_switches_build_the_identity(n):
+    assert morphism_from_switches(AlgebraConfig(n)) == identity_morphism()
+
+
 @pytest.mark.parametrize("switches", [
     {"a": (1, 0)}, {"a": (1, 0, 0, 0)}, {"b": ()}, {"b": (0, 1)}, {"c": (1, 0, 0)}, {"c": (1, 0, 0, 0, 0)},
 ])
@@ -180,6 +191,39 @@ def test_degenerate_morphism_fails_rank_check():
 def test_generator_exponent_table_is_consistent():
     assert GENERATOR_EXPONENTS["x"] == Monomial(1, 0, 0)
     assert element(GENERATOR_EXPONENTS["w"]) == generator("w")
+
+
+def full_range_x_checks(phi, cfg):
+    """The nilpotency and power-law checks computed from every power of the
+    x image up to 2n+3, as ``verify_morphism_relations`` once did."""
+    n = cfg.n
+    xs = [power(phi.image_x, k, cfg) for k in range(2 * n + 4)]
+    nilpotent = xs[2 * n + 2]
+    checks = [("x_image_nilpotent", nilpotent.is_zero(), f"(image of x)^{2 * n + 2} = {nilpotent}")]
+    one_plus_v = add(unit(), generator("v"))
+    power_law = ("x_image_power_law", True, "all powers match")
+    for k in range(2, 2 * n + 4):
+        want = normalize(k, 0, 0, cfg)
+        if k % 2 and phi.a[0]:
+            want = multiply(want, one_plus_v, cfg)
+        if xs[k] != want:
+            power_law = ("x_image_power_law", False, f"power {k}: got {xs[k]}, want {want}")
+            break
+    return [*checks, power_law]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_x_image_checks_match_the_full_power_range(n):
+    # every x image of loop degree -1 (16 of them) with either a1: the
+    # report's two x checks equal those read off all powers up to 2n+3
+    cfg = AlgebraConfig(n)
+    shapes = (Monomial(1, 0, 0), Monomial(1, 1, 0), Monomial(2 * n + 1, 0, 1), Monomial(2 * n + 1, 1, 1))
+    v, w = generator("v"), generator("w")
+    for chosen, a1 in itertools.product(itertools.product((0, 1), repeat=4), (0, 1)):
+        phi = GeneratorMorphism(element(*itertools.compress(shapes, chosen)), v, w, a=(a1, 0, 0))
+        report = verify_morphism_relations(phi, cfg)
+        got = [check for check in report.checks if check[0].startswith("x_image")]
+        assert got == full_range_x_checks(phi, cfg), (chosen, a1)
 
 
 # ------------------------------------------------- every switch setting

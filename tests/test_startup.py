@@ -12,7 +12,11 @@ import sys
 
 import pytest
 
+import loopbv
+
 ROOT = pathlib.Path(__file__).parent.parent
+# the directory the imported package sits in: src, or site-packages when installed
+PACKAGE_PARENT = pathlib.Path(loopbv.__file__).parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "resonance_n2.json"
 
 # runs CODE, then prints the loaded loopbv modules and whether dataclasses and
@@ -47,7 +51,7 @@ LOADS_FRACTIONS = {"resonance", "series"}
 
 def probe(code: str, *python_args: str):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE_PARENT), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, *python_args, "-c", PROBE.format(code=code)], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -129,7 +133,7 @@ def test_the_whole_package_never_loads_dataclasses(bare_has_dataclasses):
 
 
 def test_source_never_imports_dataclasses():
-    for path in (ROOT / "src" / "loopbv").glob("*.py"):
+    for path in (PACKAGE_PARENT / "loopbv").glob("*.py"):
         text = path.read_text(encoding="utf-8")
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", text, re.M), path.name
 
@@ -157,16 +161,12 @@ def test_star_import_binds_the_public_names():
     exec("from loopbv import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == STAR_NAMES
-    import loopbv
-
     for name in STAR_NAMES:
         assert namespace[name] is getattr(loopbv, name)
     assert set(STAR_NAMES) <= set(dir(loopbv))
 
 
 def test_unknown_attribute_raises_attribute_error():
-    import loopbv
-
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         loopbv.frobnicate
     assert not hasattr(loopbv, "window_basis")
