@@ -51,7 +51,6 @@ from .ring import (
     loop_degree,
     multiply,
     normal_monomial,
-    normalize,
     unit,
     window_basis,
     zero,
@@ -198,9 +197,12 @@ def axiom_failures(
     whatever the window, samples and seed: it fails there exactly in the B
     cases at even n, where v^2 = x^(2n) w breaks it (see the module
     docstring).  Delta^2 = 0 then runs over every basis monomial; the BV
-    relation, bracket symmetry, the Jacobi identity and the derivation rule
-    run over ``samples`` seeded random pairs/triples.  Returns one message
-    per violation.
+    relation, the Jacobi identity and the derivation rule run over
+    ``samples`` seeded random pairs/triples.  Returns one message per
+    violation.  Symmetry of the bracket is not sampled, since it cannot
+    fail: :func:`bracket` toggles, for each pair of monomials, terms whose
+    weight e1_i e2_j + e1_j e2_i and exponent sum e1 + e2 are symmetric in
+    the two, so {a, b} and {b, a} toggle the same terms.
     """
     check_count(samples, "samples")
     check_int(seed, "seed")
@@ -220,8 +222,6 @@ def axiom_failures(
         if not bv_relation_holds(a, b, cfg):
             failures.append(f"BV relation fails at ({a}, {b})")
         ab, ac = bracket(a, b, cfg), bracket(a, c, cfg)
-        if ab != bracket(b, a, cfg):
-            failures.append(f"bracket not symmetric at ({a}, {b})")
         jac_lhs = bracket(a, bracket(b, c, cfg), cfg)
         if jac_lhs != add(bracket(ab, c, cfg), bracket(b, ac, cfg)):
             failures.append(f"Jacobi fails at ({a}, {b}, {c})")
@@ -232,15 +232,18 @@ def axiom_failures(
 
 
 class GeneratorMorphism(Record):
-    """A change of generators (images of x, v, w) together with its switches;
-    the switch table in :func:`morphism_from_switches` states the shapes."""
+    """A change of generators, held as its images of x, v and w and nothing
+    else; :func:`verify_morphism_relations` judges it by those images alone,
+    and :func:`morphism_from_switches` builds the shapes of its switch table."""
 
     image_x: AlgebraElement
     image_v: AlgebraElement
     image_w: AlgebraElement
-    a: tuple[int, int, int] = (0, 0, 0)
-    b: tuple[int, int, int] = (0, 0, 0)
-    c: tuple[int, int, int, int] = (1, 0, 0, 0)
+
+    def __post_init__(self) -> None:
+        for name, image in zip(GENERATOR_NAMES, (self.image_x, self.image_v, self.image_w)):
+            if not isinstance(image, AlgebraElement):
+                raise InputError(f"image of {name} must be an AlgebraElement, got {image!r}")
 
 
 def morphism_from_switches(
@@ -258,14 +261,15 @@ def morphism_from_switches(
         w image:  (c0 + c1 v') w + (c2 + c3 v') x^(2n) w^2,  v' the v image
 
     Even powers of the x image equal plain powers of x, so the v image can be
-    written directly in the plain generators.
+    written directly in the plain generators.  Only the images are kept; no
+    other shape holds x v, 1 or v w, so a1, b1 and c1 are those terms of the
+    x, v and w images, which :func:`verify_morphism_relations` reads.
     """
     for name, bits, length in (("a", a, 3), ("b", b, 3), ("c", c, 4)):
         if not isinstance(bits, Sequence) or len(bits) != length:
             raise InputError(f"switches {name} must be {length} bits, got {bits!r}")
         if not set(map(type, bits)) <= {int} or not set(bits) <= {0, 1}:
             raise InputError(f"switches must be 0 or 1, got {tuple(bits)}")
-    a, b, c = tuple(a), tuple(b), tuple(c)
     two_n = 2 * cfg.n
     x_shapes = (Monomial(1, 1, 0), Monomial(two_n + 1, 0, 1), Monomial(two_n + 1, 1, 1))
     v_shapes = (UNIT_MONOMIAL, Monomial(two_n, 0, 1), Monomial(two_n, 1, 1))
@@ -274,7 +278,7 @@ def morphism_from_switches(
     w, x2n_w2 = generator("w"), element(Monomial(two_n, 0, 2))
     w_shapes = (w, multiply(image_v, w, cfg), x2n_w2, multiply(image_v, x2n_w2, cfg))
     image_w = reduce(add, compress(w_shapes, c), zero())
-    return GeneratorMorphism(image_x, image_v, image_w, a, b, c)
+    return GeneratorMorphism(image_x, image_v, image_w)
 
 
 def identity_morphism() -> GeneratorMorphism:
@@ -330,52 +334,43 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
     """Check the defining relations and degreewise injectivity of a morphism.
 
     Verifies that the x image is nilpotent of order 2n+2, that the v and w
-    images satisfy the deformed quadratic relation selected by the switches
-    b1 and c1, the power law for the x image, and (by F2 rank, degree by
-    degree in a small window) that substitution maps basis monomials to
-    linearly independent elements.
+    images satisfy the deformed quadratic relation selected by b1 and c1,
+    the power law for the x image, and (by F2 rank, degree by degree in a
+    small window) that substitution maps basis monomials to linearly
+    independent elements.  The morphism is judged by its images alone:
+    a1 = [x v is a term of the x image], b1 = [1 is a term of the v image]
+    and c1 = [v w is a term of the w image], the switches of the same names
+    for a morphism from :func:`morphism_from_switches`.
 
     Homogeneity settles most of the x image.  :func:`_power_tables` accepts
     only an x image of loop degree -1, whose normal form lies in the span of
     x, x v, x^(2n+1) w and x^(2n+1) v w.  Every term carries a power of x, so
     the (2n+2)-th power is 0 and ``x_image_nilpotent`` holds without a
     product.  For k >= 2 every product with an x^(2n+1) term is 0, and so is
-    x^2 v^2; hence (alpha x + beta x v)^k = alpha x^k (1 + beta v)^(k odd).
-    The power law x^k (1 + a1 v)^(k odd) thus fails first at k = 2 (alpha =
-    0) or k = 3 (beta != a1), or not at all, and only those two are tested.
+    x^2 v^2; hence (alpha x + a1 x v)^k = alpha x^k (1 + a1 v)^(k odd).  The
+    power law x^k (1 + a1 v)^(k odd) therefore holds for every k iff
+    alpha = 1, that is iff x is a term of the x image; otherwise the square
+    is 0 and the law fails first at k = 2.
     """
     n = cfg.n
-    # the v relation reads x-image power 2n, the power law powers 2 and 3;
-    # the basis monomials of loop degree <= 2n that the rank check maps have
-    # a <= 2n+1, b <= 1 and c <= 2
+    # the v relation reads x-image power 2n; the basis monomials of loop
+    # degree <= 2n that the rank check maps have a <= 2n+1, b <= 1 and c <= 2
     tables = xs, vs, ws = _power_tables(phi, (2 * n + 1, 2, 2), cfg)
     checks: list[tuple[str, bool, str]] = [
         ("x_image_nilpotent", True, f"(image of x)^{2 * n + 2} = 0")
     ]
 
-    b1, c1 = phi.b[0], phi.c[1]
-    sigma = 0 if (b1, c1) == (0, 1) else 1
-    relation = vs[2]
-    if b1:
-        relation = add(relation, unit())
-    if ((n + 1) * sigma) % 2:
-        correction = multiply(multiply(xs[2 * n], vs[b1 * c1], cfg), ws[1], cfg)
-        relation = add(relation, correction)
+    b1 = UNIT_MONOMIAL in phi.image_v.terms
+    c1 = Monomial(0, 1, 1) in phi.image_w.terms
+    relation = add(vs[2], unit()) if b1 else vs[2]
+    if n % 2 == 0 and (b1 or not c1):
+        relation = add(relation, multiply(multiply(xs[2 * n], vs[b1 * c1], cfg), ws[1], cfg))
     checks.append(("v_image_relation", relation.is_zero(), f"residual {relation}"))
 
-    a1 = phi.a[0]
-    one_plus_v = add(unit(), generator("v"))
-    power_law_ok = True
-    detail = "all powers match"
-    for k in (2, 3):
-        want = normalize(k, 0, 0, cfg)
-        if k % 2 and a1:
-            want = multiply(want, one_plus_v, cfg)
-        if xs[k] != want:
-            power_law_ok = False
-            detail = f"power {k}: got {xs[k]}, want {want}"
-            break
-    checks.append(("x_image_power_law", power_law_ok, detail))
+    if GENERATOR_EXPONENTS["x"] in phi.image_x.terms:
+        checks.append(("x_image_power_law", True, "all powers match"))
+    else:
+        checks.append(("x_image_power_law", False, f"power 2: got {xs[2]}, want x^2"))
 
     rank_ok = True
     detail = "full rank in every degree"

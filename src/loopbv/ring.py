@@ -155,10 +155,6 @@ class Component(Enum):
 
     __hash__ = object.__hash__  # as for BVCase
 
-    def __add__(self, other: "Component") -> "Component":
-        # composition of loops multiplies the labels in Z2
-        return Component.E if self is other else Component.G
-
 
 class AlgebraConfig(Record):
     """Pair (n, case) fixing the ring and its BV structure; dim M = 2n+1."""

@@ -340,7 +340,13 @@ def _certified(cfg: AlgebraConfig, total: series.RationalSeries) -> bool:
     ``total`` = num/den in every degree: their comparison through
     K = max(4n+4 + deg den, deg num + 4n+2) (see the module docstring).
     Decided once per configuration and closed form, and kept in the period
-    table under the pair (num, den)."""
+    table under the pair (num, den).
+
+    K holds for the pages of any operator.  Those of ``bv.delta`` as shipped
+    sum to ``total_series``, whose reduced denominator (1 - t)(1 - t^(2n))
+    has degree 2n+1, so the difference polynomial is a multiple of one of
+    degree 2n+1 with nonzero constant term, and a closed form that differs
+    from them first differs by degree K - (2n+1)."""
     proofs, key = _period_table(cfg).proofs, (total.numerator, total.denominator)
     if key not in proofs:
         deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1

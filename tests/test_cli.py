@@ -448,6 +448,34 @@ def test_verify_quiet(capsys):
     assert out == ""
 
 
+def test_verify_prints_at_most_ten_failure_messages(capsys):
+    """The table lists the first ten axiom failures; the JSON payload keeps all."""
+    argv = ["verify", "--n", "2", "--case", "B_w", "--samples", "1000"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    failures = json.loads(out)["axioms"]["failures"]
+    assert code == 1 and len(failures) == 24
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1
+    start = lines.index("axioms n=2 case=B_w: FAIL")
+    assert lines[start + 1:] == [f"  {message}" for message in failures[:10]]
+
+
+@pytest.mark.parametrize("bare, defaults", [
+    ("ring", "--n 1 --case A_v --component both --format table"),
+    ("bv", "--n 1 --case A_v --component both --format table table"),
+    ("pages", "--n 1 --case A_v --component both --max-degree 40 --page 3 --format table"),
+    ("series", "--n 1 --which lg --format table"),
+    ("verify", "--n 1 --case A_v --max-degree 100 --samples 200 --seed 0 --format table"),
+    ("resonance --input {mixed}", "--check full --format table"),
+], ids=["ring", "bv", "pages", "series", "verify", "resonance"])
+def test_defaults_spelled_out_print_the_same_bytes(bare, defaults, capsys):
+    bare = bare.format(mixed=FIXTURES / "resonance_n1_mixed.json").split()
+    without = run(capsys, *bare)
+    assert without == run(capsys, *bare, *defaults.split())
+    assert without[0] == 0 and without[1]
+
+
 def test_resonance_pass_fixture(capsys):
     code, out, _ = run(capsys, "resonance", "--input",
                        str(FIXTURES / "resonance_n1_mixed.json"), "--format", "json")

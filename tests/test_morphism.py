@@ -13,6 +13,7 @@ from loopbv.bv import (
 from loopbv.ring import (
     AlgebraConfig,
     GENERATOR_EXPONENTS,
+    UNIT_MONOMIAL,
     InputError,
     Monomial,
     add,
@@ -96,13 +97,19 @@ def test_shifted_v_with_v_times_w_image_verifies_everywhere():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_x_image_outside_the_switches_fails_the_power_law_alone(n):
-    # x + x v with switch a1 unset: (x + x v)^3 = x^3 + x^3 v, not x^3
+    # a morphism is judged by its images alone: x -> x + x v is the a1
+    # switch's morphism and passes, and x -> x v, outside the switch table,
+    # squares to 0, so it fails the power law at k = 2 and loses rank (at
+    # even n its 2n-th power, 0, breaks v^2 = x^(2n) w as well)
     cfg = AlgebraConfig(n)
     x, v, w = (generator(name) for name in "xvw")
-    report = verify_morphism_relations(GeneratorMorphism(add(x, multiply(x, v, cfg)), v, w), cfg)
-    assert not report.ok
-    assert [name for name, passed, _ in report.checks if not passed] == ["x_image_power_law"]
-    assert report.failures() == ["x_image_power_law: power 3: got x^3 + x^3*v, want x^3"]
+    deformed = GeneratorMorphism(add(x, multiply(x, v, cfg)), v, w)
+    assert deformed == morphism_from_switches(cfg, a=(1, 0, 0))
+    assert verify_morphism_relations(deformed, cfg).ok
+    report = verify_morphism_relations(GeneratorMorphism(multiply(x, v, cfg), v, w), cfg)
+    failed = [name for name, passed, _ in report.checks if not passed]
+    assert failed == ["v_image_relation"] * (n % 2 == 0) + ["x_image_power_law", "degreewise_independence"]
+    assert "x_image_power_law: power 2: got 0, want x^2" in report.failures()
 
 
 def test_switch_validation():
@@ -114,7 +121,6 @@ def test_switches_are_stored_as_tuples_of_int_bits():
     cfg = AlgebraConfig(1)
     from_list = morphism_from_switches(cfg, a=[1, 0, 0], b=[0, 1, 0], c=[1, 0, 1, 0])
     from_tuple = morphism_from_switches(cfg, a=(1, 0, 0), b=(0, 1, 0), c=(1, 0, 1, 0))
-    assert (from_list.a, from_list.b, from_list.c) == ((1, 0, 0), (0, 1, 0), (1, 0, 1, 0))
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
     for bad in [(True, 0, 0), (1.0, 0, 0), (0, False, 0)]:
         with pytest.raises(InputError, match="switches must be 0 or 1"):
@@ -156,6 +162,16 @@ def test_apply_morphism_is_multiplicative():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("images", [
+    ("x", generator("v"), generator("w")),
+    (generator("x"), None, generator("w")),
+    (generator("x"), generator("v"), Monomial(0, 0, 1)),
+])
+def test_images_that_are_not_algebra_elements_are_refused(images):
+    with pytest.raises(InputError, match="must be an AlgebraElement"):
+        GeneratorMorphism(*images)
+
+
 def test_non_homogeneous_image_rejected():
     cfg = AlgebraConfig(1)
     broken = GeneratorMorphism(
@@ -195,16 +211,18 @@ def test_generator_exponent_table_is_consistent():
 
 def full_range_x_checks(phi, cfg):
     """The nilpotency and power-law checks computed from every power of the
-    x image up to 2n+3, as ``verify_morphism_relations`` once did."""
+    x image up to 2n+3, as ``verify_morphism_relations`` once did, with a1
+    read off the x image."""
     n = cfg.n
     xs = [power(phi.image_x, k, cfg) for k in range(2 * n + 4)]
     nilpotent = xs[2 * n + 2]
     checks = [("x_image_nilpotent", nilpotent.is_zero(), f"(image of x)^{2 * n + 2} = {nilpotent}")]
     one_plus_v = add(unit(), generator("v"))
     power_law = ("x_image_power_law", True, "all powers match")
+    a1 = Monomial(1, 1, 0) in phi.image_x.terms
     for k in range(2, 2 * n + 4):
         want = normalize(k, 0, 0, cfg)
-        if k % 2 and phi.a[0]:
+        if k % 2 and a1:
             want = multiply(want, one_plus_v, cfg)
         if xs[k] != want:
             power_law = ("x_image_power_law", False, f"power {k}: got {xs[k]}, want {want}")
@@ -214,16 +232,16 @@ def full_range_x_checks(phi, cfg):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_x_image_checks_match_the_full_power_range(n):
-    # every x image of loop degree -1 (16 of them) with either a1: the
-    # report's two x checks equal those read off all powers up to 2n+3
+    # every x image of loop degree -1 (16 of them): the report's two x
+    # checks equal those read off all powers up to 2n+3
     cfg = AlgebraConfig(n)
     shapes = (Monomial(1, 0, 0), Monomial(1, 1, 0), Monomial(2 * n + 1, 0, 1), Monomial(2 * n + 1, 1, 1))
     v, w = generator("v"), generator("w")
-    for chosen, a1 in itertools.product(itertools.product((0, 1), repeat=4), (0, 1)):
-        phi = GeneratorMorphism(element(*itertools.compress(shapes, chosen)), v, w, a=(a1, 0, 0))
+    for chosen in itertools.product((0, 1), repeat=4):
+        phi = GeneratorMorphism(element(*itertools.compress(shapes, chosen)), v, w)
         report = verify_morphism_relations(phi, cfg)
         got = [check for check in report.checks if check[0].startswith("x_image")]
-        assert got == full_range_x_checks(phi, cfg), (chosen, a1)
+        assert got == full_range_x_checks(phi, cfg), chosen
 
 
 # ------------------------------------------------- every switch setting
@@ -234,6 +252,18 @@ SWITCH_SETTINGS = [
     for b in itertools.product((0, 1), repeat=3)
     for c in itertools.product((0, 1), repeat=4)
 ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bits_read_off_the_images_are_the_switches(n):
+    # the verifier reads a1, b1 and c1 as the terms x v, 1 and v w of the
+    # x, v and w images; for a switch-built morphism these are its switches
+    cfg = AlgebraConfig(n)
+    for a, b, c in SWITCH_SETTINGS:
+        phi = morphism_from_switches(cfg, a=a, b=b, c=c)
+        read = (Monomial(1, 1, 0) in phi.image_x.terms, UNIT_MONOMIAL in phi.image_v.terms,
+                Monomial(0, 1, 1) in phi.image_w.terms)
+        assert read == (a[0], b[0], c[1]), (a, b, c)
 
 
 def reference_apply(phi, u, cfg):

@@ -562,6 +562,35 @@ def test_verify_collapse_cutoff_follows_closed_form_degrees(n, monkeypatch):
                 assert report.computed == expand(bumped, limit).coefficients
 
 
+# Closed forms that agree with the pages of every case below degree m and
+# differ at m.  In lowest terms total_series(n) is a/b with a and b of degree
+# 2n+1, and each form has a den - num b = c t^m, so m is the latest first
+# mismatch its degrees allow: deg den + 2n+1 ("den") or deg num + 2n+1
+# ("num").  The other term of K = max(4n+4 + deg den, deg num + 4n+2) stays
+# below m, so the named term alone must reach m.
+LATE_MISMATCHES = {
+    "n1-den": (1, (-406, -3, -409), (-203, 100, 253, -72, -36, -24, -12), 9),
+    "n1-num": (1, (-58, -21, -79, -36, -36, -24, -24, -12, -12), (-29, 4, 31), 11),
+    "n2-num": (2, (-116, -30, -146, -75, -191, -90, -90, -90, -90, -45, -45, -45, -45),
+               (-58, 14, 7, -4, 56), 17),
+    "n3-den": (3, (-197170, 63, -197107, 0, -197170, -189, -197359),
+               (-98585, 49324, 24662, 12268, 6134, 3004, 100087, -48384, -24192, -12096,
+                -6048, -3024, -1512, -1008, -504), 21),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LATE_MISMATCHES))
+def test_certificate_bound_reaches_the_latest_first_mismatch(key, monkeypatch):
+    n, num, den, m = LATE_MISMATCHES[key]
+    late = series.RationalSeries(num, den)
+    monkeypatch.setattr(series, "total_series", lambda _n: late)
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        report = verify_collapse(cfg, m - 1)
+        assert report.passed and not report.all_degrees, case
+        assert verify_collapse(cfg, m).first_mismatch[0] == m, case
+
+
 def bruteforce_rank(rows):
     """Rank from exhaustive kernel enumeration: scan all 2^dim row combinations."""
     kernel = 0
@@ -618,6 +647,9 @@ def test_d2_matrix_rows_match_delta():
     rows = d2_matrix(cfg, Component.G, q)
     assert rows == [1 << target.index(Monomial(0, 1, 0)), 1 << target.index(Monomial(2, 1, 1))]
     assert d2_rank(cfg, Component.G, q) == 2
+    # an operator whose image leaves the degree-(q+1) basis is refused
+    with pytest.raises(InputError, match="^image term x[*]v of degree--1 monomial x[*]v is not a degree-0 "):
+        d2_matrix(cfg, Component.G, q, lambda u, cfg: u)
 
 
 @pytest.mark.parametrize("case", ALL_CASES)
@@ -760,6 +792,18 @@ def test_page_json_round_trip():
     obj = page_to_json(page, ss)
     assert set(obj) == {"page", "entries", "series"}
     assert page_from_json(obj, ss) == page
+    second = e2_page(ss)
+    assert page_from_json(page_to_json(second, ss), ss) == second
+
+
+@pytest.mark.parametrize("first, rest", [(5, 2), (4, 3), (6, 3), (5, 0)])
+def test_page_refuses_one_column_of_the_wrong_length(first, rest):
+    """At cutoff 4 ``first`` has 5 entries and ``rest`` 3; a longer ``rest``
+    is cut to 3, a longer or shorter ``first`` or a shorter ``rest`` is
+    refused, whichever column is wrong alone."""
+    with pytest.raises(InputError, match=f"lengths {first} and {rest} do not fit the cutoff 4"):
+        Page(3, 3, 4, (0,) * first, (0,) * rest)
+    assert Page(3, 3, 4, (0,) * 5, (1,) * 7).rest == (1, 1, 1)
 
 
 def test_page_from_json_rejects_malformed():
