@@ -24,7 +24,7 @@ command line reports with exit code 2.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -57,9 +57,10 @@ class Record:
     Fields are passed by position or keyword; a value in the class body is the
     field's default.  ``__post_init__`` runs next and may still set fields
     with ``object.__setattr__``.  ``==`` and ``hash`` compare the tuple of
-    field values, built and hashed on first use (some records hold dicts).
-    Fields named in ``_hidden`` stay out of ``repr``.  Assignment and
-    deletion raise ``AttributeError``.
+    field values, built once right after ``__post_init__`` and hashed on each
+    call (some records hold dicts, so hashing one can fail).  Fields named in
+    ``_hidden`` stay out of ``repr``.  Assignment and deletion raise
+    ``AttributeError``.
     """
 
     _fields = ()
@@ -72,6 +73,16 @@ class Record:
         cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
 
     def __init__(self, *args, **kwargs) -> None:
+        fields, values = self._fields, self.__dict__
+        if kwargs or len(args) != len(fields):
+            values.update(self._bind(args, kwargs))
+        else:  # every field by position, the common call
+            values.update(zip(fields, args))
+        self.__post_init__()
+        values["_key"] = tuple([values[f] for f in fields])
+
+    def _bind(self, args: tuple, kwargs: dict) -> dict:
+        """Field values from positional and keyword arguments and defaults."""
         name, fields = type(self).__name__, self._fields
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
@@ -84,19 +95,10 @@ class Record:
         if len(values) < len(fields):
             missing = next(f for f in fields if f not in values)
             raise TypeError(f"{name}() missing required argument {missing!r}")
-        self.__dict__.update(values)
-        self.__post_init__()
+        return values
 
     def __post_init__(self) -> None:
         pass
-
-    @cached_property
-    def _key(self) -> tuple:
-        return tuple([self.__dict__[f] for f in self._fields])
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._key)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -104,7 +106,7 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
     def __repr__(self) -> str:
         shown = (f"{f}={self.__dict__[f]!r}" for f in self._fields if f not in self._hidden)
@@ -317,8 +319,9 @@ def _check_component(comp) -> None:
 
 
 # bounded: the key is caller input; 4096 is about three times what the
-# period tables of all 32 configurations fill
-@lru_cache(maxsize=4096)
+# period tables of all 32 configurations fill.  Typed, so that 1.0 or True
+# never hits the entry of 1 and is refused below, warm or cold
+@lru_cache(maxsize=4096, typed=True)
 def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial, ...]:
     """All normal-form monomials of loop degree k in the given component.
 
@@ -326,6 +329,7 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
     sorted by (a, b, c): a rises along the loop, and c with it.
     """
     _check_component(comp)
+    check_int(k, "degree")
     # the label parity of component(): b, plus c when w is on the
     # non-contractible side; comp G asks for odd, E for even
     odd = comp is Component.G

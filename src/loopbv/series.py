@@ -29,6 +29,11 @@ decide exact division: for F = prod(1 - t^e) of degree E, p is a multiple of
 F iff S = p / F is zero in degrees deg p - E + 1 .. deg p.  Then Q = S cut at
 degree deg p - E gives p = F Q modulo t^(deg p + 1), and both sides have
 degree at most deg p, so p = F Q; conversely, p = F Q makes S = Q.
+
+Each closed form is built and checked once per n; a repeated call returns a
+new series over the same tuples, paying neither the product nor the
+coefficient check again, so a warm certificate in ``spectral`` costs little
+beyond the expansion it reports.
 """
 
 from __future__ import annotations
@@ -240,27 +245,48 @@ def betti(r: RationalSeries, k: int) -> int:
 def lg_series(n: int) -> RationalSeries:
     """Equivariant series of the non-contractible component:
     (1 - t^(2n+2)) / ((1 - t^(2n)) (1 - t^2))."""
-    check_n(n)
-    den = _product(_one_minus(2 * n), _one_minus(2))
-    return RationalSeries(_product(_one_minus(2 * n + 2)), den)
+    return _closed_form(n, "lg")
 
 
 def le_series(n: int) -> RationalSeries:
     """Second-page (= limit) series of the contractible component:
     (1 - t^(2n+2)) (1 + t) / ((1 - t^(2n)) (1 - t^2)^2)."""
-    check_n(n)
-    den = _product(_one_minus(2 * n), _one_minus(2), _one_minus(2))
-    return RationalSeries(_product(_one_minus(2 * n + 2), ((0, 1), (1, 1))), den)
+    return _closed_form(n, "le")
 
 
 def total_series(n: int) -> RationalSeries:
     """Equivariant series of the whole free loop space: the non-contractible
     closed form times 1 + (1 + t)/(1 - t^2) = (2 + t - t^2)/(1 - t^2), that
     is (1 - t^(2n+2)) (2 + t - t^2) / ((1 - t^(2n)) (1 - t^2)^2)."""
-    check_n(n)
-    den = _product(_one_minus(2 * n), _one_minus(2), _one_minus(2))
-    bump = ((0, 2), (1, 1), (2, -1))
-    return RationalSeries(_product(_one_minus(2 * n + 2), bump), den)
+    return _closed_form(n, "total")
+
+
+# form -> the factors beside 1 - t^(2n+2) in its numerator and beside
+# 1 - t^(2n) in its denominator
+_FORMS = {
+    "lg": ((), (_one_minus(2),)),
+    "le": ((((0, 1), (1, 1)),), (_one_minus(2), _one_minus(2))),
+    "total": ((((0, 2), (1, 1), (2, -1)),), (_one_minus(2), _one_minus(2))),
+}
+
+
+def _closed_form(n: int, form: str) -> RationalSeries:
+    """A new series over the cached, already checked fields of one closed
+    form: series compare by identity, so every call returns its own object,
+    and neither the product nor the coefficient check is paid again."""
+    check_n(n)  # before the lookup: True hashes and compares like 1
+    fresh = object.__new__(RationalSeries)
+    fresh.__dict__.update(_checked_form(n, form).__dict__)
+    return fresh
+
+
+# bounded: the key is caller input; 96 holds the three forms of 32 values of n
+@lru_cache(maxsize=96)
+def _checked_form(n: int, form: str) -> RationalSeries:
+    numerator, denominator = _FORMS[form]
+    return RationalSeries(
+        _product(_one_minus(2 * n + 2), *numerator), _product(_one_minus(2 * n), *denominator)
+    )
 
 
 # bounded: the key is caller input, any RationalSeries's denominator

@@ -57,12 +57,13 @@ K = max(4n+4 + deg den, deg num + 4n+2), so agreement of the coefficients
 covers the head and a whole period.  The outcome depends only on the
 configuration, the table and the pair (num, den), so it is decided once,
 from the pages at cutoff K, and kept in the table entry under that pair.
-The closed form is read on every call and looked up by its two tuples; a
-warm certificate then costs that lookup and the expansion through D that
-its report holds.  Any other operator, or a failed proof, gets the same
-comparison through the cutoff D.  A page is held as its two columns, and
-emitting one costs its nonzero cells plus C-level scans over D, with no
-sort.
+The closed form is read on every call, from ``series``' cache of its
+tuples, and looked up by them; a warm certificate then costs that lookup
+and the expansion through D that its report holds, and a cold one a single
+expansion through max(K, D) that serves both the proof and the report.
+Any other operator, or a failed proof, gets the same comparison through
+the cutoff D.  A page is held as its two columns, and emitting one costs
+its nonzero cells plus C-level scans over D, with no sort.
 """
 
 from __future__ import annotations
@@ -189,15 +190,16 @@ def d2_matrix(
     monomial in the degree-(q+1) basis.  A ``delta_fn`` of ``None`` is
     ``bv.delta`` as it is bound at this call.
     """
+    source = basis(cfg, comp, q)  # first, so that a non-int q is refused
     index = {m: i for i, m in enumerate(basis(cfg, comp, q + 1))}
     delta_fn, rows = delta_fn or bv.delta, []
-    for m in basis(cfg, comp, q):
+    for m in source:
         row = 0
         for t in delta_fn(AlgebraElement(frozenset((m,))), cfg).terms:
             if t not in index:
                 raise InputError(
-                    f"image term {t} of degree-{q} monomial {m} is not a "
-                    f"degree-{q + 1} basis monomial of component {comp.value}"
+                    f"image term {t} of monomial {m} in degree {q} is not a "
+                    f"basis monomial of degree {q + 1} in component {comp.value}"
                 )
             row |= 1 << index[t]
         rows.append(row)
@@ -335,39 +337,32 @@ class CollapseReport(Record):
         return self.e_page_stable and self.first_mismatch is None
 
 
-def _certified(cfg: AlgebraConfig, total: series.RationalSeries) -> bool:
-    """Whether the built-in operator's third pages equal the closed form
-    ``total`` = num/den in every degree: their comparison through
-    K = max(4n+4 + deg den, deg num + 4n+2) (see the module docstring).
-    Decided once per configuration and closed form, and kept in the period
-    table under the pair (num, den).
+def _degree_bound(cfg: AlgebraConfig, total: series.RationalSeries) -> int:
+    """The degree K = max(4n+4 + deg den, deg num + 4n+2) through which the
+    built-in operator's third pages agree with the closed form ``total`` =
+    num/den iff they agree in every degree (see the module docstring).
 
     K holds for the pages of any operator.  Those of ``bv.delta`` as shipped
     sum to ``total_series``, whose reduced denominator (1 - t)(1 - t^(2n))
     has degree 2n+1, so the difference polynomial is a multiple of one of
     degree 2n+1 with nonzero constant term, and a closed form that differs
     from them first differs by degree K - (2n+1)."""
-    proofs, key = _period_table(cfg).proofs, (total.numerator, total.denominator)
-    if key not in proofs:
-        deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1
-        bound = max(4 * cfg.n + 4 + deg_den, deg_num + 4 * cfg.n + 2)
-        proofs.clear()  # a rebound series.total_series must not grow the entry
-        proofs[key] = _compare(cfg, bound, None, total).passed
-    return proofs[key]
+    deg_num, deg_den = len(total.numerator) - 1, len(total.denominator) - 1
+    return max(4 * cfg.n + 4 + deg_den, deg_num + 4 * cfg.n + 2)
 
 
 def _compare(
-    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None, total: series.RationalSeries
+    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None, expansion: tuple
 ) -> CollapseReport:
     """E-stability, and the sum of the two third-page series against the
-    expansion of ``total``, through degree ``top`` and reported at that
-    cutoff."""
+    closed form's ``expansion`` (at least ``top`` + 1 coefficients), through
+    degree ``top`` and reported at that cutoff."""
     ss_e, ss_g = SSConfig(cfg, Component.E, top), SSConfig(cfg, Component.G, top)
     e2_e, e3_e, e3_g = e2_page(ss_e), e3_page(ss_e, delta_fn), e3_page(ss_g, delta_fn)
     e_stable = (e3_e.first, e3_e.rest) == (e2_e.first, e2_e.rest)
     series_e, series_g = page_series(e3_e, ss_e), page_series(e3_g, ss_g)
     computed = tuple(map(add, series_e.coefficients, series_g.coefficients))
-    expected = series.expand(total, top).coefficients
+    expected = expansion[: top + 1]
     first_mismatch = next(
         ((k, got, want) for k, (got, want) in enumerate(zip(computed, expected)) if got != want),
         None,
@@ -387,17 +382,28 @@ def verify_collapse(
     closed form for the full loop space.  Matching dimensions leave no room
     for further differentials, which is the whole certificate.  For the
     built-in operator (``None`` or ``bv.delta``) the closed form is read on
-    every call, and a proof in every degree kept for it (:func:`_certified`)
-    gives a pass whose tuples are its expansion through the cutoff.
-    Otherwise, or if that proof fails, the pages are compared through the
-    cutoff.
+    every call, and its comparison through :func:`_degree_bound` is made
+    once per configuration and closed form and kept in the period table
+    under the pair (num, den); a proof gives a pass whose tuples are the
+    closed form's expansion through the cutoff.  Otherwise, or if that proof
+    fails, the pages are compared through the cutoff.  Either way the closed
+    form is expanded once per call: through the cutoff, or through the
+    larger of the cutoff and the bound on the call that makes the proof.
     """
     check_count(max_top_degree, "max_top_degree")  # before any work
-    total = series.total_series(cfg.n)
-    if (delta_fn is None or delta_fn is bv.delta) and _certified(cfg, total):
-        expected = series.expand(total, max_top_degree).coefficients
-        return CollapseReport(cfg, max_top_degree, True, expected, expected, None, True)
-    return _compare(cfg, max_top_degree, delta_fn, total)
+    top, total = max_top_degree, series.total_series(cfg.n)
+    builtin = delta_fn is None or delta_fn is bv.delta
+    proofs, key = _period_table(cfg).proofs, (total.numerator, total.denominator)
+    cold = builtin and key not in proofs
+    bound = _degree_bound(cfg, total) if cold else top
+    expansion = series.expand(total, max(bound, top)).coefficients
+    if cold:
+        proofs.clear()  # a rebound series.total_series must not grow the entry
+        proofs[key] = _compare(cfg, bound, None, expansion).passed
+    if builtin and proofs[key]:
+        expected = expansion[: top + 1]
+        return CollapseReport(cfg, top, True, expected, expected, None, True)
+    return _compare(cfg, top, delta_fn, expansion)
 
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:

@@ -131,6 +131,30 @@ def test_equal_records_hash_alike(cls):
         assert len({a, b}) == 1
 
 
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, monkeypatch):
+    """Every field by position takes the one-``zip`` binding, the rest the
+    matcher; both give equal records that hash alike, each after one
+    ``__post_init__`` (a class with its own ``__init__`` runs none)."""
+    values = {f: getattr(BUILDERS[cls](), f) for f in cls._fields}
+    calls, post_init = [], cls.__post_init__
+
+    def counted(self):
+        calls.append(id(self))
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    by_position, by_keyword = cls(*values.values()), cls(**values)
+    assert calls == ([] if "__init__" in vars(cls) else [id(by_position), id(by_keyword)])
+    for obj in (by_position, by_keyword):
+        assert [getattr(obj, f) for f in cls._fields] == list(values.values())
+        assert repr(obj) == REPRS[cls]
+    if cls is not RationalSeries:  # which compares by identity
+        assert by_position == by_keyword
+        if cls not in UNHASHABLE:
+            assert hash(by_position) == hash(by_keyword)
+
+
 def test_unequal_records_differ():
     assert AlgebraConfig(1) != AlgebraConfig(1, BVCase.B_W)
     assert AlgebraConfig(1) != SSConfig(AlgebraConfig(1), Component.E, 0)

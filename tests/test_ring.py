@@ -36,6 +36,7 @@ from loopbv.ring import (
     zero,
 )
 from loopbv.series import betti, expand, lg_series
+from loopbv.spectral import d2_matrix, d2_rank
 
 ALL_CASES = list(BVCase)
 
@@ -120,6 +121,30 @@ def test_degree_windows_refuse_bools_and_floats(call, value):
         run(-3, value)
     assert str(err.value) == f"highest degree must be an integer, got {value!r}"
     run(-3, 4)
+
+
+# every public function that takes one loop degree, all through ring.basis
+DEGREE_CALLS = {
+    "basis": lambda q: basis(AlgebraConfig(1), Component.E, q),
+    "dimension": lambda q: dimension(AlgebraConfig(1), Component.E, q),
+    "d2_matrix": lambda q: d2_matrix(AlgebraConfig(1), Component.G, q),
+    "d2_rank": lambda q: d2_rank(AlgebraConfig(1), Component.G, q),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"])
+@pytest.mark.parametrize("call", sorted(DEGREE_CALLS))
+def test_degrees_refuse_non_integers_cold_and_warm(call, value):
+    """The ``basis`` cache must not answer for 1.0 or True, which hash and
+    compare like the cached degree 1."""
+    run = DEGREE_CALLS[call]
+    basis.cache_clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(InputError) as err:
+            run(value)
+        assert str(err.value) == f"degree must be an integer, got {value!r}"
+        run(1)
+        run(2)
 
 
 def test_normalize_v_square_even_n():

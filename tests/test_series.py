@@ -9,6 +9,7 @@ from loopbv.series import (
     NonQuasilinearError,
     RationalSeries,
     TruncatedSeries,
+    _checked_form,
     _cyclic_factors,
     _padd,
     _pmul,
@@ -428,5 +429,21 @@ def test_truncated_series_window_arithmetic():
 
 
 def test_series_constructor_rejects_bad_n():
-    with pytest.raises(InputError):
-        lg_series(0)
+    for closed_form in (lg_series, le_series, total_series):
+        closed_form(1)  # warm: True and 1.0 hash and compare like 1
+        for n in (0, -1, True, False, 1.0, "1", None):
+            with pytest.raises(InputError, match="n must be a positive integer"):
+                closed_form(n)
+
+
+@pytest.mark.parametrize("closed_form", [lg_series, le_series, total_series])
+def test_closed_forms_are_built_once_per_n_yet_returned_as_new_series(closed_form):
+    first = closed_form(7)
+    before = _checked_form.cache_info()
+    again = closed_form(7)
+    after = _checked_form.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # series compare by identity, so a cache hit must not hand out the same one
+    assert again is not first and again != first and eq_exact(again, first)
+    assert again.numerator is first.numerator and again.denominator is first.denominator
+    assert repr(again) == repr(first)

@@ -400,6 +400,30 @@ def test_warm_certificate_reads_the_closed_form_on_every_call(n, monkeypatch):
             assert verify_collapse(cfg, limit).all_degrees, (case, j)
 
 
+@pytest.mark.parametrize("limit", [0, 10, 400])
+def test_each_certificate_expands_the_closed_form_once(limit, monkeypatch):
+    """A cold certificate expands the closed form once, through max(K, D),
+    for both its proof and its report, and a warm one once, through D; so
+    does a certificate whose proof fails, or whose operator is not the
+    built-in one."""
+    cfg, true_total = AlgebraConfig(2, BVCase.B_W), total_series(2)
+    bumped = true_total + series.RationalSeries((1,))  # wrong in degree 0
+    expansions = []
+    monkeypatch.setattr(series, "expand", counting(series.expand, expansions))
+    for total, passed in ((true_total, True), (bumped, False)):
+        monkeypatch.setattr(series, "total_series", lambda _n, r=total: r)
+        bound = spectral._degree_bound(cfg, total)
+        clear_period_tables()
+        for state, through in (("cold", max(bound, limit)), ("warm", limit)):
+            expansions.clear()
+            report = verify_collapse(cfg, limit)
+            assert (report.passed, report.all_degrees) == (passed, passed), state
+            assert expansions == [(total, through)], state
+        expansions.clear()
+        verify_collapse(cfg, limit, wrapped_delta)
+        assert expansions == [(total, limit)]
+
+
 def report_fields(ss):
     report = verify_collapse(ss.algebra, ss.max_top_degree)
     return [getattr(report, f) for f in CollapseReport._fields]
@@ -648,7 +672,11 @@ def test_d2_matrix_rows_match_delta():
     assert rows == [1 << target.index(Monomial(0, 1, 0)), 1 << target.index(Monomial(2, 1, 1))]
     assert d2_rank(cfg, Component.G, q) == 2
     # an operator whose image leaves the degree-(q+1) basis is refused
-    with pytest.raises(InputError, match="^image term x[*]v of degree--1 monomial x[*]v is not a degree-0 "):
+    refusal = (
+        "^image term x[*]v of monomial x[*]v in degree -1 "
+        "is not a basis monomial of degree 0 in component g$"
+    )
+    with pytest.raises(InputError, match=refusal):
         d2_matrix(cfg, Component.G, q, lambda u, cfg: u)
 
 
