@@ -196,13 +196,19 @@ def axiom_failures(
     The BV relation is first checked at ``OBSTRUCTION_WITNESS``, (x*v, v*w),
     whatever the window, samples and seed: it fails there exactly in the B
     cases at even n, where v^2 = x^(2n) w breaks it (see the module
-    docstring).  Delta^2 = 0 then runs over every basis monomial; the BV
-    relation, the Jacobi identity and the derivation rule run over
-    ``samples`` seeded random pairs/triples.  Returns one message per
-    violation.  Symmetry of the bracket is not sampled, since it cannot
-    fail: :func:`bracket` toggles, for each pair of monomials, terms whose
+    docstring).  The BV relation, the Jacobi identity and the derivation
+    rule then run over ``samples`` seeded random pairs/triples.  Returns one
+    message per violation.
+
+    Two axioms are not sampled, since they cannot fail.  Symmetry of the
+    bracket: :func:`bracket` toggles, for each pair of monomials, terms whose
     weight e1_i e2_j + e1_j e2_i and exponent sum e1 + e2 are symmetric in
-    the two, so {a, b} and {b, a} toggle the same terms.
+    the two, so {a, b} and {b, a} toggle the same terms.  Delta^2 = 0: every
+    nonzero pair of :func:`bracket_table` contains x, so Delta(x^a v^b w^c)
+    is nonzero only for odd a, and each of its terms has an even x exponent
+    (a - 1, plus 2n per x^(2n) in the bracket and per v^2 the normal form
+    rewrites); hence Delta kills every term of Delta(m), in all four cases
+    and for every n.
     """
     check_count(samples, "samples")
     check_int(seed, "seed")
@@ -213,9 +219,6 @@ def axiom_failures(
     a, b = (element(m) for m in OBSTRUCTION_WITNESS)
     if not bv_relation_holds(a, b, cfg):
         failures.append(f"BV relation fails at ({a}, {b})")
-    for m in pool:
-        if not delta(delta(element(m), cfg), cfg).is_zero():
-            failures.append(f"delta^2 != 0 at {m}")
     rng = random.Random(seed)
     for _ in range(samples):
         a, b, c = (element(rng.choice(pool)) for _ in range(3))
@@ -335,9 +338,8 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
 
     Verifies that the x image is nilpotent of order 2n+2, that the v and w
     images satisfy the deformed quadratic relation selected by b1 and c1,
-    the power law for the x image, and (by F2 rank, degree by degree in a
-    small window) that substitution maps basis monomials to linearly
-    independent elements.  The morphism is judged by its images alone:
+    the power law for the x image, and that substitution is injective in
+    every degree.  The morphism is judged by its images alone:
     a1 = [x v is a term of the x image], b1 = [1 is a term of the v image]
     and c1 = [v w is a term of the w image], the switches of the same names
     for a morphism from :func:`morphism_from_switches`.
@@ -351,11 +353,27 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
     power law x^k (1 + a1 v)^(k odd) therefore holds for every k iff
     alpha = 1, that is iff x is a term of the x image; otherwise the square
     is 0 and the law fails first at k = 2.
+
+    Injectivity is decided by the lead bits alpha, beta and gamma: whether
+    x, v and w are terms of the x, v and w images.  No stored term that is
+    not in normal form (b >= 2 or a >= 2n+2) normalises to x, v or w, so the
+    stored terms give them.  By homogeneity the images are x (alpha + N),
+    b1 + beta v + N' and w (gamma + c1 v + N''), with N in the span of v,
+    x^(2n) w and x^(2n) v w, and N', N'' multiples of x^(2n).  If
+    alpha = beta = gamma = 1, x^a w^c and x^a v w^c map, modulo higher powers
+    of x in the same degree, to x^a w^c (1 + s v) and x^a w^c (b1 + (1 + s b1) v)
+    with s = a a1 + c c1, a block of determinant 1, so each degree's matrix
+    is block-unitriangular and invertible.  Otherwise rank is lost at degree
+    -(2n+1), whose basis x^(2n+1), x^(2n+1) v maps to 0 (alpha = 0) or to
+    multiples of one element (beta = 0), or else at degree -1, the first
+    degree that holds w, where x^(2n+1) w and x^(2n+1) v w both map into
+    the span of x^(2n+1) v w (gamma = 0).  Only that degree is ranked, by
+    substitution, for the report's detail.
     """
     n = cfg.n
-    # the v relation reads x-image power 2n; the basis monomials of loop
-    # degree <= 2n that the rank check maps have a <= 2n+1, b <= 1 and c <= 2
-    tables = xs, vs, ws = _power_tables(phi, (2 * n + 1, 2, 2), cfg)
+    # the v relation reads x-image power 2n; the degree ranked on a failure
+    # maps basis monomials with a <= 2n+1, b <= 1 and c <= 1
+    tables = xs, vs, ws = _power_tables(phi, (2 * n + 1, 2, 1), cfg)
     checks: list[tuple[str, bool, str]] = [
         ("x_image_nilpotent", True, f"(image of x)^{2 * n + 2} = 0")
     ]
@@ -367,22 +385,22 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
         relation = add(relation, multiply(multiply(xs[2 * n], vs[b1 * c1], cfg), ws[1], cfg))
     checks.append(("v_image_relation", relation.is_zero(), f"residual {relation}"))
 
-    if GENERATOR_EXPONENTS["x"] in phi.image_x.terms:
+    alpha = GENERATOR_EXPONENTS["x"] in phi.image_x.terms
+    beta = GENERATOR_EXPONENTS["v"] in phi.image_v.terms
+    gamma = GENERATOR_EXPONENTS["w"] in phi.image_w.terms
+    if alpha:
         checks.append(("x_image_power_law", True, "all powers match"))
     else:
         checks.append(("x_image_power_law", False, f"power 2: got {xs[2]}, want x^2"))
 
-    rank_ok = True
-    detail = "full rank in every degree"
-    for q in range(-(2 * n + 1), 2 * n + 1):
+    if alpha and beta and gamma:
+        checks.append(("degreewise_independence", True, "full rank in every degree"))
+    else:
+        q = -1 if alpha and beta else -cfg.dim
         pool = basis(cfg, None, q)
         index = {m: i for i, m in enumerate(pool)}
-        images = [_substitute(m, tables, cfg) for m in pool]
+        images = (_substitute(m, tables, cfg) for m in pool)
         rk = gf2.rank([sum(1 << index[t] for t in image.terms) for image in images])
-        if rk != len(pool):
-            rank_ok = False
-            detail = f"degree {q}: rank {rk} < dimension {len(pool)}"
-            break
-    checks.append(("degreewise_independence", rank_ok, detail))
+        checks.append(("degreewise_independence", False, f"degree {q}: rank {rk} < dimension {len(pool)}"))
 
     return MorphismReport(tuple(checks))

@@ -318,16 +318,28 @@ def _check_component(comp) -> None:
         raise InputError(f"unknown component {comp!r}; expected a Component or None")
 
 
-# bounded: the key is caller input; 4096 is about three times what the
-# period tables of all 32 configurations fill.  Typed, so that 1.0 or True
-# never hits the entry of 1 and is refused below, warm or cold
-@lru_cache(maxsize=4096, typed=True)
 def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial, ...]:
     """All normal-form monomials of loop degree k in the given component.
 
     ``comp=None`` pools both components.  The list is finite for every k and
-    sorted by (a, b, c): a rises along the loop, and c with it.
+    sorted by (a, b, c): a rises along the loop, and c with it.  Results are
+    cached; ``basis.cache_info()`` and ``basis.cache_clear()`` reach the
+    cache.
     """
+    try:
+        return _cached_basis(cfg, comp, k)
+    except TypeError:
+        # an unhashable key fails in the cache lookup, before the checks
+        _check_component(comp)
+        check_int(k, "degree")
+        raise
+
+
+# bounded: the key is caller input; 4096 is about three times what the
+# period tables of all 32 configurations fill.  Typed, so that 1.0 or True
+# never hits the entry of 1 and is refused below, warm or cold
+@lru_cache(maxsize=4096, typed=True)
+def _cached_basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial, ...]:
     _check_component(comp)
     check_int(k, "degree")
     # the label parity of component(): b, plus c when w is on the
@@ -345,6 +357,9 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
             if comp is None or (b + c_weight * c) % 2 == odd:
                 out.append(tuple.__new__(Monomial, (a, b, c)))
     return tuple(out)
+
+
+basis.cache_info, basis.cache_clear = _cached_basis.cache_info, _cached_basis.cache_clear
 
 
 def window_basis(

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from loopbv import gf2
 from loopbv.bv import (
     apply_morphism,
     identity_morphism,
@@ -12,11 +13,13 @@ from loopbv.bv import (
 )
 from loopbv.ring import (
     AlgebraConfig,
+    BVCase,
     GENERATOR_EXPONENTS,
     UNIT_MONOMIAL,
     InputError,
     Monomial,
     add,
+    basis,
     element,
     generator,
     multiply,
@@ -304,3 +307,104 @@ def test_every_switch_setting_renders_and_verifies_as_pinned():
             line = f"{n} {a} {b} {c} {phi.image_x} | {phi.image_v} | {phi.image_w} | {checks!r}\n"
             digest.update(line.encode())
     assert digest.hexdigest() == MORPHISM_DIGEST
+
+
+# --------------------------------------- injectivity from the lead bits
+
+def sweep_independence(phi, cfg):
+    """Degreewise independence as the verifier once checked it: substitute
+    into every basis monomial of degrees -(2n+1)..2n, the head plus one
+    period 4n, and rank each degree, stopping at the first rank loss."""
+    n = cfg.n
+    xs, vs, ws = ([power(image, k, cfg) for k in range(top + 1)]
+                  for image, top in ((phi.image_x, 2 * n + 1), (phi.image_v, 1), (phi.image_w, 2)))
+    for q in range(-(2 * n + 1), 2 * n + 1):
+        pool = basis(cfg, None, q)
+        index = {m: i for i, m in enumerate(pool)}
+        images = [multiply(multiply(xs[m.a], vs[m.b], cfg), ws[m.c], cfg) for m in pool]
+        rk = gf2.rank([sum(1 << index[t] for t in image.terms) for image in images])
+        if rk != len(pool):
+            return ("degreewise_independence", False, f"degree {q}: rank {rk} < dimension {len(pool)}")
+    return ("degreewise_independence", True, "full rank in every degree")
+
+
+def homogeneous_triples(n):
+    """Every triple of subsets of the four normal-form terms of loop degree
+    -1, 0 and 2n: all 4,096 homogeneous images of x, v and w."""
+    two_n = 2 * n
+    shapes = (
+        (Monomial(1, 0, 0), Monomial(1, 1, 0), Monomial(two_n + 1, 0, 1), Monomial(two_n + 1, 1, 1)),
+        (UNIT_MONOMIAL, Monomial(0, 1, 0), Monomial(two_n, 0, 1), Monomial(two_n, 1, 1)),
+        (Monomial(0, 0, 1), Monomial(0, 1, 1), Monomial(two_n, 0, 2), Monomial(two_n, 1, 2)),
+    )
+    subsets = [[element(*itertools.compress(terms, bits)) for bits in itertools.product((0, 1), repeat=4)]
+               for terms in shapes]
+    return [GeneratorMorphism(*images) for images in itertools.product(*subsets)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lead_bits_decide_independence_on_every_homogeneous_triple(n):
+    cfg = AlgebraConfig(n)
+    for phi in homogeneous_triples(n):
+        report = verify_morphism_relations(phi, cfg)
+        assert [name for name, _, _ in report.checks] == [
+            "x_image_nilpotent", "v_image_relation", "x_image_power_law", "degreewise_independence"]
+        assert report.checks[-1] == sweep_independence(phi, cfg), phi
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lead_bits_decide_independence_on_every_switch_setting(n):
+    cfg = AlgebraConfig(n)
+    for a, b, c in SWITCH_SETTINGS:
+        phi = morphism_from_switches(cfg, a=a, b=b, c=c)
+        assert verify_morphism_relations(phi, cfg).checks[-1] == sweep_independence(phi, cfg), (a, b, c)
+
+
+def test_reports_do_not_depend_on_the_case():
+    # neither substitution nor the pooled basis reads the bracket table
+    rng = random.Random(35)
+    for n in (1, 2, 3):
+        for phi in rng.sample(homogeneous_triples(n), 64):
+            reports = {verify_morphism_relations(phi, AlgebraConfig(n, case)) for case in BVCase}
+            assert len(reports) == 1, phi
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+def test_only_a_failing_morphism_ranks_one_degree(n, monkeypatch):
+    calls = []
+    rank = gf2.rank
+    monkeypatch.setattr(gf2, "rank", lambda rows: calls.append(len(rows)) or rank(rows))
+    cfg = AlgebraConfig(n)
+    x, v, w = (generator(name) for name in "xvw")
+    passing = morphism_from_switches(cfg, a=(1, 1, 1), b=(1, 1, 1), c=(0, 1, 1, 1))
+    assert verify_morphism_relations(passing, cfg).ok and calls == []
+    # a missing lead of x or v shows at degree -(2n+1), one of w at degree -1
+    for phi, q, rk, dim in [
+        (GeneratorMorphism(multiply(x, v, cfg), v, w), -cfg.dim, 0, 2),
+        (GeneratorMorphism(x, unit(), w), -cfg.dim, 1, 2),
+        (GeneratorMorphism(x, v, multiply(v, w, cfg)), -1, 3, 4),
+        (GeneratorMorphism(x, v, zero()), -1, 2, 4),
+    ]:
+        calls.clear()
+        report = verify_morphism_relations(phi, cfg)
+        assert report.checks[-1] == ("degreewise_independence", False, f"degree {q}: rank {rk} < dimension {dim}")
+        assert calls == [dim]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_terms_outside_normal_form_leave_the_reports_alone(n):
+    # the lead bits are read off the stored terms, which the verifier keeps
+    # as given: no term with b >= 2 or a >= 2n+2 normalises to x, v or w, so
+    # such a term beside each lead changes no report
+    cfg = AlgebraConfig(n)
+    extra = (Monomial(1, 2, 0), Monomial(0, 3, 0), Monomial(0, 2, 1))  # x v^2, v^3, v^2 w
+    for a, b, c in SWITCH_SETTINGS[::7]:
+        phi = morphism_from_switches(cfg, a=a, b=b, c=c)
+        images = (phi.image_x, phi.image_v, phi.image_w)
+        padded = GeneratorMorphism(*(add(image, element(m)) for image, m in zip(images, extra)))
+        assert verify_morphism_relations(padded, cfg) == verify_morphism_relations(phi, cfg), (a, b, c)
+    if n == 2:
+        v, w = generator("v"), generator("w")
+        stored = GeneratorMorphism(element(Monomial(1, 2, 0)), v, w)  # x v^2 = x^5 w
+        normal = GeneratorMorphism(element(Monomial(5, 0, 1)), v, w)
+        assert verify_morphism_relations(stored, cfg) == verify_morphism_relations(normal, cfg)

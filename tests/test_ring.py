@@ -132,11 +132,11 @@ DEGREE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [1.0, True, "1"])
+@pytest.mark.parametrize("value", [1.0, True, "1", [1]])
 @pytest.mark.parametrize("call", sorted(DEGREE_CALLS))
 def test_degrees_refuse_non_integers_cold_and_warm(call, value):
     """The ``basis`` cache must not answer for 1.0 or True, which hash and
-    compare like the cached degree 1."""
+    compare like the cached degree 1, nor fail on [1], which does not hash."""
     run = DEGREE_CALLS[call]
     basis.cache_clear()
     for _ in ("cold", "warm"):
@@ -460,11 +460,13 @@ def test_window_basis_starts_at_the_bottom_degree():
     assert window_basis(cfg, (None,), -10**6, -4) == []
 
 
-@pytest.mark.parametrize("comp", ["e", "g", "both", 0])
+@pytest.mark.parametrize("comp", ["e", "g", "both", 0, [Component.E]])
 def test_basis_rejects_a_non_component(comp):
+    # [Component.E] does not hash: the key fails in the basis cache itself
     cfg = AlgebraConfig(1)
-    with pytest.raises(InputError, match="unknown component"):
-        basis(cfg, comp, 0)
+    for call in (basis, dimension):
+        with pytest.raises(InputError, match="unknown component"):
+            call(cfg, comp, 0)
     with pytest.raises(InputError, match="unknown component"):
         window_basis(cfg, (Component.E, comp), -3, 2)
 
