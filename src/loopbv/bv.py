@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from functools import lru_cache, reduce
-from itertools import compress
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, compress, repeat
 
-from . import gf2
 from .ring import (
     GENERATOR_EXPONENTS,
     GENERATOR_NAMES,
@@ -43,9 +42,9 @@ from .ring import (
     Monomial,
     Record,
     add,
-    basis,
     check_count,
     check_int,
+    check_window,
     element,
     generator,
     loop_degree,
@@ -197,8 +196,10 @@ def axiom_failures(
     whatever the window, samples and seed: it fails there exactly in the B
     cases at even n, where v^2 = x^(2n) w breaks it (see the module
     docstring).  The BV relation, the Jacobi identity and the derivation
-    rule then run over ``samples`` seeded random pairs/triples.  Returns one
-    message per violation.
+    rule then run over ``samples`` seeded random pairs/triples, drawn from
+    the window's basis, which is listed only when ``samples`` > 0; the window
+    itself is checked whatever ``samples`` is.  Returns one message per
+    violation.
 
     Two axioms are not sampled, since they cannot fail.  Symmetry of the
     bracket: :func:`bracket` toggles, for each pair of monomials, terms whose
@@ -212,7 +213,8 @@ def axiom_failures(
     """
     check_count(samples, "samples")
     check_int(seed, "seed")
-    pool = window_basis(cfg, (None,), lo, hi)
+    check_window(lo, hi)
+    pool = window_basis(cfg, (None,), lo, hi) if samples else []
     if samples and not pool:
         raise InputError(f"no basis monomial to sample in degree window [{lo}, {hi}]")
     failures: list[str] = []
@@ -288,11 +290,11 @@ def identity_morphism() -> GeneratorMorphism:
     return GeneratorMorphism(generator("x"), generator("v"), generator("w"))
 
 
-def _power_tables(phi: GeneratorMorphism, tops, cfg: AlgebraConfig) -> tuple[list[AlgebraElement], ...]:
-    """Powers 0..top of the x, v and w images, one product per power, once
-    each image is checked homogeneous of its generator's loop degree."""
-    tables = []
-    for name, image, top in zip(GENERATOR_NAMES, (phi.image_x, phi.image_v, phi.image_w), tops):
+def _homogeneous_images(phi: GeneratorMorphism, cfg: AlgebraConfig) -> tuple[AlgebraElement, ...]:
+    """The x, v and w images, each checked to be homogeneous of its
+    generator's loop degree and to have no negative exponent."""
+    images = (phi.image_x, phi.image_v, phi.image_w)
+    for name, image in zip(GENERATOR_NAMES, images):
         want = loop_degree(GENERATOR_EXPONENTS[name], cfg)
         degrees = {loop_degree(m, cfg) for m in image.terms}
         if degrees - {want}:
@@ -300,26 +302,24 @@ def _power_tables(phi: GeneratorMorphism, tops, cfg: AlgebraConfig) -> tuple[lis
                 f"image of {name} is not homogeneous of loop degree {want}: "
                 f"found degrees {sorted(degrees)}"
             )
-        table = [unit()]
-        for _ in range(top):
-            table.append(multiply(table[-1], image, cfg))
-        tables.append(table)
-    return tuple(tables)
-
-
-def _substitute(m: Monomial, tables, cfg: AlgebraConfig) -> AlgebraElement:
-    """Image of x^a v^b w^c: the product of the a-th, b-th and c-th entries
-    of the x, v and w power tables."""
-    xs, vs, ws = tables
-    return multiply(multiply(xs[m.a], vs[m.b], cfg), ws[m.c], cfg)
+        for m in image.terms:
+            normal_monomial(*m, cfg)  # refuses a negative exponent, as a product would
+    return images
 
 
 def apply_morphism(phi: GeneratorMorphism, u: AlgebraElement, cfg: AlgebraConfig) -> AlgebraElement:
-    """Substitute the generator images into u and renormalize."""
+    """Substitute the generator images into u and renormalize.
+
+    Each image's powers 0..top, top its largest exponent in u, are built one
+    product per power, and x^a v^b w^c becomes the product of the a-th, b-th
+    and c-th powers of the x, v and w images.
+    """
     if any(e < 0 for m in u.terms for e in m):
         raise InputError("negative powers are not defined in this ring")
-    tables = _power_tables(phi, [max(column) for column in zip(UNIT_MONOMIAL, *u.terms)], cfg)
-    return reduce(add, (_substitute(m, tables, cfg) for m in u.terms), zero())
+    tops = [max(column) for column in zip(UNIT_MONOMIAL, *u.terms)]
+    xs, vs, ws = (list(accumulate(repeat(image, top), partial(multiply, cfg=cfg), initial=unit()))
+                  for image, top in zip(_homogeneous_images(phi, cfg), tops))
+    return reduce(add, (multiply(multiply(xs[m.a], vs[m.b], cfg), ws[m.c], cfg) for m in u.terms), zero())
 
 
 class MorphismReport(Record):
@@ -337,70 +337,64 @@ def verify_morphism_relations(phi: GeneratorMorphism, cfg: AlgebraConfig) -> Mor
     """Check the defining relations and degreewise injectivity of a morphism.
 
     Verifies that the x image is nilpotent of order 2n+2, that the v and w
-    images satisfy the deformed quadratic relation selected by b1 and c1,
-    the power law for the x image, and that substitution is injective in
-    every degree.  The morphism is judged by its images alone:
-    a1 = [x v is a term of the x image], b1 = [1 is a term of the v image]
-    and c1 = [v w is a term of the w image], the switches of the same names
-    for a morphism from :func:`morphism_from_switches`.
+    images v' and w' satisfy the deformed quadratic relation selected by b1
+    and c1, the power law for the x image, and that substitution is
+    injective in every degree.  The morphism is judged by five bits read off
+    its images' stored terms: alpha, beta, gamma = [x, v, w is a term of its
+    own image], b1 = [1 is a term of v'] and c1 = [v w is a term of w'], the
+    last two the switches of those names for a morphism from
+    :func:`morphism_from_switches`.  No stored term outside normal form
+    (b >= 2 or a >= 2n+2) normalises to x, v, w, 1 or v w, so the stored
+    terms give the bits.  Each entry of the report is a closed form in them,
+    and the only products are v'^2 and, at even n, one or two more.
 
-    Homogeneity settles most of the x image.  :func:`_power_tables` accepts
-    only an x image of loop degree -1, whose normal form lies in the span of
-    x, x v, x^(2n+1) w and x^(2n+1) v w.  Every term carries a power of x, so
-    the (2n+2)-th power is 0 and ``x_image_nilpotent`` holds without a
-    product.  For k >= 2 every product with an x^(2n+1) term is 0, and so is
-    x^2 v^2; hence (alpha x + a1 x v)^k = alpha x^k (1 + a1 v)^(k odd).  The
-    power law x^k (1 + a1 v)^(k odd) therefore holds for every k iff
-    alpha = 1, that is iff x is a term of the x image; otherwise the square
-    is 0 and the law fails first at k = 2.
+    By homogeneity the images are x (alpha + a1 v + N), b1 + beta v + N' and
+    w (gamma + c1 v + N''), with a1 = [x v is a term of the x image], N in
+    the span of x^(2n) w and x^(2n) v w, and N', N'' multiples of x^(2n).
 
-    Injectivity is decided by the lead bits alpha, beta and gamma: whether
-    x, v and w are terms of the x, v and w images.  No stored term that is
-    not in normal form (b >= 2 or a >= 2n+2) normalises to x, v or w, so the
-    stored terms give them.  By homogeneity the images are x (alpha + N),
-    b1 + beta v + N' and w (gamma + c1 v + N''), with N in the span of v,
-    x^(2n) w and x^(2n) v w, and N', N'' multiples of x^(2n).  If
-    alpha = beta = gamma = 1, x^a w^c and x^a v w^c map, modulo higher powers
-    of x in the same degree, to x^a w^c (1 + s v) and x^a w^c (b1 + (1 + s b1) v)
-    with s = a a1 + c c1, a block of determinant 1, so each degree's matrix
-    is block-unitriangular and invertible.  Otherwise rank is lost at degree
-    -(2n+1), whose basis x^(2n+1), x^(2n+1) v maps to 0 (alpha = 0) or to
-    multiples of one element (beta = 0), or else at degree -1, the first
-    degree that holds w, where x^(2n+1) w and x^(2n+1) v w both map into
-    the span of x^(2n+1) v w (gamma = 0).  Only that degree is ranked, by
-    substitution, for the report's detail.
+    Powers of the x image.  Every term carries a power of x, so the
+    (2n+2)-th power is 0.  For k >= 2 every product with an x^(2n+1) term is
+    0, and so is x^2 v^2; hence the k-th power is alpha x^k (1 + a1 v)^(k odd).
+    The power law x^k (1 + a1 v)^(k odd) thus holds iff alpha = 1;
+    otherwise the square is 0 and the law fails at k = 2.
+
+    The v relation.  Its residual is v'^2 + b1, plus, at even n when b1 or
+    not c1, the 2n-th power of the x image, alpha x^(2n), times w', and
+    times v' as well when b1 and c1.
+
+    Injectivity.  If alpha = beta = gamma = 1, x^a w^c and x^a v w^c map,
+    modulo higher powers of x in the same degree, to x^a w^c (1 + s v) and
+    x^a w^c (b1 + (1 + s b1) v) with s = a a1 + c c1, a block of determinant
+    1, so each degree's matrix is block-unitriangular and invertible.
+    Otherwise degree -(2n+1), of basis x^(2n+1) and x^(2n+1) v, loses rank:
+    both map to 0 if alpha = 0 (rank 0), and to x^(2n+1) (1 + a1 v) and b1
+    times it if alpha = 1 and beta = 0 (rank 1).  Else gamma = 0, and degree
+    -1, the first that holds w, of basis x, x v, x^(2n+1) w and
+    x^(2n+1) v w, loses rank: x and x v keep their unitriangular leads,
+    while x^(2n+1) w maps to c1 x^(2n+1) v w and x^(2n+1) v w to
+    b1 c1 x^(2n+1) v w, so the rank is 2 + c1.
     """
     n = cfg.n
-    # the v relation reads x-image power 2n; the degree ranked on a failure
-    # maps basis monomials with a <= 2n+1, b <= 1 and c <= 1
-    tables = xs, vs, ws = _power_tables(phi, (2 * n + 1, 2, 1), cfg)
-    checks: list[tuple[str, bool, str]] = [
-        ("x_image_nilpotent", True, f"(image of x)^{2 * n + 2} = 0")
-    ]
-
+    images = zip(GENERATOR_NAMES, _homogeneous_images(phi, cfg))
+    alpha, beta, gamma = (GENERATOR_EXPONENTS[name] in image.terms for name, image in images)
     b1 = UNIT_MONOMIAL in phi.image_v.terms
     c1 = Monomial(0, 1, 1) in phi.image_w.terms
-    relation = add(vs[2], unit()) if b1 else vs[2]
-    if n % 2 == 0 and (b1 or not c1):
-        relation = add(relation, multiply(multiply(xs[2 * n], vs[b1 * c1], cfg), ws[1], cfg))
-    checks.append(("v_image_relation", relation.is_zero(), f"residual {relation}"))
 
-    alpha = GENERATOR_EXPONENTS["x"] in phi.image_x.terms
-    beta = GENERATOR_EXPONENTS["v"] in phi.image_v.terms
-    gamma = GENERATOR_EXPONENTS["w"] in phi.image_w.terms
-    if alpha:
-        checks.append(("x_image_power_law", True, "all powers match"))
+    square = multiply(phi.image_v, phi.image_v, cfg)
+    relation = add(square, unit()) if b1 else square
+    if n % 2 == 0 and (b1 or not c1) and alpha:
+        term = multiply(element(Monomial(2 * n, 0, 0)), phi.image_w, cfg)
+        relation = add(relation, multiply(term, phi.image_v, cfg) if b1 and c1 else term)
+
+    if not (alpha and beta):
+        independence = f"degree {-cfg.dim}: rank {int(alpha)} < dimension 2"
+    elif not gamma:
+        independence = f"degree -1: rank {2 + c1} < dimension 4"
     else:
-        checks.append(("x_image_power_law", False, f"power 2: got {xs[2]}, want x^2"))
-
-    if alpha and beta and gamma:
-        checks.append(("degreewise_independence", True, "full rank in every degree"))
-    else:
-        q = -1 if alpha and beta else -cfg.dim
-        pool = basis(cfg, None, q)
-        index = {m: i for i, m in enumerate(pool)}
-        images = (_substitute(m, tables, cfg) for m in pool)
-        rk = gf2.rank([sum(1 << index[t] for t in image.terms) for image in images])
-        checks.append(("degreewise_independence", False, f"degree {q}: rank {rk} < dimension {len(pool)}"))
-
-    return MorphismReport(tuple(checks))
+        independence = "full rank in every degree"
+    return MorphismReport((
+        ("x_image_nilpotent", True, f"(image of x)^{2 * n + 2} = 0"),
+        ("v_image_relation", relation.is_zero(), f"residual {relation}"),
+        ("x_image_power_law", alpha, "all powers match" if alpha else "power 2: got 0, want x^2"),
+        ("degreewise_independence", alpha and beta and gamma, independence),
+    ))

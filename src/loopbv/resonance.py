@@ -149,7 +149,17 @@ class NondegenerateReport(Record):
 
 def nondegenerate_check(records: Sequence[GeodesicRecord], n: int) -> NondegenerateReport:
     """Specialised identity for all-nondegenerate data: signed reciprocal mean
-    indices must sum to (n+1)/n, exactly twice the general sum."""
+    indices must sum to (n+1)/n, exactly twice the general sum.
+
+    A record is accepted iff its period is 2 and its only nonzero type number
+    is 1 at (m, l) = (1, 0).  Its mean Euler number is then +-1/2, the sign
+    (-1)^(initial index), so its signed reciprocal mean index is twice its
+    term of :func:`resonance_check`'s sum, and (n+1)/n is twice that check's
+    target.  Sum, target and verdict are therefore read off that check, and
+    ``consistent_with_full``, the sum being twice the full sum, cannot fail:
+    it is true for every nonempty list, and false for an empty one, which
+    has no full sum (the full check calls it vacuous).
+    """
     check_n(n)
     for r in records:
         expected = {(1, 0): 1}
@@ -159,14 +169,9 @@ def nondegenerate_check(records: Sequence[GeodesicRecord], n: int) -> Nondegener
                 f"{r.label}: not nondegenerate (period {r.period}, "
                 f"type numbers {dict(r.type_numbers)})"
             )
-    total = sum(
-        (Fraction(-1 if r.initial_index % 2 else 1, 1) / r.mean_index for r in records),
-        Fraction(0),
-    )
-    target = Fraction(n + 1, n)
-    full = resonance_check(records, n) if records else None
-    consistent = full is not None and total == 2 * full.total
-    return NondegenerateReport(total, target, passed=total == target, consistent_with_full=consistent)
+    full = resonance_check(records, n)
+    return NondegenerateReport(2 * full.total, 2 * full.target, passed=full.passed,
+                               consistent_with_full=bool(records))
 
 
 def _rounded_linear_index(p: int, r: int, parity: int, iterate: int) -> int:

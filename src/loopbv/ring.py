@@ -45,6 +45,15 @@ def check_count(value, what: str) -> None:
         raise InputError(f"{what} must be nonnegative, got {value}")
 
 
+def check_window(lo, hi) -> None:
+    """Refuse a loop-degree window [lo, hi] whose ends are not integers or
+    that is empty."""
+    check_int(lo, "lowest degree")
+    check_int(hi, "highest degree")
+    if lo > hi:
+        raise InputError(f"empty degree window [{lo}, {hi}]")
+
+
 def check_n(n) -> None:
     """Reject anything but a positive ``int``, as :func:`check_int` does."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -369,10 +378,7 @@ def window_basis(
     ``comps`` order; starts at max(lo, -(2n+1)) since no monomial sits lower."""
     for comp in comps:
         _check_component(comp)
-    check_int(lo, "lowest degree")
-    check_int(hi, "highest degree")
-    if lo > hi:
-        raise InputError(f"empty degree window [{lo}, {hi}]")
+    check_window(lo, hi)
     degrees = range(max(lo, -cfg.dim), hi + 1)
     return [m for q in degrees for comp in comps for m in basis(cfg, comp, q)]
 

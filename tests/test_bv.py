@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from loopbv import spectral
+from loopbv import bv, spectral
 from loopbv.bv import (
     axiom_failures,
     bracket,
@@ -335,6 +335,14 @@ def test_axiom_failures_pass_on_admissible_cells(n, case):
         for samples in (0, 5, 50):
             for seed in range(10):
                 assert axiom_failures(cfg, lo, hi, samples=samples, seed=seed) == [], (lo, hi, samples, seed)
+
+
+def test_axiom_failures_lists_no_basis_when_it_does_not_sample(monkeypatch):
+    # test_ring's WINDOW_CALLS check that the window is still refused
+    listed = []
+    monkeypatch.setattr(bv, "window_basis", lambda *args: listed.append(args))
+    assert axiom_failures(AlgebraConfig(1), -3, 10**9, samples=0, seed=0) == []
+    assert listed == []
 
 
 def test_axiom_failures_empty_window_cannot_be_sampled():

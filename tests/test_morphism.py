@@ -1,10 +1,11 @@
+import functools
 import hashlib
 import itertools
 import random
 
 import pytest
 
-from loopbv import gf2
+from loopbv import bv, gf2
 from loopbv.bv import (
     apply_morphism,
     identity_morphism,
@@ -188,6 +189,22 @@ def test_non_homogeneous_image_rejected():
         verify_morphism_relations(broken, cfg)
 
 
+# terms of the loop degrees -1, 0 and 2n of x, v and w at n = 1 that are no
+# elements of the ring
+NEGATIVE_TERMS = {"x": Monomial(-1, 0, -1), "v": Monomial(-2, 0, -1), "w": Monomial(-2, 0, 0)}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_TERMS))
+def test_images_with_a_negative_exponent_are_refused(name):
+    cfg = AlgebraConfig(1)
+    images = {g: generator(g) for g in "xvw"}
+    images[name] = add(images[name], element(NEGATIVE_TERMS[name]))
+    phi = GeneratorMorphism(*images.values())
+    for run in (lambda: verify_morphism_relations(phi, cfg), lambda: apply_morphism(phi, unit(), cfg)):
+        with pytest.raises(InputError, match="exponents must be nonnegative"):
+            run()
+
+
 def test_negative_exponent_rejected():
     cfg = AlgebraConfig(1)
     with pytest.raises(InputError, match="negative powers"):
@@ -342,6 +359,53 @@ def homogeneous_triples(n):
     return [GeneratorMorphism(*images) for images in itertools.product(*subsets)]
 
 
+@functools.lru_cache(maxsize=None)
+def power_table(image, top, cfg):
+    """Powers 0..top of one image, one product per power."""
+    table = [unit()]
+    for _ in range(top):
+        table.append(multiply(table[-1], image, cfg))
+    return table
+
+
+def substituting_verifier(phi, cfg):
+    """The whole report as the verifier once computed it: power tables of
+    the images by repeated products, the v relation read off them, and on an
+    independence failure the failing degree substituted and ranked."""
+    n = cfg.n
+    xs, vs, ws = (power_table(image, top, cfg)
+                  for image, top in zip((phi.image_x, phi.image_v, phi.image_w), (2 * n + 1, 2, 1)))
+    b1 = UNIT_MONOMIAL in phi.image_v.terms
+    c1 = Monomial(0, 1, 1) in phi.image_w.terms
+    relation = add(vs[2], unit()) if b1 else vs[2]
+    if n % 2 == 0 and (b1 or not c1):
+        relation = add(relation, multiply(multiply(xs[2 * n], vs[b1 * c1], cfg), ws[1], cfg))
+    alpha, beta, gamma = (GENERATOR_EXPONENTS[name] in image.terms
+                          for name, image in zip("xvw", (phi.image_x, phi.image_v, phi.image_w)))
+    if alpha:
+        power_law = ("x_image_power_law", True, "all powers match")
+    else:
+        power_law = ("x_image_power_law", False, f"power 2: got {xs[2]}, want x^2")
+    if alpha and beta and gamma:
+        independence = ("degreewise_independence", True, "full rank in every degree")
+    else:
+        q = -1 if alpha and beta else -cfg.dim
+        pool = basis(cfg, None, q)
+        index = {m: i for i, m in enumerate(pool)}
+        images = (multiply(multiply(xs[m.a], vs[m.b], cfg), ws[m.c], cfg) for m in pool)
+        rk = gf2.rank([sum(1 << index[t] for t in image.terms) for image in images])
+        independence = ("degreewise_independence", False, f"degree {q}: rank {rk} < dimension {len(pool)}")
+    return (("x_image_nilpotent", True, f"(image of x)^{2 * n + 2} = 0"),
+            ("v_image_relation", relation.is_zero(), f"residual {relation}"), power_law, independence)
+
+
+@pytest.mark.parametrize("n, case", [(1, case) for case in BVCase] + [(2, BVCase.A_V)])
+def test_reports_match_the_substituting_verifier(n, case):
+    cfg = AlgebraConfig(n, case)
+    for phi in homogeneous_triples(n):
+        assert verify_morphism_relations(phi, cfg).checks == substituting_verifier(phi, cfg), phi
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_lead_bits_decide_independence_on_every_homogeneous_triple(n):
     cfg = AlgebraConfig(n)
@@ -361,7 +425,7 @@ def test_lead_bits_decide_independence_on_every_switch_setting(n):
 
 
 def test_reports_do_not_depend_on_the_case():
-    # neither substitution nor the pooled basis reads the bracket table
+    # the verifier never reads the bracket table
     rng = random.Random(35)
     for n in (1, 2, 3):
         for phi in rng.sample(homogeneous_triples(n), 64):
@@ -369,26 +433,32 @@ def test_reports_do_not_depend_on_the_case():
             assert len(reports) == 1, phi
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
-def test_only_a_failing_morphism_ranks_one_degree(n, monkeypatch):
-    calls = []
-    rank = gf2.rank
-    monkeypatch.setattr(gf2, "rank", lambda rows: calls.append(len(rows)) or rank(rows))
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 1000])
+def test_the_verifier_ranks_nothing_and_makes_at_most_three_products(n, monkeypatch):
     cfg = AlgebraConfig(n)
     x, v, w = (generator(name) for name in "xvw")
-    passing = morphism_from_switches(cfg, a=(1, 1, 1), b=(1, 1, 1), c=(0, 1, 1, 1))
-    assert verify_morphism_relations(passing, cfg).ok and calls == []
-    # a missing lead of x or v shows at degree -(2n+1), one of w at degree -1
-    for phi, q, rk, dim in [
-        (GeneratorMorphism(multiply(x, v, cfg), v, w), -cfg.dim, 0, 2),
-        (GeneratorMorphism(x, unit(), w), -cfg.dim, 1, 2),
-        (GeneratorMorphism(x, v, multiply(v, w, cfg)), -1, 3, 4),
-        (GeneratorMorphism(x, v, zero()), -1, 2, 4),
-    ]:
-        calls.clear()
-        report = verify_morphism_relations(phi, cfg)
-        assert report.checks[-1] == ("degreewise_independence", False, f"degree {q}: rank {rk} < dimension {dim}")
-        assert calls == [dim]
+    # (morphism, its independence detail, products at odd and at even n): the
+    # products are v'^2 and, at even n, x^(2n) w' and its product with v', so
+    # their count depends on n only through its parity; a missing lead of x
+    # or v shows at degree -(2n+1), one of w at degree -1
+    cases = [
+        (morphism_from_switches(cfg, a=(1, 1, 1), b=(1, 1, 1), c=(0, 1, 1, 1)), "full rank in every degree",
+         (1, 3)),
+        (GeneratorMorphism(multiply(x, v, cfg), v, w), f"degree {-cfg.dim}: rank 0 < dimension 2", (1, 1)),
+        (GeneratorMorphism(x, unit(), w), f"degree {-cfg.dim}: rank 1 < dimension 2", (1, 2)),
+        (GeneratorMorphism(x, v, multiply(v, w, cfg)), "degree -1: rank 3 < dimension 4", (1, 1)),
+        (GeneratorMorphism(x, v, zero()), "degree -1: rank 2 < dimension 4", (1, 2)),
+    ]
+    rank_calls, products = [], []
+    rank, multiply_in_bv = gf2.rank, bv.multiply
+    monkeypatch.setattr(gf2, "rank", lambda rows: rank_calls.append(len(rows)) or rank(rows))
+    monkeypatch.setattr(bv, "multiply", lambda u, v, cfg: products.append(1) or multiply_in_bv(u, v, cfg))
+    for phi, detail, counts in cases:
+        products.clear()
+        passed = detail == "full rank in every degree"
+        assert verify_morphism_relations(phi, cfg).checks[-1] == ("degreewise_independence", passed, detail)
+        assert len(products) == counts[n % 2 == 0], phi
+    assert rank_calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -91,6 +91,8 @@ def test_resonance_check_empty_is_vacuous_fail():
     assert not report.passed
     assert report.vacuous
     assert report.total == 0
+    nd = nondegenerate_check([], 1)
+    assert (nd.total, nd.target, nd.passed, nd.consistent_with_full) == (0, 2, False, False)
 
 
 def test_resonance_check_rejects_duplicate_labels():
@@ -131,15 +133,20 @@ def test_nondegenerate_check_odd_index_fails():
 def test_nondegenerate_and_full_check_agree_on_nondegenerate_sets():
     passing = [nondegenerate_record("a", 0, 1), nondegenerate_record("b", 2, 1)]
     failing = [nondegenerate_record("a", 0, 1), nondegenerate_record("b", 2, 2)]
-    for records in (passing, failing):
+    # a type number of 0 is no type number: the record is still nondegenerate
+    zeros = [GeodesicRecord("a", 0, Fraction(1), 2, {(1, 0): 1, (1, 3): 0}), nondegenerate_record("b", 2, 1)]
+    for records in (passing, failing, zeros):
         assert nondegenerate_check(records, 1).passed == resonance_check(records, 1).passed
 
 
 def test_nondegenerate_check_rejects_general_record():
-    general = GeodesicRecord("gen", 0, Fraction(1), 4, {(1, 0): 1})
-    with pytest.raises(InputError) as err:
-        nondegenerate_check([general], 1)
-    assert "gen" in str(err.value)
+    # a period other than 2, or any type numbers but k = 1 at (1, 0)
+    for period, type_numbers in [(4, {(1, 0): 1}), (2, {(1, 1): 1}), (2, {(1, 0): 2}),
+                                 (2, {(1, 0): 1, (1, 2): 1}), (2, {})]:
+        general = GeodesicRecord("gen", 0, Fraction(1), period, type_numbers)
+        with pytest.raises(InputError) as err:
+            nondegenerate_check([nondegenerate_record("a", 0, 1), general], 1)
+        assert "gen: not nondegenerate" in str(err.value)
 
 
 def test_index_sequence_rounded_linear():

@@ -107,6 +107,7 @@ WINDOW_CALLS = {
     "window_basis": lambda lo, hi: window_basis(AlgebraConfig(1), (None,), lo, hi),
     "delta_table": lambda lo, hi: delta_table(AlgebraConfig(1), Component.G, lo, hi),
     "axiom_failures": lambda lo, hi: axiom_failures(AlgebraConfig(1), lo, hi, 2, 0),
+    "axiom_failures unsampled": lambda lo, hi: axiom_failures(AlgebraConfig(1), lo, hi, 0, 0),
 }
 
 
@@ -121,6 +122,13 @@ def test_degree_windows_refuse_bools_and_floats(call, value):
         run(-3, value)
     assert str(err.value) == f"highest degree must be an integer, got {value!r}"
     run(-3, 4)
+
+
+@pytest.mark.parametrize("call", sorted(WINDOW_CALLS))
+def test_degree_windows_refuse_an_empty_window(call):
+    with pytest.raises(InputError) as err:
+        WINDOW_CALLS[call](4, -3)
+    assert str(err.value) == "empty degree window [4, -3]"
 
 
 # every public function that takes one loop degree, all through ring.basis

@@ -39,7 +39,7 @@ BASE = ["loopbv", "loopbv.cli", "loopbv.ring"]
 ENGINE = ["loopbv.bv", "loopbv.gf2", "loopbv.series", "loopbv.spectral"]
 SUBCOMMANDS = {
     "ring": (["ring", "--n", "2"], []),
-    "bv": (["bv", "--n", "2"], ["loopbv.bv", "loopbv.gf2"]),
+    "bv": (["bv", "--n", "2"], ["loopbv.bv"]),
     "pages": (["pages", "--n", "2", "--max-degree", "12"], ENGINE),
     "series": (["series", "--n", "2", "--expand", "6", "--average"], ["loopbv.series"]),
     "verify": (["verify", "--n", "1", "--max-degree", "12", "--samples", "5"], ENGINE),
