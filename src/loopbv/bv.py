@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from functools import lru_cache, partial, reduce
-from itertools import accumulate, compress, repeat
+from functools import lru_cache, reduce
+from itertools import compress
 
 from .ring import (
     GENERATOR_EXPONENTS,
@@ -317,8 +317,13 @@ def apply_morphism(phi: GeneratorMorphism, u: AlgebraElement, cfg: AlgebraConfig
     if any(e < 0 for m in u.terms for e in m):
         raise InputError("negative powers are not defined in this ring")
     tops = [max(column) for column in zip(UNIT_MONOMIAL, *u.terms)]
-    xs, vs, ws = (list(accumulate(repeat(image, top), partial(multiply, cfg=cfg), initial=unit()))
-                  for image, top in zip(_homogeneous_images(phi, cfg), tops))
+    tables = []
+    for image, top in zip(_homogeneous_images(phi, cfg), tops):
+        table = [unit()]
+        for _ in range(top):
+            table.append(multiply(table[-1], image, cfg))
+        tables.append(table)
+    xs, vs, ws = tables
     return reduce(add, (multiply(multiply(xs[m.a], vs[m.b], cfg), ws[m.c], cfg) for m in u.terms), zero())
 
 

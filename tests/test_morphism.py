@@ -433,6 +433,21 @@ def test_reports_do_not_depend_on_the_case():
             assert len(reports) == 1, phi
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_reports_match_the_substituting_verifier_on_every_switch_setting(n):
+    cfg = AlgebraConfig(n)
+    for a, b, c in SWITCH_SETTINGS:
+        phi = morphism_from_switches(cfg, a=a, b=b, c=c)
+        assert verify_morphism_relations(phi, cfg).checks == substituting_verifier(phi, cfg), (a, b, c)
+
+
+def test_the_verifier_binds_nothing_of_gf2():
+    # the verifier ranks no degree: bv reaches gf2 neither as a module nor
+    # through a name imported from it
+    assert not [name for name, value in vars(bv).items()
+                if value is gf2 or getattr(value, "__module__", None) == gf2.__name__]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 1000])
 def test_the_verifier_ranks_nothing_and_makes_at_most_three_products(n, monkeypatch):
     cfg = AlgebraConfig(n)
@@ -449,16 +464,18 @@ def test_the_verifier_ranks_nothing_and_makes_at_most_three_products(n, monkeypa
         (GeneratorMorphism(x, v, multiply(v, w, cfg)), "degree -1: rank 3 < dimension 4", (1, 1)),
         (GeneratorMorphism(x, v, zero()), "degree -1: rank 2 < dimension 4", (1, 2)),
     ]
-    rank_calls, products = [], []
-    rank, multiply_in_bv = gf2.rank, bv.multiply
-    monkeypatch.setattr(gf2, "rank", lambda rows: rank_calls.append(len(rows)) or rank(rows))
+    products = []
+    multiply_in_bv = bv.multiply
     monkeypatch.setattr(bv, "multiply", lambda u, v, cfg: products.append(1) or multiply_in_bv(u, v, cfg))
     for phi, detail, counts in cases:
+        want = substituting_verifier(phi, cfg)
         products.clear()
-        passed = detail == "full rank in every degree"
-        assert verify_morphism_relations(phi, cfg).checks[-1] == ("degreewise_independence", passed, detail)
+        report = verify_morphism_relations(phi, cfg)
         assert len(products) == counts[n % 2 == 0], phi
-    assert rank_calls == []
+        assert report.checks == want, phi
+        passed = detail == "full rank in every degree"
+        assert report.checks[-1] == ("degreewise_independence", passed, detail)
+        assert report.ok == passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
