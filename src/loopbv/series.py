@@ -32,8 +32,8 @@ degree at most deg p, so p = F Q; conversely, p = F Q makes S = Q.
 
 Each closed form is built and checked once per n; a repeated call returns a
 new series over the same tuples, paying neither the product nor the
-coefficient check again, so a warm certificate in ``spectral`` costs little
-beyond the expansion it reports.
+coefficient check again, so a certificate in ``spectral`` that is already
+proved pays only the lookup of the closed form.
 """
 
 from __future__ import annotations

@@ -33,44 +33,58 @@ head and the period for both components, through ``ring.dimension`` and
 ``d2_rank`` as any caller would call them: 2 (4n+2) ranks in all, and one
 call of the ``bv.delta`` bound at that moment per basis monomial.  The entry
 holds, for both components, the fiber dimensions and the third-page columns
-of that ``bv.delta``, and one certificate proved from them (see below).
-Column 0 of the third page at index i subtracts the rank at i - 1 from the
-dimension at i, so both third-page columns repeat with period 4n after a
-head of three indices, not two; the entry holds that head and one period of
-each.  A later page is then the entry's columns tiled by list repetition,
-and a later certificate one expansion: no Python-level work per degree.
-One rule governs the table: whoever replaces or changes ``bv.delta`` calls
+of that ``bv.delta``, the summed series of those pages, the E-stability bit
+and one certificate proved from them (see below).  Column 0 of the third
+page at index i subtracts the rank at i - 1 from the dimension at i, so both
+third-page columns repeat with period 4n after a head of three indices, not
+two; the entry holds that head and one period of each.  A later page is
+then the entry's columns tiled by list repetition, and a later certificate
+one running sum: no Python-level work per degree.  One rule governs the
+table: whoever replaces or changes ``bv.delta`` calls
 ``_period_table.cache_clear()``.  An operator passed as ``delta_fn`` never
 enters it: its pages read only the dimensions there.
 
 ``verify_collapse`` turns the same period into a certificate for every
-degree.  It reads the pages themselves: it compares the sum of the series
-of the two third pages that ``e3_page`` builds, as ``page_series`` gives
-them, with the closed form, and the contractible third page with
-``e2_page``.  For ``bv.delta`` each column repeats with period 4n after a
-head of three entries, so it is P / (1 - t^(4n)) with deg P <= 4n+2, and
-the sum of the two page series is N / ((1 - t^(4n)) (1 - t^2)) with
-deg N <= 4n+4.  It equals the closed form num/den in every degree iff
-N den - num (1 - t^(4n)) (1 - t^2) = 0, a polynomial of degree at most
-K = max(4n+4 + deg den, deg num + 4n+2), so agreement of the coefficients
-0..K proves it.  K >= 4n+4, so the E-stability check through K also
-covers the head and a whole period.  The outcome depends only on the
-configuration, the table and the pair (num, den), so it is decided once,
-from the pages at cutoff K, and kept in the table entry under that pair.
-The closed form is read on every call, from ``series``' cache of its
-tuples, and looked up by them; a warm certificate then costs that lookup
-and the expansion through D that its report holds, and a cold one a single
-expansion through max(K, D) that serves both the proof and the report.
-Any other operator, or a failed proof, gets the same comparison through
-the cutoff D.  A page is held as its two columns, and emitting one costs
-its nonzero cells plus C-level scans over D, with no sort.
+degree.  Let c_k be the coefficient of t^k in the sum of the series of the
+two third pages: column 0 at index k plus column p >= 1 at every index
+j <= k - 2 of k's parity (see ``page_series``).  For ``bv.delta`` both
+columns repeat with period 4n after a head of three indices, so each is
+P / (1 - t^(4n)) with deg P <= 4n+2, and the sum of the two page series is
+N / ((1 - t^(4n)) (1 - t^2)) with deg N <= 4n+4.  It equals the closed
+form num/den in every degree iff N den - num (1 - t^(4n)) (1 - t^2) = 0, a
+polynomial of degree at most K = max(4n+4 + deg den, deg num + 4n+2), so
+agreement of the coefficients 0..K proves it.
+
+Lemma: for k >= 4n+3, c_k - c_(k-4n) = sigma_(k mod 2), where sigma_s
+sums the entries of parity s of column p >= 1 over one period of both
+components.  Indeed column 0 agrees at k and k - 4n >= 3, and the indices
+k-4n .. k-2 of k's parity, the ones that c_k adds beyond c_(k-4n), then
+cover exactly one period past the head.  The table entry stores c_k for
+k < 4n and the differences c_k - c_(k-4n) through k = 8n+2, and the
+E-stability bit: whether the contractible third-page columns equal its
+tiled fiber dimensions, the second-page columns, over the head and one
+period, hence in every degree.  Through any cutoff the series is then the
+stored differences, those past 8n+2 repeated per parity, divided by
+1 - t^(4n): one running sum, and no page.  The outcome of the proof depends
+only on the configuration, the table and the pair (num, den), so it is
+decided once, from the E-stability bit and the series compared with one
+expansion of the closed form through K, and kept in the table entry under
+that pair.  The closed form is read on every call, from ``series``' cache
+of its tuples, and looked up by them; a proved certificate then costs one
+expansion through K per configuration and closed form, and one running sum
+per report.  Any other operator, or a failed proof, gets the page
+comparison through the cutoff D, on one expansion through D.  A page is
+held as its two columns, and emitting one costs its nonzero cells plus
+C-level scans over D, with no sort; with no cell off column 0, as on every
+third page of the non-contractible component, it skips the running sums
+of column p >= 1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, compress, count
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import bv, gf2, series
@@ -148,6 +162,8 @@ class Page(Record):
         first = list(compress(zip(count(-shift), self.first), self.first))
         if first:
             yield 0, first
+        if not any(self.rest):
+            return
         nonzero = list(compress(zip(count(-shift), self.rest), self.rest))
         end = len(nonzero)
         for p in range(1, top // 2 + 1):
@@ -223,6 +239,11 @@ class _Table(NamedTuple):
     # component -> third-page columns (first, rest) of the built-in operator
     # over a head of HEAD + 1 indices and one period
     columns: dict
+    # the sum c of both third-page series: c_k for k < 4n, then
+    # c_k - c_(k-4n) through k = 8n+2
+    differences: tuple
+    # whether the contractible third page equals the second
+    stable: bool
     # (numerator, denominator) of a closed form -> whether the pages of that
     # operator equal it in every degree; one pair at a time
     proofs: dict
@@ -234,21 +255,36 @@ class _Table(NamedTuple):
 def _period_table(algebra: AlgebraConfig) -> _Table:
     """The period table of one configuration, filled for both components
     (see the module docstring)."""
-    qs, size, dims, columns = _period_degrees(algebra), HEAD + 1 + 4 * algebra.n, {}, {}
+    period, qs, dims, columns = 4 * algebra.n, _period_degrees(algebra), {}, {}
+    size = HEAD + 1 + period
     for comp in Component:
         dims[comp] = tuple(dimension(algebra, comp, q) for q in qs)
         ranks = tuple(d2_rank(algebra, comp, q) for q in qs)
-        columns[comp] = _homology(
-            _tile(dims[comp], algebra.n, size), _tile(ranks, algebra.n, size)
-        )
-    return _Table(dims, columns, {})
+        columns[comp] = _homology(_tile(dims[comp], period, size), _tile(ranks, period, size))
+    wide = size + period  # the summed series c through 8n+2
+    e, g = (
+        _page_coefficients(*(_tile(column, period, wide) for column in pair))
+        for pair in columns.values()
+    )
+    summed = list(map(add, e, g))
+    differences = (*summed[:period], *map(sub, summed[period:], summed))
+    stable = columns[Component.E] == (_tile(dims[Component.E], period, size),) * 2
+    return _Table(dims, columns, differences, stable, {})
 
 
-def _tile(known: tuple[int, ...], n: int, size: int) -> tuple[int, ...]:
-    """``known``, a head and one period of 4n, with the period repeated,
-    cut to ``size``."""
-    period = 4 * n
+def _tile(known: tuple[int, ...], period: int, size: int) -> tuple[int, ...]:
+    """``known``, a head and one period, with the period repeated, cut to
+    ``size``."""
     return (known + known[len(known) - period :] * ((size - len(known)) // period + 1))[:size]
+
+
+def _summed_series(entry: _Table, n: int, top: int) -> tuple:
+    """The sum of both third-page series of the built-in operator through
+    degree ``top``: the stored differences, those past 8n+2 repeated per
+    parity, divided by 1 - t^(4n) (see the module docstring)."""
+    coeffs = list(_tile(entry.differences, 2, top + 1))
+    series._divide_out(coeffs, (4 * n,))
+    return tuple(coeffs)
 
 
 def _homology(
@@ -265,7 +301,7 @@ def e2_page(cfg: SSConfig) -> Page:
     """Second page: every column repeats the fiber dimensions, tiled from one
     period (see the module docstring)."""
     top = cfg.max_top_degree
-    dims = _tile(_period_table(cfg.algebra).dims[cfg.comp], cfg.algebra.n, top + 1)
+    dims = _tile(_period_table(cfg.algebra).dims[cfg.comp], 4 * cfg.algebra.n, top + 1)
     return Page(2, cfg.algebra.dim, top, dims, dims)
 
 
@@ -284,15 +320,15 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     the top degree q = D - shift.
     """
     algebra, comp, top = cfg.algebra, cfg.comp, cfg.max_top_degree
-    entry, n = _period_table(algebra), algebra.n
+    entry, period = _period_table(algebra), 4 * algebra.n
     if delta_fn is None or delta_fn is bv.delta:
-        first, rest = entry.columns[comp]
-        return Page(3, algebra.dim, top, _tile(first, n, top + 1), _tile(rest, n, top + 1))
+        first, rest = (_tile(column, period, top + 1) for column in entry.columns[comp])
+        return Page(3, algebra.dim, top, first, rest)
     # the top fiber degree q = D - shift feeds no cell: its image would land
     # at index D + 1, and column p >= 1 stops at index D - 2
     qs = range(-algebra.dim, top - algebra.dim)
     ranks = [d2_rank(algebra, comp, q, delta_fn) for q in qs]
-    return Page(3, algebra.dim, top, *_homology(_tile(entry.dims[comp], n, top + 1), ranks))
+    return Page(3, algebra.dim, top, *_homology(_tile(entry.dims[comp], period, top + 1), ranks))
 
 
 def _check_fits(page: Page, cfg: SSConfig) -> None:
@@ -311,10 +347,17 @@ def page_series(page: Page, cfg: SSConfig) -> series.TruncatedSeries:
     k - 2p >= 0, a running sum over the indices of k's parity.
     """
     _check_fits(page, cfg)
-    coeffs = list(page.first)
-    for s in (0, 1):
-        coeffs[s + 2 :: 2] = map(add, coeffs[s + 2 :: 2], accumulate(page.rest[s::2]))
-    return series.TruncatedSeries(tuple(coeffs))
+    return series.TruncatedSeries(tuple(_page_coefficients(page.first, page.rest)))
+
+
+def _page_coefficients(first: Sequence[int], rest: Sequence[int]) -> list:
+    """The series of the columns ``first`` and ``rest`` through the length
+    of ``first``; no running sum when ``rest`` is zero."""
+    coeffs = list(first)
+    if any(rest):
+        for s in (0, 1):
+            coeffs[s + 2 :: 2] = map(add, coeffs[s + 2 :: 2], accumulate(rest[s::2]))
+    return coeffs
 
 
 class CollapseReport(Record):
@@ -352,17 +395,16 @@ def _degree_bound(cfg: AlgebraConfig, total: series.RationalSeries) -> int:
 
 
 def _compare(
-    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None, expansion: tuple
+    cfg: AlgebraConfig, top: int, delta_fn: DeltaFn | None, expected: tuple
 ) -> CollapseReport:
     """E-stability, and the sum of the two third-page series against the
-    closed form's ``expansion`` (at least ``top`` + 1 coefficients), through
-    degree ``top`` and reported at that cutoff."""
+    closed form's coefficients ``expected`` through degree ``top``, reported
+    at that cutoff."""
     ss_e, ss_g = SSConfig(cfg, Component.E, top), SSConfig(cfg, Component.G, top)
     e2_e, e3_e, e3_g = e2_page(ss_e), e3_page(ss_e, delta_fn), e3_page(ss_g, delta_fn)
     e_stable = (e3_e.first, e3_e.rest) == (e2_e.first, e2_e.rest)
     series_e, series_g = page_series(e3_e, ss_e), page_series(e3_g, ss_g)
     computed = tuple(map(add, series_e.coefficients, series_g.coefficients))
-    expected = expansion[: top + 1]
     first_mismatch = next(
         ((k, got, want) for k, (got, want) in enumerate(zip(computed, expected)) if got != want),
         None,
@@ -382,28 +424,28 @@ def verify_collapse(
     closed form for the full loop space.  Matching dimensions leave no room
     for further differentials, which is the whole certificate.  For the
     built-in operator (``None`` or ``bv.delta``) the closed form is read on
-    every call, and its comparison through :func:`_degree_bound` is made
-    once per configuration and closed form and kept in the period table
+    every call, and the period table's E-stability bit and summed series,
+    compared with the closed form's expansion through :func:`_degree_bound`,
+    decide it once per configuration and closed form, kept in the table
     under the pair (num, den); a proof gives a pass whose tuples are the
-    closed form's expansion through the cutoff.  Otherwise, or if that proof
-    fails, the pages are compared through the cutoff.  Either way the closed
-    form is expanded once per call: through the cutoff, or through the
-    larger of the cutoff and the bound on the call that makes the proof.
+    summed series through the cutoff, one running sum.  Otherwise, or if
+    that proof fails, the pages are compared through the cutoff on the
+    closed form's expansion through it.
     """
     check_count(max_top_degree, "max_top_degree")  # before any work
     top, total = max_top_degree, series.total_series(cfg.n)
-    builtin = delta_fn is None or delta_fn is bv.delta
-    proofs, key = _period_table(cfg).proofs, (total.numerator, total.denominator)
-    cold = builtin and key not in proofs
-    bound = _degree_bound(cfg, total) if cold else top
-    expansion = series.expand(total, max(bound, top)).coefficients
-    if cold:
-        proofs.clear()  # a rebound series.total_series must not grow the entry
-        proofs[key] = _compare(cfg, bound, None, expansion).passed
-    if builtin and proofs[key]:
-        expected = expansion[: top + 1]
-        return CollapseReport(cfg, top, True, expected, expected, None, True)
-    return _compare(cfg, top, delta_fn, expansion)
+    if delta_fn is None or delta_fn is bv.delta:
+        entry, key = _period_table(cfg), (total.numerator, total.denominator)
+        if key not in entry.proofs:
+            bound = _degree_bound(cfg, total)
+            entry.proofs.clear()  # a rebound series.total_series must not grow the entry
+            entry.proofs[key] = entry.stable and (
+                _summed_series(entry, cfg.n, bound) == series.expand(total, bound).coefficients
+            )
+        if entry.proofs[key]:
+            coeffs = _summed_series(entry, cfg.n, top)
+            return CollapseReport(cfg, top, True, coeffs, coeffs, None, True)
+    return _compare(cfg, top, delta_fn, series.expand(total, top).coefficients)
 
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:

@@ -44,15 +44,17 @@ def zero_delta(u, cfg):
     return zero()
 
 
-def moving_delta(u, cfg):
+def moving_delta(u, cfg, delta=bv.delta):
     """``bv.delta`` plus x^(a-1) v^b w^c for every contractible term with
     a >= 1: the contractible page moves between pages two and three.  Its
     square is not zero, so page entries are the rank formula and may be
-    negative; both page paths must still agree on them."""
+    negative; both page paths must still agree on them.  It calls the
+    ``bv.delta`` bound when this module was imported, so it can itself be
+    bound as ``bv.delta``."""
     lowered = (
         Monomial(m.a - 1, m.b, m.c) for m in u.terms if m.a and component(m, cfg) is Component.E
     )
-    return add(bv.delta(u, cfg), element(*lowered))
+    return add(delta(u, cfg), element(*lowered))
 
 
 def wrapped_delta(u, cfg):
@@ -400,28 +402,222 @@ def test_warm_certificate_reads_the_closed_form_on_every_call(n, monkeypatch):
             assert verify_collapse(cfg, limit).all_degrees, (case, j)
 
 
+PAGE_PATH = ("e2_page", "e3_page", "page_series", "_compare")
+
+
 @pytest.mark.parametrize("limit", [0, 10, 400])
-def test_each_certificate_expands_the_closed_form_once(limit, monkeypatch):
-    """A cold certificate expands the closed form once, through max(K, D),
-    for both its proof and its report, and a warm one once, through D; so
-    does a certificate whose proof fails, or whose operator is not the
-    built-in one."""
+def test_a_proved_certificate_expands_the_closed_form_once_per_configuration(
+    limit, monkeypatch
+):
+    """A built-in certificate proves its closed form on one expansion
+    through K, whatever the cutoff, and builds no page; a warm proved one
+    expands nothing.  A closed form whose proof fails, and an operator that
+    is not the built-in one, are compared on the pages, on one expansion
+    through D per call (after the failed proof's expansion through K on
+    the cold call)."""
     cfg, true_total = AlgebraConfig(2, BVCase.B_W), total_series(2)
     bumped = true_total + series.RationalSeries((1,))  # wrong in degree 0
-    expansions = []
+    expansions, page_calls = [], []
     monkeypatch.setattr(series, "expand", counting(series.expand, expansions))
+    for name in PAGE_PATH:
+        monkeypatch.setattr(spectral, name, counting(getattr(spectral, name), page_calls))
     for total, passed in ((true_total, True), (bumped, False)):
         monkeypatch.setattr(series, "total_series", lambda _n, r=total: r)
         bound = spectral._degree_bound(cfg, total)
+        report = [] if passed else [(total, limit)]
         clear_period_tables()
-        for state, through in (("cold", max(bound, limit)), ("warm", limit)):
+        for state, want in (("cold", [(total, bound), *report]), ("warm", report)):
             expansions.clear()
-            report = verify_collapse(cfg, limit)
-            assert (report.passed, report.all_degrees) == (passed, passed), state
-            assert expansions == [(total, through)], state
+            page_calls.clear()
+            got = verify_collapse(cfg, limit)
+            assert (got.passed, got.all_degrees) == (passed, passed), state
+            assert expansions == want, state
+            assert bool(page_calls) is not passed, state
         expansions.clear()
         verify_collapse(cfg, limit, wrapped_delta)
         assert expansions == [(total, limit)]
+
+
+def summed_page_series(cfg, limit):
+    """The sum of the series of the two default third pages at ``limit``."""
+    pair = [SSConfig(cfg, comp, limit) for comp in (Component.E, Component.G)]
+    e, g = (page_series(e3_page(ss), ss).coefficients for ss in pair)
+    return tuple(a + b for a, b in zip(e, g))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tiled_reports_match_the_closed_form_and_the_pages(n, monkeypatch):
+    """Cold and warm, on both sides of the head, the period and the bound,
+    a proved report holds the closed form's expansion, and that is the sum
+    of the page series it certifies; it builds no page."""
+    limits = sorted({0, 1, 4 * n + 2, 4 * n + 3, 8 * n + 2, 8 * n + 3, 6 * n + 8, 997})
+    assert spectral._degree_bound(AlgebraConfig(n), total_series(n)) == 6 * n + 8
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        for limit in limits:
+            clear_period_tables()
+            page_calls = []
+            with monkeypatch.context() as patch:
+                for name in PAGE_PATH:
+                    patch.setattr(spectral, name, counting(getattr(spectral, name), page_calls))
+                cold, warm = verify_collapse(cfg, limit), verify_collapse(cfg, limit)
+            assert page_calls == [], (case, limit)
+            assert cold == warm and cold.passed and cold.all_degrees, (case, limit)
+            want = expand(total_series(n), limit).coefficients
+            assert cold.computed == cold.expected == want, (case, limit)
+            assert want == summed_page_series(cfg, limit), (case, limit)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stored_differences_are_constant_per_parity_past_the_head(n):
+    """The lemma of the tiled report: from k = 4n+3 on, c_k - c_(k-4n) is
+    sigma_(k mod 2), the sum of one period of column p >= 1 over the indices
+    of k's parity, for the page series through 12n+8; the table stores c
+    below 4n and those differences through 8n+2."""
+    period, top = 4 * n, 12 * n + 8
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        c = summed_page_series(cfg, top)
+        rests = [e3_page(SSConfig(cfg, comp, top)).rest for comp in (Component.E, Component.G)]
+        one_period = range(3, 3 + period)
+        sigma = [sum(rest[j] for rest in rests for j in one_period if j % 2 == s) for s in (0, 1)]
+        for k in range(period + 3, top + 1):
+            assert c[k] - c[k - period] == sigma[k % 2], (case, k)
+        entry = spectral._period_table(cfg)
+        differences = c[:period] + tuple(c[k] - c[k - period] for k in range(period, 8 * n + 3))
+        assert entry.differences == differences, case
+        assert entry.stable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_summed_series_tiles_any_periodic_columns(n):
+    """The lemma for hand-built columns that repeat with period 4n after a
+    head of three indices, with sigma_0 != sigma_1 (over the ring's fiber
+    dimensions the two are equal): the differences stored as the table
+    stores them, repeated per parity past 8n+2 and summed over 1 - t^(4n),
+    give the dense per-cell series through every cutoff to 12n+8."""
+    rng, period, top = random.Random(n), 4 * n, 12 * n + 8
+    first, rest = ([rng.randrange(-3, 9) for _ in range(3 + period)] for _ in range(2))
+    if sum(rest[3::2]) == sum(rest[4::2]):
+        rest[4] += 1
+    cfg = SSConfig(AlgebraConfig(n), Component.E, top)
+    columns = [spectral._tile(tuple(c), period, top + 1) for c in (first, rest)]
+    shift = cfg.algebra.dim
+    entries = {(p, q): columns[p > 0][q + shift] for p, q in dense_cells(cfg)}
+    c = dense_series(entries, cfg)
+    differences = c[:period] + tuple(c[k] - c[k - period] for k in range(period, 8 * n + 3))
+    entry = spectral._Table({}, {}, differences, True, {})
+    for limit in range(top + 1):
+        assert spectral._summed_series(entry, n, limit) == c[: limit + 1], limit
+
+
+def page_comparison(cfg, limit, total):
+    """The report of the page comparison: E-stability and the sum of the
+    default page series against the closed form ``total``, through
+    ``limit``."""
+    ss = SSConfig(cfg, Component.E, limit)
+    e2_e, e3_e = e2_page(ss), e3_page(ss)
+    computed = summed_page_series(cfg, limit)
+    expected = expand(total, limit).coefficients
+    mismatches = [(k, a, b) for k, (a, b) in enumerate(zip(computed, expected)) if a != b]
+    stable = (e3_e.first, e3_e.rest) == (e2_e.first, e2_e.rest)
+    return CollapseReport(cfg, limit, stable, computed, expected, (mismatches or [None])[0])
+
+
+def own_closed_form(cfg):
+    """The sum of the default third-page series as N / ((1 - t^(4n)) (1 - t^2)),
+    N read off that sum through degree 4n+4."""
+    period = 4 * cfg.n
+    den = [0] * (period + 3)
+    den[0], den[2], den[period], den[period + 2] = 1, -1, -1, 1
+    c = summed_page_series(cfg, period + 4)
+    num = [sum(den[j] * c[k - j] for j in range(k + 1) if j < len(den)) for k in range(period + 5)]
+    return series.RationalSeries(tuple(num), tuple(den))
+
+
+@pytest.mark.parametrize("rebound", [zero_delta, moving_delta], ids=["zero", "moving"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_rebound_operator_is_proved_or_compared_on_the_pages(n, rebound, monkeypatch):
+    """With ``bv.delta`` rebound and the table cleared, the certificate is
+    proved only if the contractible page keeps its second page and the
+    summed series is the closed form.  Against the true closed form both
+    proofs fail, ``zero_delta``'s on the series and ``moving_delta``'s on
+    the contractible page.  Against the pages' own closed form
+    ``zero_delta``'s proof holds and its report is the summed page series,
+    while ``moving_delta``'s still fails on the contractible page.  A failed
+    proof reports the page comparison field by field, cold and warm, and
+    the entry keeps one proof however often the closed form changes."""
+    monkeypatch.setattr(bv, "delta", rebound)
+    try:
+        for case in ALL_CASES:
+            cfg = AlgebraConfig(n, case)
+            clear_period_tables()
+            own = own_closed_form(cfg)
+            top = 12 * n + 8
+            assert expand(own, top).coefficients == summed_page_series(cfg, top), case
+            assert spectral._period_table(cfg).stable is (rebound is zero_delta)
+            for total in (total_series(n), own, total_series(n), own):
+                monkeypatch.setattr(series, "total_series", lambda _n, r=total: r)
+                verify_collapse(cfg, 1)
+                assert len(spectral._period_table(cfg).proofs) == 1, case
+            for total in (total_series(n), own):
+                monkeypatch.setattr(series, "total_series", lambda _n, r=total: r)
+                for limit in oracle_degrees(n):
+                    clear_period_tables()
+                    cold = verify_collapse(cfg, limit)
+                    assert cold == verify_collapse(cfg, limit), (case, limit)
+                    if total is own and rebound is zero_delta:
+                        c = summed_page_series(cfg, limit)
+                        assert cold == CollapseReport(cfg, limit, True, c, c, None, True)
+                    else:
+                        assert cold == page_comparison(cfg, limit, total), (case, limit)
+                        assert cold.e_page_stable is (rebound is zero_delta or limit == 0)
+    finally:
+        monkeypatch.undo()
+        clear_period_tables()
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_a_page_with_no_cell_off_column_zero_skips_its_running_sums(n, monkeypatch):
+    """Every non-contractible third page lives in column 0: its series makes
+    no running sum and its cells scan column 0 alone, while the contractible
+    page makes one sum per parity and scans both columns."""
+    calls = []
+    monkeypatch.setattr(spectral, "accumulate", counting(spectral.accumulate, calls))
+    monkeypatch.setattr(spectral, "compress", counting(spectral.compress, calls))
+    cfg = AlgebraConfig(n, BVCase.A_VXW)
+    for comp, sums in ((Component.G, 0), (Component.E, 2)):
+        ss = SSConfig(cfg, comp, 600)
+        page = e3_page(ss)
+        calls.clear()
+        page_series(page, ss)
+        assert len(calls) == sums, comp
+        calls.clear()
+        list(page.columns())
+        assert len(calls) == 1 + sums // 2, comp
+
+
+@pytest.mark.parametrize("where", ["zero", "first", "last"])
+@pytest.mark.parametrize("limit", [2, 3, 10, 11])
+def test_page_series_and_json_of_a_hand_built_page_match_the_cell_sums(limit, where):
+    """A page whose column p >= 1 is zero, or nonzero only at its first or
+    its last index D - 2, emits the series and cells of its dense per-cell
+    sums."""
+    cfg = SSConfig(AlgebraConfig(2), Component.G, limit)
+    first = tuple(range(1, limit + 2))
+    rest = [0] * (limit - 1)
+    if where != "zero":
+        rest[0 if where == "first" else -1] = 7
+    page = Page(3, cfg.algebra.dim, limit, first, rest)
+    shift = cfg.algebra.dim
+    entries = {}
+    for p, q in dense_cells(cfg):
+        d = rest[q + shift] if p else first[q + shift]
+        if d:
+            entries[(p, q)] = d
+    assert page.entries == entries
+    assert page_series(page, cfg).coefficients == dense_series(entries, cfg)
+    assert json.dumps(page_to_json(page, cfg)) == json.dumps(dense_json(3, entries, cfg))
 
 
 def report_fields(ss):
