@@ -30,10 +30,9 @@ F iff S = p / F is zero in degrees deg p - E + 1 .. deg p.  Then Q = S cut at
 degree deg p - E gives p = F Q modulo t^(deg p + 1), and both sides have
 degree at most deg p, so p = F Q; conversely, p = F Q makes S = Q.
 
-Each closed form is built and checked once per n; a repeated call returns a
-new series over the same tuples, paying neither the product nor the
-coefficient check again, so a certificate in ``spectral`` that is already
-proved pays only the lookup of the closed form.
+Each call of a closed form builds and checks a new series, in O(n): no
+caller needs it cached, since ``spectral`` reads a closed form only when it
+fills a configuration's period table or compares pages.
 """
 
 from __future__ import annotations
@@ -271,18 +270,8 @@ _FORMS = {
 
 
 def _closed_form(n: int, form: str) -> RationalSeries:
-    """A new series over the cached, already checked fields of one closed
-    form: series compare by identity, so every call returns its own object,
-    and neither the product nor the coefficient check is paid again."""
-    check_n(n)  # before the lookup: True hashes and compares like 1
-    fresh = object.__new__(RationalSeries)
-    fresh.__dict__.update(_checked_form(n, form).__dict__)
-    return fresh
-
-
-# bounded: the key is caller input; 96 holds the three forms of 32 values of n
-@lru_cache(maxsize=96)
-def _checked_form(n: int, form: str) -> RationalSeries:
+    """The closed form ``form`` at n, built as a new series."""
+    check_n(n)
     numerator, denominator = _FORMS[form]
     return RationalSeries(
         _product(_one_minus(2 * n + 2), *numerator), _product(_one_minus(2 * n), *denominator)

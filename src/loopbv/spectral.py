@@ -33,16 +33,17 @@ head and the period for both components, through ``ring.dimension`` and
 ``d2_rank`` as any caller would call them: 2 (4n+2) ranks in all, and one
 call of the ``bv.delta`` bound at that moment per basis monomial.  The entry
 holds, for both components, the fiber dimensions and the third-page columns
-of that ``bv.delta``, the summed series of those pages, the E-stability bit
-and one certificate proved from them (see below).  Column 0 of the third
-page at index i subtracts the rank at i - 1 from the dimension at i, so both
-third-page columns repeat with period 4n after a head of three indices, not
-two; the entry holds that head and one period of each.  A later page is
-then the entry's columns tiled by list repetition, and a later certificate
-one running sum: no Python-level work per degree.  One rule governs the
-table: whoever replaces or changes ``bv.delta`` calls
-``_period_table.cache_clear()``.  An operator passed as ``delta_fn`` never
-enters it: its pages read only the dimensions there.
+of that ``bv.delta``, the summed series of those pages and the verdict of
+the certificate, decided from them while the entry is filled (see below).
+Column 0 of the third page at index i subtracts the rank at i - 1 from the
+dimension at i, so both third-page columns repeat with period 4n after a
+head of three indices, not two; the entry holds that head and one period of
+each.  A later page is then the entry's columns tiled by list repetition,
+and a later certificate one running sum: no Python-level work per degree.
+One rule governs the table: whoever replaces ``bv.delta`` or
+``series.total_series`` calls ``_period_table.cache_clear()``.  An operator
+passed as ``delta_fn`` never enters it: its pages read only the dimensions
+there.
 
 ``verify_collapse`` turns the same period into a certificate for every
 degree.  Let c_k be the coefficient of t^k in the sum of the series of the
@@ -60,24 +61,21 @@ sums the entries of parity s of column p >= 1 over one period of both
 components.  Indeed column 0 agrees at k and k - 4n >= 3, and the indices
 k-4n .. k-2 of k's parity, the ones that c_k adds beyond c_(k-4n), then
 cover exactly one period past the head.  The table entry stores c_k for
-k < 4n and the differences c_k - c_(k-4n) through k = 8n+2, and the
-E-stability bit: whether the contractible third-page columns equal its
-tiled fiber dimensions, the second-page columns, over the head and one
-period, hence in every degree.  Through any cutoff the series is then the
-stored differences, those past 8n+2 repeated per parity, divided by
-1 - t^(4n): one running sum, and no page.  The outcome of the proof depends
-only on the configuration, the table and the pair (num, den), so it is
-decided once, from the E-stability bit and the series compared with one
-expansion of the closed form through K, and kept in the table entry under
-that pair.  The closed form is read on every call, from ``series``' cache
-of its tuples, and looked up by them; a proved certificate then costs one
-expansion through K per configuration and closed form, and one running sum
-per report.  Any other operator, or a failed proof, gets the page
-comparison through the cutoff D, on one expansion through D.  A page is
-held as its two columns, and emitting one costs its nonzero cells plus
-C-level scans over D, with no sort; with no cell off column 0, as on every
-third page of the non-contractible component, it skips the running sums
-of column p >= 1.
+k < 4n and the differences c_k - c_(k-4n) through k = 8n+2.  Through any
+cutoff the series is then the stored differences, those past 8n+2 repeated
+per parity, divided by 1 - t^(4n): one running sum, and no page.  The proof
+depends only on the configuration, so the fill decides it once: it holds
+iff the contractible third-page columns equal its tiled fiber dimensions,
+the second-page columns, over the head and one period, hence in every
+degree, and the summed series equals one expansion of
+``series.total_series(n)`` through K.  The entry stores that verdict as
+``proved``; a proved certificate then reads no closed form and costs one
+running sum per report.  Any other operator, or a failed proof, gets the
+page comparison through the cutoff D, on one expansion of the closed form
+through D.  A page is held as its two columns, and emitting one costs its
+nonzero cells plus C-level scans over D, with no sort; with no cell off
+column 0, as on every third page of the non-contractible component, it
+skips the running sums of column p >= 1.
 """
 
 from __future__ import annotations
@@ -85,6 +83,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, compress, count
 from operator import add, sub
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import bv, gf2, series
@@ -110,6 +109,8 @@ class SSConfig(Record):
     max_top_degree: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.algebra, AlgebraConfig):
+            raise InputError(f"unknown configuration {self.algebra!r}; expected an AlgebraConfig")
         if not isinstance(self.comp, Component):
             raise InputError(f"unknown component {self.comp!r}; expected a Component")
         check_count(self.max_top_degree, "max_top_degree")
@@ -232,44 +233,47 @@ def d2_rank(
 
 
 class _Table(NamedTuple):
-    """One configuration's entry of :func:`_period_table`."""
+    """One configuration's entry of :func:`_period_table`, immutable: its
+    certificate is decided when it is filled and stored as ``proved``."""
 
-    # component -> fiber dimensions over _period_degrees
-    dims: dict
+    # component -> fiber dimensions over _period_degrees, read-only
+    dims: MappingProxyType
     # component -> third-page columns (first, rest) of the built-in operator
-    # over a head of HEAD + 1 indices and one period
-    columns: dict
+    # over a head of HEAD + 1 indices and one period, read-only
+    columns: MappingProxyType
     # the sum c of both third-page series: c_k for k < 4n, then
     # c_k - c_(k-4n) through k = 8n+2
     differences: tuple
-    # whether the contractible third page equals the second
-    stable: bool
-    # (numerator, denominator) of a closed form -> whether the pages of that
-    # operator equal it in every degree; one pair at a time
-    proofs: dict
+    # whether the contractible third page equals the second and c equals
+    # series.total_series in every degree
+    proved: bool
 
 
 # bounded: the key is caller input; 64 holds the 32 configurations of
 # n <= 8 twice over
 @lru_cache(maxsize=64)
 def _period_table(algebra: AlgebraConfig) -> _Table:
-    """The period table of one configuration, filled for both components
-    (see the module docstring)."""
+    """The period table of one configuration, filled for both components,
+    with its certificate decided (see the module docstring)."""
     period, qs, dims, columns = 4 * algebra.n, _period_degrees(algebra), {}, {}
     size = HEAD + 1 + period
     for comp in Component:
         dims[comp] = tuple(dimension(algebra, comp, q) for q in qs)
         ranks = tuple(d2_rank(algebra, comp, q) for q in qs)
         columns[comp] = _homology(_tile(dims[comp], period, size), _tile(ranks, period, size))
-    wide = size + period  # the summed series c through 8n+2
+    # the summed series c of both third pages, through 8n+2
     e, g = (
-        _page_coefficients(*(_tile(column, period, wide) for column in pair))
+        _page_coefficients(*(_tile(column, period, size + period) for column in pair))
         for pair in columns.values()
     )
     summed = list(map(add, e, g))
     differences = (*summed[:period], *map(sub, summed[period:], summed))
-    stable = columns[Component.E] == (_tile(dims[Component.E], period, size),) * 2
-    return _Table(dims, columns, differences, stable, {})
+    total = series.total_series(algebra.n)
+    bound = _degree_bound(algebra, total)
+    proved = columns[Component.E] == (_tile(dims[Component.E], period, size),) * 2 and (
+        _summed_series(differences, algebra.n, bound) == series.expand(total, bound).coefficients
+    )
+    return _Table(MappingProxyType(dims), MappingProxyType(columns), differences, proved)
 
 
 def _tile(known: tuple[int, ...], period: int, size: int) -> tuple[int, ...]:
@@ -278,11 +282,11 @@ def _tile(known: tuple[int, ...], period: int, size: int) -> tuple[int, ...]:
     return (known + known[len(known) - period :] * ((size - len(known)) // period + 1))[:size]
 
 
-def _summed_series(entry: _Table, n: int, top: int) -> tuple:
+def _summed_series(differences: tuple, n: int, top: int) -> tuple:
     """The sum of both third-page series of the built-in operator through
-    degree ``top``: the stored differences, those past 8n+2 repeated per
+    degree ``top``: the stored ``differences``, those past 8n+2 repeated per
     parity, divided by 1 - t^(4n) (see the module docstring)."""
-    coeffs = list(_tile(entry.differences, 2, top + 1))
+    coeffs = list(_tile(differences, 2, top + 1))
     series._divide_out(coeffs, (4 * n,))
     return tuple(coeffs)
 
@@ -423,29 +427,22 @@ def verify_collapse(
     series of the two third pages that :func:`e3_page` builds must equal the
     closed form for the full loop space.  Matching dimensions leave no room
     for further differentials, which is the whole certificate.  For the
-    built-in operator (``None`` or ``bv.delta``) the closed form is read on
-    every call, and the period table's E-stability bit and summed series,
-    compared with the closed form's expansion through :func:`_degree_bound`,
-    decide it once per configuration and closed form, kept in the table
-    under the pair (num, den); a proof gives a pass whose tuples are the
-    summed series through the cutoff, one running sum.  Otherwise, or if
-    that proof fails, the pages are compared through the cutoff on the
-    closed form's expansion through it.
+    built-in operator (``None`` or ``bv.delta``) the period table decided it
+    in every degree when it was filled, on the closed form's expansion
+    through :func:`_degree_bound`; a proof gives a pass whose tuples are the
+    summed series through the cutoff, one running sum, with no closed form
+    read.  Otherwise, or if that proof failed, the pages are compared
+    through the cutoff on the closed form's expansion through it.  A
+    ``cfg`` that is not an :class:`AlgebraConfig` is refused first.
     """
-    check_count(max_top_degree, "max_top_degree")  # before any work
-    top, total = max_top_degree, series.total_series(cfg.n)
-    if delta_fn is None or delta_fn is bv.delta:
-        entry, key = _period_table(cfg), (total.numerator, total.denominator)
-        if key not in entry.proofs:
-            bound = _degree_bound(cfg, total)
-            entry.proofs.clear()  # a rebound series.total_series must not grow the entry
-            entry.proofs[key] = entry.stable and (
-                _summed_series(entry, cfg.n, bound) == series.expand(total, bound).coefficients
-            )
-        if entry.proofs[key]:
-            coeffs = _summed_series(entry, cfg.n, top)
-            return CollapseReport(cfg, top, True, coeffs, coeffs, None, True)
-    return _compare(cfg, top, delta_fn, series.expand(total, top).coefficients)
+    if not isinstance(cfg, AlgebraConfig):  # before any work
+        raise InputError(f"unknown configuration {cfg!r}; expected an AlgebraConfig")
+    check_count(max_top_degree, "max_top_degree")
+    if (delta_fn is None or delta_fn is bv.delta) and (entry := _period_table(cfg)).proved:
+        coeffs = _summed_series(entry.differences, cfg.n, max_top_degree)
+        return CollapseReport(cfg, max_top_degree, True, coeffs, coeffs, None, True)
+    expected = series.expand(series.total_series(cfg.n), max_top_degree).coefficients
+    return _compare(cfg, max_top_degree, delta_fn, expected)
 
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:

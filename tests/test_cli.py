@@ -416,13 +416,13 @@ def test_verify_rejects_csv_format(capsys):
 
 
 @pytest.mark.parametrize("j", [0, 5, 10])
-def test_verify_reports_a_collapse_mismatch(j, monkeypatch, capsys):
+def test_verify_reports_a_collapse_mismatch(j, rebind, capsys):
     """A closed form off by t^j, j within the cutoff, fails collapse at j."""
     true_total = series.total_series(1)
     bumped = true_total + series.RationalSeries((0,) * j + (1,))
     computed = series.expand(true_total, 10).coefficients
     expected = series.expand(bumped, 10).coefficients
-    monkeypatch.setattr(series, "total_series", lambda _n: bumped)
+    rebind(series, "total_series", lambda _n: bumped)
     argv = ["verify", "--n", "1", "--max-degree", "10", "--samples", "0"]
     code, out, _ = run(capsys, *argv)
     assert code == 1

@@ -262,23 +262,19 @@ def test_tiled_third_page_columns_match_the_per_degree_formula(n):
                 assert (page.first, page.rest) == want, (case, comp, limit)
 
 
-def test_third_page_columns_follow_a_rebound_delta(monkeypatch):
+def test_third_page_columns_follow_a_rebound_delta(rebind):
     """The columns live in the period table: after bv.delta is rebound and the
     table cleared, the default page is that operator's page."""
-    cfg, limit = AlgebraConfig(2, BVCase.A_VXW), 3 * (4 * 2 + 3)
+    cfg, limit, original = AlgebraConfig(2, BVCase.A_VXW), 3 * (4 * 2 + 3), bv.delta
     ss = SSConfig(cfg, Component.G, limit)
     clear_period_tables()
     before = e3_page(ss)
-    try:
-        monkeypatch.setattr(bv, "delta", zero_delta)
-        clear_period_tables()
-        after = e3_page(ss)
-        assert after != before
-        assert (after.first, after.rest) == (e2_page(ss).first, e2_page(ss).rest)
-        assert (after.first, after.rest) == per_degree_columns(cfg, Component.G, limit)
-    finally:
-        monkeypatch.undo()
-        clear_period_tables()
+    rebind(bv, "delta", zero_delta)
+    after = e3_page(ss)
+    assert after != before
+    assert (after.first, after.rest) == (e2_page(ss).first, e2_page(ss).rest)
+    assert (after.first, after.rest) == per_degree_columns(cfg, Component.G, limit)
+    rebind(bv, "delta", original)
     assert e3_page(ss) == before
 
 
@@ -311,7 +307,7 @@ def test_verify_collapse_rank_calls_do_not_grow_with_cutoff(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_rebound_delta_keeps_the_periodic_path(n, monkeypatch):
+def test_rebound_delta_keeps_the_periodic_path(n, monkeypatch, rebind):
     """Rebinding bv.delta, as a call counter does, must not send the default
     operator down the per-degree rank path, in the library or in the CLI."""
     original_delta, original_collapse = bv.delta, verify_collapse
@@ -326,7 +322,7 @@ def test_rebound_delta_keeps_the_periodic_path(n, monkeypatch):
         reports.append(original_collapse(*args))
         return reports[-1]
 
-    monkeypatch.setattr(bv, "delta", counting_delta)
+    rebind(bv, "delta", counting_delta)
     monkeypatch.setattr(gf2, "rank", counting(gf2.rank, rank_calls))
     monkeypatch.setattr(spectral, "verify_collapse", recording_collapse)
     argv = ["verify", "--n", str(n), "--max-degree", "400", "--samples", "0", "--format", "json"]
@@ -359,7 +355,7 @@ def test_warm_configuration_makes_no_rank_calls(n, monkeypatch):
 
 
 @pytest.mark.parametrize("comp", [Component.E, Component.G])
-def test_one_cold_page_fills_both_components(comp, monkeypatch):
+def test_one_cold_page_fills_both_components(comp, monkeypatch, rebind):
     """The first page of a configuration sweeps its period once for both
     components: the certificate and the other component's page then apply
     no operator and rank nothing."""
@@ -367,8 +363,7 @@ def test_one_cold_page_fills_both_components(comp, monkeypatch):
     other = Component.G if comp is Component.E else Component.E
     rank_calls, delta_calls = [], []
     monkeypatch.setattr(gf2, "rank", counting(gf2.rank, rank_calls))
-    monkeypatch.setattr(bv, "delta", counting(bv.delta, delta_calls))
-    clear_period_tables()
+    rebind(bv, "delta", counting(bv.delta, delta_calls))
     e3_page(SSConfig(cfg, comp, 80))
     assert len(rank_calls) == 2 * (4 * 3 + 2)
     assert len(delta_calls) == period_monomials(cfg) > 0
@@ -380,26 +375,30 @@ def test_one_cold_page_fills_both_components(comp, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 4])
-def test_warm_certificate_reads_the_closed_form_on_every_call(n, monkeypatch):
-    """A proof is kept only for the closed form it was made for: on a warm
-    configuration a closed form bumped by t^j fails at degree j inside the
-    cutoff and, beyond it, passes without the all-degree claim."""
+def test_a_verdict_is_kept_by_the_entry_until_the_table_is_cleared(n, monkeypatch, rebind):
+    """The fill decides the certificate: a warm entry keeps its verdict
+    after ``series.total_series`` is rebound, and once the table is cleared
+    a closed form bumped by t^j fails at degree j inside the cutoff and,
+    beyond it, passes without the all-degree claim."""
     limit, true_total = 60, total_series(n)
     truth = expand(true_total, limit).coefficients
     for case in ALL_CASES:
         cfg = AlgebraConfig(n, case)
-        assert verify_collapse(cfg, limit).all_degrees  # warm
+        warm = verify_collapse(cfg, limit)
+        assert warm.all_degrees
         for j in (0, 1, 6 * n + 8, limit, limit + 1, 10 * n + 50):
             bumped = true_total + series.RationalSeries((0,) * j + (1,))
             monkeypatch.setattr(series, "total_series", lambda _n, r=bumped: r)
+            assert verify_collapse(cfg, limit) == warm, (case, j)
+            rebind(series, "total_series", series.total_series)  # now with the clear
             report = verify_collapse(cfg, limit)
             assert not report.all_degrees and report.e_page_stable, (case, j)
             if j <= limit:
                 assert report.first_mismatch == (j, truth[j], truth[j] + 1), (case, j)
             else:
                 assert report.passed and report.computed == truth, (case, j)
-            monkeypatch.setattr(series, "total_series", total_series)
-            assert verify_collapse(cfg, limit).all_degrees, (case, j)
+            rebind(series, "total_series", total_series)
+            assert verify_collapse(cfg, limit) == warm, (case, j)
 
 
 PAGE_PATH = ("e2_page", "e3_page", "page_series", "_compare")
@@ -407,14 +406,14 @@ PAGE_PATH = ("e2_page", "e3_page", "page_series", "_compare")
 
 @pytest.mark.parametrize("limit", [0, 10, 400])
 def test_a_proved_certificate_expands_the_closed_form_once_per_configuration(
-    limit, monkeypatch
+    limit, monkeypatch, rebind
 ):
-    """A built-in certificate proves its closed form on one expansion
-    through K, whatever the cutoff, and builds no page; a warm proved one
-    expands nothing.  A closed form whose proof fails, and an operator that
-    is not the built-in one, are compared on the pages, on one expansion
-    through D per call (after the failed proof's expansion through K on
-    the cold call)."""
+    """A built-in certificate is proved when the table is filled, on one
+    expansion through K, whatever the cutoff, and builds no page; a warm
+    proved one expands nothing.  A closed form whose proof fails, and an
+    operator that is not the built-in one, are compared on the pages, on
+    one expansion through D per call (after the failed proof's expansion
+    through K on the cold call)."""
     cfg, true_total = AlgebraConfig(2, BVCase.B_W), total_series(2)
     bumped = true_total + series.RationalSeries((1,))  # wrong in degree 0
     expansions, page_calls = [], []
@@ -422,10 +421,9 @@ def test_a_proved_certificate_expands_the_closed_form_once_per_configuration(
     for name in PAGE_PATH:
         monkeypatch.setattr(spectral, name, counting(getattr(spectral, name), page_calls))
     for total, passed in ((true_total, True), (bumped, False)):
-        monkeypatch.setattr(series, "total_series", lambda _n, r=total: r)
+        rebind(series, "total_series", lambda _n, r=total: r)
         bound = spectral._degree_bound(cfg, total)
         report = [] if passed else [(total, limit)]
-        clear_period_tables()
         for state, want in (("cold", [(total, bound), *report]), ("warm", report)):
             expansions.clear()
             page_calls.clear()
@@ -436,6 +434,46 @@ def test_a_proved_certificate_expands_the_closed_form_once_per_configuration(
         expansions.clear()
         verify_collapse(cfg, limit, wrapped_delta)
         assert expansions == [(total, limit)]
+
+
+def test_a_warm_proved_certificate_reads_no_closed_form(monkeypatch):
+    """At n = 1000 a warm certificate calls neither ``series.total_series``
+    nor ``series.expand``: its verdict is the entry's, its tuples one running
+    sum."""
+    cfg = AlgebraConfig(1000)
+    cold = verify_collapse(cfg, 40)
+    calls = []
+    for name in ("total_series", "expand"):
+        monkeypatch.setattr(series, name, counting(getattr(series, name), calls))
+    for name in PAGE_PATH:
+        monkeypatch.setattr(spectral, name, counting(getattr(spectral, name), calls))
+    warm = verify_collapse(cfg, 40)
+    assert calls == []
+    assert warm == cold and warm.passed and warm.all_degrees
+    assert warm.computed == expand(total_series(1000), 40).coefficients
+
+
+@pytest.mark.parametrize("comp", [Component.E, Component.G])
+def test_a_page_fill_proves_the_certificate_on_one_expansion_through_k(
+    comp, monkeypatch, rebind
+):
+    """A cold third page fills the entry and proves the certificate there:
+    with the certificate that follows on the same configuration, the closed
+    form is read and expanded once in all, through K, and the certificate
+    builds no page."""
+    cfg = AlgebraConfig(3, BVCase.A_VXW)
+    bound = spectral._degree_bound(cfg, total_series(3))
+    forms, expansions, page_calls = [], [], []
+    monkeypatch.setattr(series, "expand", counting(series.expand, expansions))
+    rebind(series, "total_series", counting(series.total_series, forms))
+    e3_page(SSConfig(cfg, comp, 600))
+    for name in PAGE_PATH:
+        monkeypatch.setattr(spectral, name, counting(getattr(spectral, name), page_calls))
+    report = verify_collapse(cfg, 600)
+    assert report.passed and report.all_degrees
+    assert forms == [(3,)] and page_calls == []
+    [(total, top)] = expansions
+    assert series.eq_exact(total, total_series(3)) and top == bound
 
 
 def summed_page_series(cfg, limit):
@@ -486,7 +524,7 @@ def test_stored_differences_are_constant_per_parity_past_the_head(n):
         entry = spectral._period_table(cfg)
         differences = c[:period] + tuple(c[k] - c[k - period] for k in range(period, 8 * n + 3))
         assert entry.differences == differences, case
-        assert entry.stable
+        assert entry.proved
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -506,9 +544,8 @@ def test_the_summed_series_tiles_any_periodic_columns(n):
     entries = {(p, q): columns[p > 0][q + shift] for p, q in dense_cells(cfg)}
     c = dense_series(entries, cfg)
     differences = c[:period] + tuple(c[k] - c[k - period] for k in range(period, 8 * n + 3))
-    entry = spectral._Table({}, {}, differences, True, {})
     for limit in range(top + 1):
-        assert spectral._summed_series(entry, n, limit) == c[: limit + 1], limit
+        assert spectral._summed_series(differences, n, limit) == c[: limit + 1], limit
 
 
 def page_comparison(cfg, limit, total):
@@ -537,44 +574,39 @@ def own_closed_form(cfg):
 
 @pytest.mark.parametrize("rebound", [zero_delta, moving_delta], ids=["zero", "moving"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_a_rebound_operator_is_proved_or_compared_on_the_pages(n, rebound, monkeypatch):
+def test_a_rebound_operator_is_proved_or_compared_on_the_pages(n, rebound, rebind):
     """With ``bv.delta`` rebound and the table cleared, the certificate is
     proved only if the contractible page keeps its second page and the
     summed series is the closed form.  Against the true closed form both
     proofs fail, ``zero_delta``'s on the series and ``moving_delta``'s on
     the contractible page.  Against the pages' own closed form
     ``zero_delta``'s proof holds and its report is the summed page series,
-    while ``moving_delta``'s still fails on the contractible page.  A failed
-    proof reports the page comparison field by field, cold and warm, and
-    the entry keeps one proof however often the closed form changes."""
-    monkeypatch.setattr(bv, "delta", rebound)
-    try:
-        for case in ALL_CASES:
-            cfg = AlgebraConfig(n, case)
-            clear_period_tables()
-            own = own_closed_form(cfg)
-            top = 12 * n + 8
-            assert expand(own, top).coefficients == summed_page_series(cfg, top), case
-            assert spectral._period_table(cfg).stable is (rebound is zero_delta)
-            for total in (total_series(n), own, total_series(n), own):
-                monkeypatch.setattr(series, "total_series", lambda _n, r=total: r)
-                verify_collapse(cfg, 1)
-                assert len(spectral._period_table(cfg).proofs) == 1, case
-            for total in (total_series(n), own):
-                monkeypatch.setattr(series, "total_series", lambda _n, r=total: r)
-                for limit in oracle_degrees(n):
-                    clear_period_tables()
-                    cold = verify_collapse(cfg, limit)
-                    assert cold == verify_collapse(cfg, limit), (case, limit)
-                    if total is own and rebound is zero_delta:
-                        c = summed_page_series(cfg, limit)
-                        assert cold == CollapseReport(cfg, limit, True, c, c, None, True)
-                    else:
-                        assert cold == page_comparison(cfg, limit, total), (case, limit)
-                        assert cold.e_page_stable is (rebound is zero_delta or limit == 0)
-    finally:
-        monkeypatch.undo()
-        clear_period_tables()
+    while ``moving_delta``'s still fails on the contractible page.  Each
+    rebinding of the closed form gets the verdict of that form, and a
+    failed proof reports the page comparison field by field, cold and
+    warm."""
+    rebind(bv, "delta", rebound)
+    for case in ALL_CASES:
+        cfg = AlgebraConfig(n, case)
+        own = own_closed_form(cfg)
+        top = 12 * n + 8
+        assert expand(own, top).coefficients == summed_page_series(cfg, top), case
+        for total in (total_series(n), own, total_series(n), own):
+            rebind(series, "total_series", lambda _n, r=total: r)
+            proved = total is own and rebound is zero_delta
+            assert spectral._period_table(cfg).proved is proved, case
+        for total in (total_series(n), own):
+            rebind(series, "total_series", lambda _n, r=total: r)
+            for limit in oracle_degrees(n):
+                clear_period_tables()
+                cold = verify_collapse(cfg, limit)
+                assert cold == verify_collapse(cfg, limit), (case, limit)
+                if total is own and rebound is zero_delta:
+                    c = summed_page_series(cfg, limit)
+                    assert cold == CollapseReport(cfg, limit, True, c, c, None, True)
+                else:
+                    assert cold == page_comparison(cfg, limit, total), (case, limit)
+                    assert cold.e_page_stable is (rebound is zero_delta or limit == 0)
 
 
 @pytest.mark.parametrize("n", [1, 8])
@@ -662,7 +694,7 @@ def test_cold_and_warm_period_tables_give_the_same_results():
     assert warm == pages_and_reports(items, clear=True)
 
 
-def test_rebound_delta_shares_the_configuration_table(monkeypatch):
+def test_rebound_delta_shares_the_configuration_table(monkeypatch, rebind):
     """The period table holds the pages of the bv.delta that filled it: a
     rebound counter on a warm configuration is not called and adds no entry,
     and after cache_clear() it fills the table, once per period monomial."""
@@ -674,7 +706,7 @@ def test_rebound_delta_shares_the_configuration_table(monkeypatch):
     assert verify_collapse(cfg, 50) == original
     assert delta_calls == []
     assert spectral._period_table.cache_info().currsize == size
-    spectral._period_table.cache_clear()
+    rebind(bv, "delta", bv.delta)  # now with the clear
     assert verify_collapse(cfg, 50) == original
     assert len(delta_calls) == period_monomials(cfg) > 0
     assert spectral._period_table.cache_info().currsize == 1
@@ -732,7 +764,7 @@ def test_other_operators_skip_the_rank_table(delta_fn, monkeypatch):
     cfg = AlgebraConfig(2, BVCase.A_V)
     verify_collapse(cfg, 30)
     table = spectral._period_table(cfg)
-    dims, columns, proofs = dict(table.dims), dict(table.columns), dict(table.proofs)
+    dims, columns, proved = dict(table.dims), dict(table.columns), table.proved
     info = spectral._period_table.cache_info()
     calls = []
     monkeypatch.setattr(spectral, "d2_rank", counting(d2_rank, calls))
@@ -750,7 +782,8 @@ def test_other_operators_skip_the_rank_table(delta_fn, monkeypatch):
     after = spectral._period_table.cache_info()
     assert (after.misses, after.currsize) == (info.misses, info.currsize)
     assert spectral._period_table(cfg) is table
-    assert (table.dims, table.columns, table.proofs) == (dims, columns, proofs)
+    assert (dict(table.dims), dict(table.columns), table.proved) == (dims, columns, proved)
+    assert proved
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -761,6 +794,7 @@ def test_verify_collapse_covers_all_degrees_for_builtin_delta(n):
             report = verify_collapse(cfg, limit)
             assert report.all_degrees and report.passed, (case, limit)
             assert report.computed == expand(total_series(n), limit).coefficients
+            assert verify_collapse(cfg, limit, bv.delta) == report, (case, limit)
             wrapped = verify_collapse(cfg, limit, wrapped_delta)
             assert not wrapped.all_degrees
             for name in ("passed", "e_page_stable", "computed", "expected", "first_mismatch"):
@@ -769,13 +803,13 @@ def test_verify_collapse_covers_all_degrees_for_builtin_delta(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_verify_collapse_cutoff_follows_closed_form_degrees(n, monkeypatch):
+def test_verify_collapse_cutoff_follows_closed_form_degrees(n, rebind):
     """A closed form off by t^j agrees through any cutoff below j but in no
     degree bound fixed in advance, so the proof must not claim every degree."""
     for limit in (0, 4 * n + 1):
         for j in (limit + 1, 6 * n + 8, 10 * n + 50):
             bumped = total_series(n) + series.RationalSeries((0,) * j + (1,))
-            monkeypatch.setattr(series, "total_series", lambda _n, r=bumped: r)
+            rebind(series, "total_series", lambda _n, r=bumped: r)
             for case in ALL_CASES:
                 report = verify_collapse(AlgebraConfig(n, case), limit)
                 assert report.passed and not report.all_degrees, (limit, j, case)
@@ -800,10 +834,10 @@ LATE_MISMATCHES = {
 
 
 @pytest.mark.parametrize("key", sorted(LATE_MISMATCHES))
-def test_certificate_bound_reaches_the_latest_first_mismatch(key, monkeypatch):
+def test_certificate_bound_reaches_the_latest_first_mismatch(key, rebind):
     n, num, den, m = LATE_MISMATCHES[key]
     late = series.RationalSeries(num, den)
-    monkeypatch.setattr(series, "total_series", lambda _n: late)
+    rebind(series, "total_series", lambda _n: late)
     for case in ALL_CASES:
         cfg = AlgebraConfig(n, case)
         report = verify_collapse(cfg, m - 1)
@@ -1150,3 +1184,18 @@ def test_a_non_component_is_refused_when_the_configuration_is_built(comp):
         page_from_json(obj, SSConfig(cfg, comp, 10))
     with pytest.raises(InputError, match="unknown component"):
         page_series(page, SSConfig(cfg, comp, 10))
+
+
+@pytest.mark.parametrize("algebra", [3, [1], None, "1", 1.0, (1, BVCase.A_V)])
+def test_a_non_configuration_is_refused_before_any_work(algebra):
+    """A configuration holds an ``AlgebraConfig``, and a certificate takes
+    nothing else: both refuse the rest with ``InputError`` before reading
+    the cutoff or the period table."""
+    with pytest.raises(InputError, match="unknown configuration"):
+        SSConfig(algebra, Component.E, 5)
+    info = spectral._period_table.cache_info()
+    for cutoff in (5, -1):
+        with pytest.raises(InputError, match="unknown configuration"):
+            verify_collapse(algebra, cutoff)
+    after = spectral._period_table.cache_info()
+    assert (after.hits, after.misses) == (info.hits, info.misses)
