@@ -28,6 +28,7 @@ import random
 from collections.abc import Sequence
 from functools import lru_cache, reduce
 from itertools import compress
+from types import MappingProxyType
 
 from .ring import (
     GENERATOR_EXPONENTS,
@@ -59,10 +60,12 @@ from .ring import (
 # bounded: the key is caller input; 64 holds the 32 configurations of
 # n <= 8 twice over
 @lru_cache(maxsize=64)
-def bracket_table(cfg: AlgebraConfig) -> dict[tuple[int, int], AlgebraElement]:
+def bracket_table(cfg: AlgebraConfig) -> MappingProxyType:
     """Nonzero brackets {g_i, g_j} of one case configuration, keyed by the
     index pair (i, j), i < j, with 0, 1, 2 standing for x, v, w.  Pairs that
-    are absent (the diagonal and {v, w}) bracket to zero."""
+    are absent (the diagonal and {v, w}) bracket to zero.  Every caller
+    shares the cached table, so it is read-only: assigning to it raises
+    ``TypeError``."""
     n = cfg.n
     xv = element(Monomial(0, 1, 0))  # v
     if cfg.bv_case is BVCase.A_VXW:
@@ -73,7 +76,7 @@ def bracket_table(cfg: AlgebraConfig) -> dict[tuple[int, int], AlgebraElement]:
         if cfg.bv_case is BVCase.B_WXVW:
             xw = add(xw, element(Monomial(2 * n, 1, 2)))  # + x^(2n) v w^2
         table[(0, 2)] = xw
-    return table
+    return MappingProxyType(table)
 
 
 def generator_bracket(g1: str, g2: str, cfg: AlgebraConfig) -> AlgebraElement:

@@ -127,7 +127,15 @@ class ResonanceReport(Record):
 
 
 def resonance_check(records: Sequence[GeodesicRecord], n: int) -> ResonanceReport:
-    """Exact comparison of the weighted sum against (n+1)/(2n)."""
+    """Exact comparison of the weighted sum against (n+1)/(2n).
+
+    The target is the average alternating Betti number of the
+    non-contractible component: ``series.lg_series(n)`` is the closed form
+    of its equivariant Poincaré series, the Cesàro limit of that series'
+    alternating partial sums (``series.average_alternating``) is (n+1)/(2n),
+    and that limit is the target.  It is written out here, so this module
+    loads no ``series``; a test checks the two agree.
+    """
     check_n(n)
     target = Fraction(n + 1, 2 * n)
     if not records:

@@ -331,44 +331,34 @@ def basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial,
     """All normal-form monomials of loop degree k in the given component.
 
     ``comp=None`` pools both components.  The list is finite for every k and
-    sorted by (a, b, c): a rises along the loop, and c with it.  Results are
-    cached; ``basis.cache_info()`` and ``basis.cache_clear()`` reach the
-    cache.
+    sorted by (a, b, c): a rises along the loop, and c with it.  The
+    arguments are checked before the cache is read, so a refused call
+    leaves it as it was; ``basis.cache_info()`` and ``basis.cache_clear()``
+    reach it.
     """
-    try:
-        return _cached_basis(cfg, comp, k)
-    except TypeError:
-        # an unhashable key fails in the cache lookup, before the checks
-        _check_component(comp)
-        check_int(k, "degree")
-        raise
+    _check_component(comp)
+    check_int(k, "degree")
+    return _degree_basis(cfg, comp, k)
 
 
 # bounded: the key is caller input; 4096 is about three times what the
-# period tables of all 32 configurations fill.  Typed, so that 1.0 or True
-# never hits the entry of 1 and is refused below, warm or cold
-@lru_cache(maxsize=4096, typed=True)
-def _cached_basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial, ...]:
-    _check_component(comp)
-    check_int(k, "degree")
-    # the label parity of component(): b, plus c when w is on the
-    # non-contractible side; comp G asks for odd, E for even
-    odd = comp is Component.G
-    c_weight = 0 if cfg.bv_case.w_is_contractible else 1
+# period tables of all 32 configurations fill.  basis checks first, so an
+# entry is only ever made for an int degree and a component or None
+@lru_cache(maxsize=4096)
+def _degree_basis(cfg: AlgebraConfig, comp: Component | None, k: int) -> tuple[Monomial, ...]:
     out = []
     # k + a must be a nonnegative multiple of 2n, which leaves at most two a
     for a in range(-k % (2 * cfg.n), 2 * cfg.n + 2, 2 * cfg.n):
-        numerator = k + a
-        if numerator < 0:
-            continue
-        c = numerator // (2 * cfg.n)
-        for b in (0, 1):
-            if comp is None or (b + c_weight * c) % 2 == odd:
-                out.append(tuple.__new__(Monomial, (a, b, c)))
+        if k + a >= 0:
+            c = (k + a) // (2 * cfg.n)
+            for b in (0, 1):
+                m = tuple.__new__(Monomial, (a, b, c))
+                if comp is None or component(m, cfg) is comp:
+                    out.append(m)
     return tuple(out)
 
 
-basis.cache_info, basis.cache_clear = _cached_basis.cache_info, _cached_basis.cache_clear
+basis.cache_info, basis.cache_clear = _degree_basis.cache_info, _degree_basis.cache_clear
 
 
 def window_basis(

@@ -37,7 +37,6 @@ fills a configuration's period table or compares pages.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, compress
 from math import lcm
 from operator import add
@@ -278,15 +277,14 @@ def _closed_form(n: int, form: str) -> RationalSeries:
     )
 
 
-# bounded: the key is caller input, any RationalSeries's denominator
-@lru_cache(maxsize=256)
 def _cyclic_factors(den: Poly) -> tuple[tuple[int, ...], Poly]:
     """Greedily divide out factors 1 - t^e, largest e first; returns the
     exponents and the rest, so that den = rest * prod(1 - t^e).
 
     Since t^e = 1 modulo 1 - t^e, that factor divides ``rest`` iff the
     coefficients of each residue class mod e sum to zero, a test that most
-    e fail at the first class.
+    e fail at the first class.  Nothing is cached: a period-table fill
+    factors one denominator, and a command-line call at most two.
     """
     exponents = []
     rest = den

@@ -116,6 +116,17 @@ class SSConfig(Record):
         check_count(self.max_top_degree, "max_top_degree")
 
 
+def _check_config(cfg) -> None:
+    if not isinstance(cfg, SSConfig):
+        raise InputError(f"unknown page configuration {cfg!r}; expected an SSConfig")
+
+
+def _check_operator(delta_fn) -> None:
+    if delta_fn is not None and not callable(delta_fn):
+        raise InputError(f"operator {delta_fn!r} is not callable; expected a function "
+                         f"of an AlgebraElement and an AlgebraConfig, or None")
+
+
 class Page(Record):
     """A page held as two columns in the fiber degree q.
 
@@ -205,14 +216,23 @@ def d2_matrix(
 
     Row i holds the coordinates of the image of the i-th degree-q basis
     monomial in the degree-(q+1) basis.  A ``delta_fn`` of ``None`` is
-    ``bv.delta`` as it is bound at this call.
+    ``bv.delta`` as it is bound at this call.  An operator that is not
+    callable, an image that is not an :class:`AlgebraElement` and an image
+    term outside the degree-(q+1) basis are refused with ``InputError``,
+    before the matrix is ranked.
     """
+    _check_operator(delta_fn)
     source = basis(cfg, comp, q)  # first, so that a non-int q is refused
     index = {m: i for i, m in enumerate(basis(cfg, comp, q + 1))}
     delta_fn, rows = delta_fn or bv.delta, []
     for m in source:
+        image = delta_fn(AlgebraElement(frozenset((m,))), cfg)
+        if not isinstance(image, AlgebraElement):
+            raise InputError(
+                f"image {image!r} of monomial {m} in degree {q} is not an AlgebraElement"
+            )
         row = 0
-        for t in delta_fn(AlgebraElement(frozenset((m,))), cfg).terms:
+        for t in image.terms:
             if t not in index:
                 raise InputError(
                     f"image term {t} of monomial {m} in degree {q} is not a "
@@ -303,7 +323,9 @@ def _homology(
 
 def e2_page(cfg: SSConfig) -> Page:
     """Second page: every column repeats the fiber dimensions, tiled from one
-    period (see the module docstring)."""
+    period (see the module docstring).  A ``cfg`` that is not an
+    :class:`SSConfig` is refused."""
+    _check_config(cfg)
     top = cfg.max_top_degree
     dims = _tile(_period_table(cfg.algebra).dims[cfg.comp], 4 * cfg.algebra.n, top + 1)
     return Page(2, cfg.algebra.dim, top, dims, dims)
@@ -321,8 +343,12 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
     (see the module docstring).  Any other operator is applied only in the D
     fiber degrees whose ranks the page reads, so its images are checked
     against the basis (``InputError`` on a stray term) only there, not at
-    the top degree q = D - shift.
+    the top degree q = D - shift.  A ``cfg`` that is not an
+    :class:`SSConfig` and a ``delta_fn`` that is neither ``None`` nor
+    callable are refused before any rank.
     """
+    _check_config(cfg)
+    _check_operator(delta_fn)
     algebra, comp, top = cfg.algebra, cfg.comp, cfg.max_top_degree
     entry, period = _period_table(algebra), 4 * algebra.n
     if delta_fn is None or delta_fn is bv.delta:
@@ -336,6 +362,9 @@ def e3_page(cfg: SSConfig, delta_fn: DeltaFn | None = None) -> Page:
 
 
 def _check_fits(page: Page, cfg: SSConfig) -> None:
+    if not isinstance(page, Page):
+        raise InputError(f"unknown page {page!r}; expected a Page")
+    _check_config(cfg)
     if (page.shift, page.max_top_degree) != (cfg.algebra.dim, cfg.max_top_degree):
         raise InputError(
             f"page with shift {page.shift} and cutoff {page.max_top_degree} does not "
@@ -348,7 +377,9 @@ def page_series(page: Page, cfg: SSConfig) -> series.TruncatedSeries:
     cutoff, in O(D).
 
     Degree k collects column 0 at index k and column p >= 1 at every index
-    k - 2p >= 0, a running sum over the indices of k's parity.
+    k - 2p >= 0, a running sum over the indices of k's parity.  A ``page``
+    that is not a :class:`Page`, a ``cfg`` that is not an :class:`SSConfig`
+    and a page of another n or cutoff are refused.
     """
     _check_fits(page, cfg)
     return series.TruncatedSeries(tuple(_page_coefficients(page.first, page.rest)))
@@ -433,11 +464,13 @@ def verify_collapse(
     summed series through the cutoff, one running sum, with no closed form
     read.  Otherwise, or if that proof failed, the pages are compared
     through the cutoff on the closed form's expansion through it.  A
-    ``cfg`` that is not an :class:`AlgebraConfig` is refused first.
+    ``cfg`` that is not an :class:`AlgebraConfig` is refused first, and a
+    ``delta_fn`` that is neither ``None`` nor callable before any rank.
     """
     if not isinstance(cfg, AlgebraConfig):  # before any work
         raise InputError(f"unknown configuration {cfg!r}; expected an AlgebraConfig")
     check_count(max_top_degree, "max_top_degree")
+    _check_operator(delta_fn)
     if (delta_fn is None or delta_fn is bv.delta) and (entry := _period_table(cfg)).proved:
         coeffs = _summed_series(entry.differences, cfg.n, max_top_degree)
         return CollapseReport(cfg, max_top_degree, True, coeffs, coeffs, None, True)
@@ -446,9 +479,10 @@ def verify_collapse(
 
 
 def page_to_json(page: Page, cfg: SSConfig) -> dict:
-    """JSON-ready mapping, entries in (p, q) order."""
-    entries = [{"p": p, "q": q, "dim": d} for p, column in page.columns() for q, d in column]
+    """JSON-ready mapping, entries in (p, q) order; the arguments are
+    checked as by :func:`page_series`."""
     coeffs = list(page_series(page, cfg).coefficients)
+    entries = [{"p": p, "q": q, "dim": d} for p, column in page.columns() for q, d in column]
     return {"page": page.page_index, "entries": entries, "series": coeffs}
 
 
@@ -460,8 +494,10 @@ def page_from_json(obj: dict, cfg: SSConfig) -> Page:
     nonnegative, the page index is at least 2 and re-emitting the page gives
     the object back exactly.  That last test rules out negative p, repeated,
     zero or unsorted cells, cells past the cutoff, columns p >= 2 that differ
-    from p = 1, a wrong series and extra keys.
+    from p = 1, a wrong series and extra keys.  A ``cfg`` that is not an
+    :class:`SSConfig` is refused first.
     """
+    _check_config(cfg)
     shift, top = cfg.algebra.dim, cfg.max_top_degree
     columns = [0] * (top + 1), [0] * (top + 1)
     try:

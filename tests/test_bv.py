@@ -1,4 +1,5 @@
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -84,13 +85,30 @@ def test_generator_bracket_rejects_unknown_name():
 def test_bracket_table_object():
     cfg = AlgebraConfig(1, BVCase.B_W)
     table = bracket_table(cfg)
-    assert type(table) is dict
+    assert type(table) is MappingProxyType
     assert table is bracket_table(cfg)
     # index pairs i < j (0, 1, 2 = x, v, w); only the nonzero brackets
     assert set(table) == {(0, 1), (0, 2)}
     assert table[(0, 1)] == generator("v")
     assert table[(0, 2)] == generator("w")
     assert set(bracket_table(AlgebraConfig(1, BVCase.A_V))) == {(0, 1)}
+
+
+def test_the_shared_bracket_table_cannot_be_changed():
+    """Every caller gets the cached table; writing to it would change Delta
+    for the rest of the process, so the table refuses item assignment."""
+    cfg = AlgebraConfig(1)
+    xv = element(Monomial(1, 1, 0))
+    assert delta(xv, cfg) == generator("v")
+    table = bracket_table(cfg)
+    with pytest.raises(TypeError):
+        table[(0, 1)] = generator("w")
+    with pytest.raises(TypeError):
+        table[(1, 2)] = generator("w")
+    with pytest.raises(TypeError):
+        del table[(0, 1)]
+    assert dict(bracket_table(cfg)) == {(0, 1): generator("v")}
+    assert delta(xv, cfg) == generator("v")
 
 
 @pytest.mark.parametrize("case", ALL_CASES)

@@ -95,6 +95,17 @@ def test_resonance_check_empty_is_vacuous_fail():
     assert (nd.total, nd.target, nd.passed, nd.consistent_with_full) == (0, 2, False, False)
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_the_target_is_the_average_of_the_non_contractible_series(n):
+    """``resonance_check`` writes (n+1)/(2n) out; it is the Cesàro average of
+    the alternating Betti numbers of ``lg_series(n)``, and the nondegenerate
+    target is twice it."""
+    records = [nondegenerate_record("a", 0, 1), nondegenerate_record("b", 2, 3)]
+    target = average_alternating(lg_series(n))
+    assert resonance_check(records, n).target == target
+    assert nondegenerate_check(records, n).target == 2 * target
+
+
 def test_resonance_check_rejects_duplicate_labels():
     records = [nondegenerate_record("twin", 0, 1), nondegenerate_record("twin", 2, 1)]
     with pytest.raises(InputError):

@@ -155,6 +155,26 @@ def test_degrees_refuse_non_integers_cold_and_warm(call, value):
         run(2)
 
 
+@pytest.mark.parametrize(
+    "comp, k",
+    [(Component.E, 1.0), (Component.E, True), (Component.E, "1"), (Component.E, [1]),
+     ([Component.E], 1), ("e", 1)],
+    ids=["1.0", "True", "'1'", "[1]", "[Component.E]", "'e'"],
+)
+def test_a_refused_basis_call_leaves_the_cache_as_it_was(comp, k):
+    """``basis`` checks its arguments before it reads the cache, so a refused
+    call counts neither a hit nor a miss and stores nothing, cold or warm."""
+    cfg = AlgebraConfig(1)
+    basis.cache_clear()
+    for _ in ("cold", "warm"):
+        info = basis.cache_info()
+        with pytest.raises(InputError):
+            basis(cfg, comp, k)
+        assert basis.cache_info() == info
+        basis(cfg, Component.E, 1)
+        basis(cfg, None, 2)
+
+
 def test_normalize_v_square_even_n():
     cfg = AlgebraConfig(2)
     assert normalize(0, 2, 0, cfg) == element(Monomial(4, 0, 1))

@@ -163,7 +163,7 @@ def seeded_results():
     denominators."""
     results = []
     for den in [*sparse_denominators(random.Random(23)), *dense_denominators(random.Random(20261019))]:
-        results.append(_cyclic_factors.__wrapped__(den))
+        results.append(_cyclic_factors(den))
         for e in range(1, len(den) + 2):
             results.append((_exact_quotient(den, [e]), signed_quotient(den, [(-1, e)])))
     rng = random.Random(20261018)

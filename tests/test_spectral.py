@@ -1199,3 +1199,70 @@ def test_a_non_configuration_is_refused_before_any_work(algebra):
             verify_collapse(algebra, cutoff)
     after = spectral._period_table.cache_info()
     assert (after.hits, after.misses) == (info.hits, info.misses)
+
+
+@pytest.mark.parametrize("operator", [5, "delta", [bv.delta]], ids=["5", "'delta'", "[delta]"])
+def test_an_operator_that_cannot_be_called_is_refused_before_any_rank(operator, monkeypatch):
+    """``delta_fn`` is ``None`` or a function; anything else is an
+    ``InputError`` before the period table is read or any matrix ranked."""
+    calls = []
+    monkeypatch.setattr(gf2, "rank", counting(gf2.rank, calls))
+    clear_period_tables()
+    cfg = AlgebraConfig(1)
+    for call in (
+        lambda: e3_page(SSConfig(cfg, Component.E, 10), operator),
+        lambda: verify_collapse(cfg, 10, operator),
+        lambda: d2_matrix(cfg, Component.G, 0, operator),
+        lambda: d2_rank(cfg, Component.G, 0, operator),
+    ):
+        with pytest.raises(InputError, match="is not callable"):
+            call()
+    assert calls == [] and spectral._period_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [lambda u, cfg: 7, lambda u, cfg: None, lambda u, cfg: u.terms],
+    ids=["7", "None", "terms"],
+)
+def test_an_image_that_is_not_an_element_is_refused_before_its_rank(operator, monkeypatch):
+    """An operator's value must be an ``AlgebraElement``; any other value is
+    an ``InputError`` from ``d2_matrix``, as a stray image term is, before
+    the matrix is ranked."""
+    cfg = AlgebraConfig(1)
+    e3_page(SSConfig(cfg, Component.E, 10))  # the period table is warm
+    calls = []
+    monkeypatch.setattr(gf2, "rank", counting(gf2.rank, calls))
+    for call in (
+        lambda: e3_page(SSConfig(cfg, Component.E, 10), operator),
+        lambda: e3_page(SSConfig(cfg, Component.G, 10), operator),
+        lambda: verify_collapse(cfg, 10, operator),
+        lambda: d2_rank(cfg, Component.G, 0, operator),
+    ):
+        with pytest.raises(InputError, match="is not an AlgebraElement"):
+            call()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "bad", [3, None, "e", AlgebraConfig(1)], ids=["3", "None", "'e'", "algebra"]
+)
+def test_a_non_page_configuration_or_a_non_page_is_refused(bad):
+    """Pages take an ``SSConfig`` and page readers a ``Page``; anything else
+    is an ``InputError``, not an ``AttributeError``."""
+    good = SSConfig(AlgebraConfig(1), Component.E, 10)
+    page = e3_page(good)
+    obj = page_to_json(page, good)
+    for call in (
+        lambda: e2_page(bad),
+        lambda: e3_page(bad),
+        lambda: e3_page(bad, bv.delta),
+        lambda: page_series(page, bad),
+        lambda: page_to_json(page, bad),
+        lambda: page_from_json(obj, bad),
+    ):
+        with pytest.raises(InputError, match="unknown page configuration .*; expected an SSConfig"):
+            call()
+    for call in (lambda: page_series(bad, good), lambda: page_to_json(bad, good)):
+        with pytest.raises(InputError, match="unknown page .*; expected a Page$"):
+            call()
